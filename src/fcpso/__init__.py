@@ -33,7 +33,7 @@ from .fairness import (
 )
 from .indicators import IndicatorReport, additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig, apply_turbulence, polynomial_mutate
-from .optimizer import RunConfig, RunResult, run, run_until_hv
+from .optimizer import RunConfig, RunResult, run
 from .problems import (
     ProblemInstance,
     available_problems,

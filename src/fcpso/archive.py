@@ -18,7 +18,6 @@ __all__ = [
     "dominates",
     "non_dominated_mask",
     "crowding_distance",
-    "select_leader",
 ]
 
 INSERTED = "inserted"
@@ -178,6 +177,3 @@ class ExternalArchive:
             return b
         return a if rng.random() < 0.5 else b
 
-
-def select_leader(archive: ExternalArchive, rng: np.random.Generator) -> ArchiveEntry:
-    return archive.select_leader(rng)

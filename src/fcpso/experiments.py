@@ -3,6 +3,11 @@
 Runs are paired across variants (seed_i = base_seed + i) so every
 comparison sees the same random starts.  Each (problem, indicator) cell
 gets the per-variant medians and a two-sided Mann-Whitney p-value.
+
+Every task makes one run.  The "fe" indicator, the evaluations until the
+archive hv first reaches hv_target_fraction of the reference hv, is read
+from the budget run's per-generation hv trace, or, when fe is the only
+indicator, from a run that stops at that target.
 """
 
 from __future__ import annotations
@@ -97,8 +102,6 @@ def _metrics_for(result: RunResult, problem, wanted: tuple[str, ...]) -> dict:
             out["hv"] = hypervolume(front, problem.hv_reference_point)
         elif ind == "sp":
             out["sp"] = spacing(front) if front.shape[0] >= 2 else 0.0
-        elif ind == "fe":
-            out["fe"] = float(result.evaluations_used)
         elif ind in ("igd", "eps"):
             if problem.reference_front is None:
                 out[ind] = f"error: no reference front for {problem.name}"
@@ -110,24 +113,34 @@ def _metrics_for(result: RunResult, problem, wanted: tuple[str, ...]) -> dict:
     return out
 
 
+def _fe(result: RunResult, hv_target: float) -> float:
+    """Evaluations at the first traced hv that meets hv_target, else the whole run."""
+    return float(next((evals for evals, hv in result.hv_trace if hv >= hv_target), result.evaluations_used))
+
+
 def _execute(task: _Task) -> dict:
     name, n_obj = parse_problem_id(task.problem_id)
     problem = get_problem(name, n_obj)
     scheme = ParameterScheme(*task.scheme) if task.scheme is not None else None
     dyn = replace(task.cfg.dynamics, variant=task.variant, scheme=scheme)
-    cfg = replace(task.cfg, dynamics=dyn)
+    fraction = task.cfg.hv_target_fraction
+    cfg = replace(task.cfg, dynamics=dyn, hv_target_fraction=None)
     wanted = tuple(i for i in task.indicators if i != "fe")
     metrics: dict = {}
-    if wanted:
-        result = run(problem, cfg, task.seed)
-        metrics.update(_metrics_for(result, problem, wanted))
+    hv_target = None
     if "fe" in task.indicators:
-        if problem.reference_hv is None and cfg.reference_hv is None:
+        reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
+        if reference_hv is None:
             metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
         else:
-            fe_cfg = replace(cfg, hv_target_fraction=task.cfg.hv_target_fraction or 0.95)
-            fe_result = run(problem, fe_cfg, task.seed)
-            metrics["fe"] = float(fe_result.evaluations_used)
+            # the traced budget run's trace starts with the target run's trace
+            hv_target = fraction * reference_hv
+            cfg = replace(cfg, record_interval=1) if wanted else replace(cfg, hv_target_fraction=fraction)
+    if wanted or hv_target is not None:
+        result = run(problem, cfg, task.seed)
+        metrics.update(_metrics_for(result, problem, wanted))
+        if hv_target is not None:
+            metrics["fe"] = _fe(result, hv_target)
     return metrics
 
 
@@ -150,7 +163,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Com
         mutation=spec.mutation,
         max_evaluations=spec.max_evaluations,
         archive_capacity=spec.archive_capacity,
-        hv_target_fraction=None,
+        hv_target_fraction=spec.hv_target_fraction,
     )
     tasks = [
         _Task(pid, variant, None, spec.base_seed + i, base_cfg, spec.indicators)

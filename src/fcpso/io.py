@@ -19,7 +19,6 @@ __all__ = [
     "results_root",
     "run_directory",
     "write_front_csv",
-    "write_positions_csv",
     "write_metadata",
     "write_hv_trace_csv",
     "write_run_result",
@@ -44,20 +43,16 @@ def run_directory(root: Path, result: RunResult) -> Path:
     return Path(root) / result.problem / result.variant / str(result.seed)
 
 
+def _write_matrix_csv(path, values: np.ndarray, prefix: str) -> None:
+    A = np.atleast_2d(np.asarray(values, dtype=float))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"{prefix}{j + 1}" for j in range(A.shape[1])) + "\n")
+        for row in A:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
 def write_front_csv(path, objectives: np.ndarray) -> None:
-    F = np.atleast_2d(np.asarray(objectives, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"f{j + 1}" for j in range(F.shape[1])) + "\n")
-        for row in F:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def write_positions_csv(path, positions: np.ndarray) -> None:
-    X = np.atleast_2d(np.asarray(positions, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(X.shape[1])) + "\n")
-        for row in X:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write_matrix_csv(path, objectives, "f")
 
 
 def write_metadata(path, result: RunResult) -> None:
@@ -85,7 +80,7 @@ def write_run_result(directory, result: RunResult) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_front_csv(directory / "front.csv", result.front_objectives)
-    write_positions_csv(directory / "positions.csv", result.front_positions)
+    _write_matrix_csv(directory / "positions.csv", result.front_positions, "x")
     write_metadata(directory / "meta.txt", result)
     if result.hv_trace:
         write_hv_trace_csv(directory / "hv_trace.csv", result.hv_trace)

@@ -2,13 +2,15 @@
 
 One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
-hypervolume, whichever comes first.
+hypervolume, whichever comes first.  The archive hypervolume is traced
+from the initial swarm on, every generation under a hypervolume target
+and every ``record_interval`` generations otherwise.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .swarm import (
     update_position,
 )
 
-__all__ = ["RunConfig", "RunResult", "run", "run_until_hv"]
+__all__ = ["RunConfig", "RunResult", "run"]
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,8 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
     dyn = cfg.dynamics
     bounds = problem.bounds
 
-    hv_mode = cfg.hv_target_fraction is not None
     hv_target = None
-    if hv_mode:
+    if cfg.hv_target_fraction is not None:
         reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
         if reference_hv is None:
             raise ValueError(
@@ -91,17 +92,18 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
     evaluations = dyn.swarm_size
 
     trace: list[tuple[int, float]] = []
+    interval = 1 if hv_target is not None else cfg.record_interval
+    generation = 0
 
-    def record() -> float:
+    def target_reached() -> bool:
+        """Trace the archive hypervolume when due; True once it meets the target."""
+        if not interval or generation % interval:
+            return False
         hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
         trace.append((evaluations, hv))
-        return hv
+        return hv_target is not None and hv >= hv_target
 
-    generation = 0
-    done = False
-    if hv_mode and record() >= hv_target:
-        done = True
-
+    done = target_reached()
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
         em = dyn.variant != "smpso"
         for p in swarm:
@@ -119,12 +121,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
         for p, y in zip(swarm, objectives):
             update_pbest(p, y, rng)
         generation += 1
-
-        if hv_mode:
-            if record() >= hv_target:
-                done = True
-        elif cfg.record_interval and generation % cfg.record_interval == 0:
-            record()
+        done = target_reached()
 
     return RunResult(
         problem=problem.name,
@@ -138,13 +135,3 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
         wall_time=time.perf_counter() - t0,
     )
 
-
-def run_until_hv(
-    problem: ProblemInstance,
-    cfg: RunConfig,
-    target_fraction: float = 0.95,
-    seed: int | None = None,
-) -> RunResult:
-    """Run until the archive hypervolume reaches target_fraction of the
-    reference hypervolume (or the budget runs out)."""
-    return run(problem, replace(cfg, hv_target_fraction=target_fraction), seed)

@@ -59,6 +59,13 @@ class ProblemInstance:
     reference_hv: float | None
     hv_reference_point: np.ndarray
 
+    def __post_init__(self) -> None:
+        # get_problem's cache shares each instance with every later caller
+        b = self.bounds
+        for a in (b.lower, b.upper, b.delta, self.hv_reference_point, self.reference_front):
+            if a is not None:
+                a.setflags(write=False)
+
 
 def _checked(name: str, bounds: BoxBounds, fn: Callable) -> Callable:
     lower, upper = bounds.lower, bounds.upper

@@ -1,19 +1,25 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from fcpso import experiments
 from fcpso.experiments import (
     ComparisonRow,
     ExperimentSpec,
     ProfilePoint,
     _exact_u_counts,
+    _execute,
+    _Task,
     mann_whitney_p,
     median,
     run_experiment,
     unfairness_profile,
 )
+from fcpso.optimizer import RunConfig
+from fcpso.swarm import DynamicsConfig
 
 
 def enumeration_p(a, b):
@@ -180,8 +186,50 @@ class TestRunExperiment:
             hv_target_fraction=0.5,
         )
         rows = run_experiment(spec, workers=1)
-        assert rows[0].winner in ("a", "b", "tie")
-        assert rows[0].median_a <= 4000 and rows[0].median_b <= 4000
+        # direct runs to half the reference hv stop at smpso 2040/2120 and
+        # fcpso 1420/1700 evaluations (seeds 1/2); at 0.95 the medians are 3600/3660
+        assert (rows[0].median_a, rows[0].median_b) == (2080.0, 1560.0)
+
+
+class TestOneRunPerTask:
+    CFG = RunConfig(
+        dynamics=DynamicsConfig(swarm_size=20),
+        max_evaluations=4000,
+        archive_capacity=20,
+        hv_target_fraction=0.5,
+    )
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        real_run = experiments.run
+
+        def counted(problem, cfg, seed=None):
+            calls.append(cfg)
+            return real_run(problem, cfg, seed)
+
+        monkeypatch.setattr(experiments, "run", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
+    def test_fe_alone_and_with_other_indicators_agree(self, runs, variant):
+        alone = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("fe",)))
+        assert len(runs) == 1 and runs[0].hv_target_fraction == 0.5
+        full = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("hv", "igd", "fe")))
+        assert len(runs) == 2 and runs[1].hv_target_fraction is None
+        assert full["fe"] == alone["fe"] < 4000
+        hv_only = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("hv",)))
+        assert len(runs) == 3 and runs[2].hv_target_fraction is None
+        assert hv_only["hv"] == full["hv"]
+
+    def test_unreached_target_reports_the_whole_budget(self, runs):
+        cfg = replace(self.CFG, hv_target_fraction=1.0, max_evaluations=400)
+        metrics = _execute(_Task("zdt1", "fcpso", None, 1, cfg, ("hv", "fe")))
+        assert len(runs) == 1 and metrics["fe"] == 400.0
+
+    def test_missing_reference_hv_is_an_error_value(self, runs):
+        metrics = _execute(_Task("dtlz2:3", "fcpso", None, 1, self.CFG, ("fe",)))
+        assert runs == [] and metrics["fe"].startswith("error: no reference hypervolume")
 
 
 class TestUnfairnessProfile:

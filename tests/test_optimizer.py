@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fcpso.archive import non_dominated_mask
 from fcpso.mutation import MutationConfig
-from fcpso.optimizer import RunConfig, run, run_until_hv
+from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem
 from fcpso.swarm import DynamicsConfig
 
@@ -90,31 +92,31 @@ class TestRunBasics:
 class TestHvTarget:
     def test_target_zero_stops_immediately(self):
         problem = get_problem("zdt1")
-        result = run_until_hv(problem, quick_cfg(swarm=20, evals=2000), 0.0, seed=1)
+        result = run(problem, replace(quick_cfg(swarm=20, evals=2000), hv_target_fraction=0.0), seed=1)
         assert result.evaluations_used == 20
         assert len(result.hv_trace) == 1
 
     def test_unreachable_target_exhausts_budget(self):
         problem = get_problem("zdt1")
         cfg = quick_cfg(swarm=20, evals=200)
-        result = run_until_hv(problem, cfg, 1.0, seed=1)
+        result = run(problem, replace(cfg, hv_target_fraction=1.0), seed=1)
         assert result.evaluations_used == 200
 
     def test_missing_reference_hv_rejected(self):
         problem = get_problem("dtlz2", 3)
         with pytest.raises(ValueError, match="reference hypervolume"):
-            run_until_hv(problem, quick_cfg(), 0.95, seed=1)
+            run(problem, replace(quick_cfg(), hv_target_fraction=0.95), seed=1)
 
     def test_explicit_reference_hv_override(self):
         problem = get_problem("dtlz2", 3)
         cfg = quick_cfg(reference_hv=7.0, evals=400)
-        result = run_until_hv(problem, cfg, 0.01, seed=1)
+        result = run(problem, replace(cfg, hv_target_fraction=0.01), seed=1)
         assert result.evaluations_used <= 400
 
     def test_trace_recorded_and_tolerably_monotone(self):
         problem = get_problem("zdt1")
         cfg = quick_cfg(swarm=20, evals=4000)
-        result = run_until_hv(problem, cfg, 0.95, seed=4)
+        result = run(problem, replace(cfg, hv_target_fraction=0.95), seed=4)
         evals, hvs = zip(*result.hv_trace)
         assert list(evals) == sorted(evals)
         hvs = np.array(hvs)
@@ -126,7 +128,18 @@ class TestHvTarget:
         problem = get_problem("zdt1")
         cfg = quick_cfg(swarm=20, evals=400, record_interval=5)
         result = run(problem, cfg, seed=1)
-        assert len(result.hv_trace) == (400 // 20 - 1) // 5
+        # the initial swarm and generations 5, 10, 15 of the 19 the budget allows
+        assert [evals for evals, _ in result.hv_trace] == [20, 120, 220, 320]
+
+    @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
+    def test_traced_budget_run_starts_with_the_target_run(self, variant):
+        problem = get_problem("zdt1")
+        cfg = quick_cfg(variant=variant, swarm=20, evals=4000)
+        target = run(problem, replace(cfg, hv_target_fraction=0.5), seed=2)
+        budget = run(problem, replace(cfg, record_interval=1), seed=2)
+        assert target.evaluations_used < budget.evaluations_used
+        assert budget.hv_trace[: len(target.hv_trace)] == target.hv_trace
+        assert len(budget.hv_trace) == budget.evaluations_used // 20
 
 
 class TestMutationInteraction:

@@ -119,3 +119,14 @@ class TestRegistry:
 
     def test_instances_cached(self):
         assert get_problem("zdt1") is get_problem("zdt1")
+
+    @pytest.mark.parametrize("name,n_obj", [("zdt4", None), ("dtlz2", 3), ("wfg4", 5)])
+    def test_cached_arrays_are_read_only(self, name, n_obj):
+        problem = get_problem(name, n_obj)
+        arrays = [problem.hv_reference_point, problem.reference_front,
+                  problem.bounds.lower, problem.bounds.upper, problem.bounds.delta]
+        for a in arrays:
+            before = a.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+            np.testing.assert_array_equal(a, before)
