@@ -7,7 +7,7 @@ probability calculus that separates them, benchmark problem suites and
 quality indicators.
 """
 
-from .archive import ArchiveEntry, ExternalArchive, crowding_distance, dominates, non_dominated_mask
+from .archive import ExternalArchive, crowding_distance, dominates, non_dominated_mask
 from .constriction import (
     EigenPair,
     MapState,

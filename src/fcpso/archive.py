@@ -1,19 +1,17 @@
 """Bounded external archive of non-dominated solutions.
 
 The archive stores the best mutually non-dominated solutions found so
-far, evicting by crowding distance when full.  Swarm leaders (the gbest
+far, evicting by crowding distance when full.  Entries live in row order
+in preallocated objective and position arrays.  Swarm leaders (the gbest
 of the velocity update) are drawn from it with a binary tournament that
 favours isolated entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ArchiveEntry",
     "ExternalArchive",
     "dominates",
     "non_dominated_mask",
@@ -49,20 +47,17 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
                 keep[i] = True
                 best = F[i, 1]
         return keep
+    # point b goes when some point a weakly dominates it and either beats
+    # it somewhere or is an earlier duplicate; rows go in blocks of about
+    # 2**20 coordinate comparisons, to bound memory
     keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        fi = F[i]
-        le = np.all(F <= fi, axis=1)
-        lt = np.any(F < fi, axis=1)
-        if np.any(le & lt):
-            keep[i] = False
-            continue
-        dup = le & ~lt  # exact duplicates of fi, including fi itself
-        first = int(np.flatnonzero(dup)[0])
-        if first != i:
-            keep[i] = False
+    index = np.arange(n)
+    block = max(1, (1 << 20) // max(1, n * F.shape[1]))
+    for start in range(0, n, block):
+        rows = F[start:start + block, None, :]
+        le = (F <= rows).all(axis=2)
+        earlier = index < index[start:start + block, None]
+        keep[start:start + block] = ~(le & ((F < rows).any(axis=2) | earlier)).any(axis=1)
     return keep
 
 
@@ -70,8 +65,8 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     """Per-entry crowding distance of a set of objective vectors.
 
     Boundary entries of each objective get +inf; interior entries sum
-    normalized gaps between their neighbours.  An objective whose values
-    are all equal contributes nothing.
+    normalized gaps between their neighbours, objective by objective.  An
+    objective whose values are all equal contributes nothing.
     """
     F = np.atleast_2d(np.asarray(objectives, dtype=float))
     m, k = F.shape
@@ -79,101 +74,126 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
         raise ValueError("crowding_distance needs at least one entry")
     if m <= 2:
         return np.full(m, np.inf)
-    d = np.zeros(m)
-    for j in range(k):
-        order = np.argsort(F[:, j], kind="stable")
-        fj = F[order, j]
-        span = fj[-1] - fj[0]
-        if span == 0.0:
-            continue
-        d[order[0]] = np.inf
-        d[order[-1]] = np.inf
-        d[order[1:-1]] += (fj[2:] - fj[:-2]) / span
+    # a stable sort of each column gives the order a per-objective
+    # argsort would
+    order = np.argsort(F, axis=0, kind="stable")
+    cols = np.arange(k)
+    fs = F[order, cols]
+    span = fs[-1] - fs[0]
+    spread = span != 0.0
+    sorted_gaps = np.empty((m, k))
+    sorted_gaps[1:-1] = (fs[2:] - fs[:-2]) / np.where(spread, span, 1.0)
+    sorted_gaps[0] = sorted_gaps[-1] = np.where(spread, np.inf, 0.0)
+    gaps = np.empty((m, k))
+    gaps[order, cols] = sorted_gaps
+    # add the objectives in order, as a per-objective loop does, so the
+    # sums are bitwise the same
+    d = gaps[:, 0].copy()
+    for j in range(1, k):
+        d += gaps[:, j]
     return d
 
 
-@dataclass
-class ArchiveEntry:
-    position: np.ndarray
-    objectives: np.ndarray
-    crowding: float = 0.0
-
-
 class ExternalArchive:
-    """Capacity-bounded store of mutually non-dominated entries."""
+    """Capacity-bounded store of mutually non-dominated entries.
+
+    Row ``i < len(self)`` of the objective and position buffers is entry
+    ``i``; entries keep the order they were inserted in.  The buffers have
+    one spare row for the candidate that overflows the capacity.
+    """
 
     def __init__(self, capacity: int = 100):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
-        self.entries: list[ArchiveEntry] = []
-        self._objs: np.ndarray | None = None  # cache of stacked objectives
+        self._n = 0
+        # allocated by the first insertion, which fixes both dimensions
+        self._objectives: np.ndarray | None = None
+        self._positions: np.ndarray | None = None
+        self._crowding = np.zeros(capacity + 1)
         self._crowding_fresh = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def objectives_array(self) -> np.ndarray:
-        if self._objs is None:
-            self._objs = np.array([e.objectives for e in self.entries])
-        return self._objs
+        """A copy of the entries' objectives, one row per entry."""
+        if self._objectives is None:
+            return np.empty((0, 0))
+        return self._objectives[: self._n].copy()
 
     def positions_array(self) -> np.ndarray:
-        return np.array([e.position for e in self.entries])
+        """A copy of the entries' positions, one row per entry."""
+        if self._positions is None:
+            return np.empty((0, 0))
+        return self._positions[: self._n].copy()
 
-    def _invalidate(self) -> None:
-        self._objs = None
-        self._crowding_fresh = False
-
-    def try_insert(self, candidate: ArchiveEntry) -> str:
-        """Insert a candidate, keeping mutual non-dominance and capacity.
+    def try_insert(self, position: np.ndarray, objectives: np.ndarray) -> str:
+        """Insert a copy of a candidate, keeping mutual non-dominance and capacity.
 
         Returns "dominated" if some entry weakly dominates the candidate
         (duplicates count), "replaced-crowded" if insertion forced a
         crowding eviction, "inserted" otherwise.
         """
-        c = np.asarray(candidate.objectives, dtype=float)
-        if self.entries:
-            F = self.objectives_array()
-            if c.shape[0] != F.shape[1]:
-                raise ValueError(
-                    f"candidate has {c.shape[0]} objectives, archive holds {F.shape[1]}"
-                )
-            # weakly dominated (or duplicate) -> reject
-            if bool(np.any(np.all(F <= c, axis=1))):
-                return DOMINATED
-            # drop entries the candidate strictly dominates
-            beaten = np.all(c <= F, axis=1) & np.any(c < F, axis=1)
-            if np.any(beaten):
-                self.entries = [e for e, dead in zip(self.entries, beaten) if not dead]
-        self.entries.append(candidate)
-        self._invalidate()
-        if len(self.entries) <= self.capacity:
+        c = np.asarray(objectives, dtype=float)
+        x = np.asarray(position, dtype=float)
+        if self._objectives is None:
+            self._objectives = np.empty((self.capacity + 1, *c.shape))
+            self._positions = np.empty((self.capacity + 1, *x.shape))
+        elif c.shape != self._objectives.shape[1:] or x.shape != self._positions.shape[1:]:
+            raise ValueError(
+                f"candidate has objectives {c.shape} and position {x.shape}; the archive holds "
+                f"{self._objectives.shape[1:]} and {self._positions.shape[1:]}"
+            )
+        n = self._n
+        F = self._objectives[:n]
+        # weakly dominated (or duplicate) -> reject
+        if (F <= c).all(axis=1).any():
+            return DOMINATED
+        # no entry is <= c, so an entry c is <= everywhere is strictly dominated
+        beaten = (c <= F).all(axis=1)
+        if beaten.any():
+            n = self._keep(~beaten)
+        self._objectives[n] = c
+        self._positions[n] = x
+        self._n = n + 1
+        self._crowding_fresh = False
+        if self._n <= self.capacity:
             return INSERTED
         self._refresh_crowding()
-        worst = min(range(len(self.entries)), key=lambda i: self.entries[i].crowding)
-        del self.entries[worst]
-        self._invalidate()
+        keep = np.ones(self._n, dtype=bool)
+        keep[np.argmin(self._crowding[: self._n])] = False  # first of the least crowded
+        self._keep(keep)
+        self._crowding_fresh = False
         return REPLACED_CROWDED
 
+    def _keep(self, mask: np.ndarray) -> int:
+        """Compact the entries to those where ``mask`` holds, in order."""
+        m = int(np.count_nonzero(mask))
+        self._objectives[:m] = self._objectives[: self._n][mask]
+        self._positions[:m] = self._positions[: self._n][mask]
+        self._n = m
+        return m
+
     def _refresh_crowding(self) -> None:
-        if self._crowding_fresh or not self.entries:
+        if self._crowding_fresh or not self._n:
             return
-        d = crowding_distance(self.objectives_array())
-        for e, di in zip(self.entries, d):
-            e.crowding = float(di)
+        self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
         self._crowding_fresh = True
 
-    def select_leader(self, rng: np.random.Generator) -> ArchiveEntry:
-        """Binary tournament on crowding distance (larger wins, tie random)."""
-        if not self.entries:
+    def select_leader(self, rng: np.random.Generator) -> np.ndarray:
+        """Binary tournament on crowding distance (larger wins, tie random).
+
+        Returns the winner's position, a view that the next insertion may
+        overwrite.
+        """
+        if not self._n:
             raise ValueError("cannot select a leader from an empty archive")
         self._refresh_crowding()
-        i, j = rng.integers(0, len(self.entries), size=2)
-        a, b = self.entries[i], self.entries[j]
-        if a.crowding > b.crowding:
-            return a
-        if b.crowding > a.crowding:
-            return b
-        return a if rng.random() < 0.5 else b
-
+        i, j = rng.integers(0, self._n, size=2)
+        a, b = self._crowding[i], self._crowding[j]
+        if a > b:
+            return self._positions[i]
+        if b > a:
+            return self._positions[j]
+        return self._positions[i] if rng.random() < 0.5 else self._positions[j]

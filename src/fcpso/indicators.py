@@ -1,8 +1,9 @@
 """Quality indicators: hypervolume, IGD, additive epsilon, spacing.
 
 All indicators assume minimization.  Hypervolume is exact: a sweep for
-two objectives and recursive slicing for three or more (exponential in
-the objective count, fine at benchmark scale).
+two objectives, a dimension sweep over vectorized 2-D union areas for
+three, and a sweep over exclusive contributions of limit sets for four
+or more.
 """
 
 from __future__ import annotations
@@ -62,10 +63,16 @@ def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:
     F = F[inside]
     if F.shape[0] == 0:
         return 0.0
-    F = F[non_dominated_mask(F)]
+    return float(_hv(F[non_dominated_mask(F)], r))
+
+
+def _hv(F: np.ndarray, r: np.ndarray) -> float:
+    """Hypervolume of points strictly inside r (non-dominated when 2-D)."""
     if F.shape[1] == 2:
         return _hv_sweep_2d(F, r)
-    return _hv_slice(F, r)
+    if F.shape[1] == 3:
+        return _hv_3d(F, r)
+    return _hv_limit_sets(F, r)
 
 
 def _hv_sweep_2d(F: np.ndarray, r: np.ndarray) -> float:
@@ -77,21 +84,50 @@ def _hv_sweep_2d(F: np.ndarray, r: np.ndarray) -> float:
     return float(np.sum(widths * (r[1] - f2)))
 
 
-def _hv_slice(F: np.ndarray, r: np.ndarray) -> float:
-    """Slice along the last objective and recurse on the projections."""
-    if F.shape[1] == 2:
-        return _hv_sweep_2d(F, r)
-    last = F[:, -1]
-    levels = np.unique(last)
-    edges = np.append(levels, r[-1])
+def _hv_3d(F: np.ndarray, r: np.ndarray) -> float:
+    """Dimension sweep along f3: each slab between consecutive f3 levels
+    has the 2-D union area of the points below it (Fonseca, Paquete &
+    Lopez-Ibanez, CEC 2006).
+
+    All of the sweep's union areas come from one (prefix, point) table:
+    the points in (f1, f2) order, those above the prefix's level lifted
+    to the reference, and a running minimum of f2 along each row.  Any
+    point set works, dominated points and duplicates included.
+    """
+    F = F[np.argsort(F[:, 2], kind="stable")]
+    n = F.shape[0]
+    depth = np.diff(np.append(F[:, 2], r[2]))
+    by_f1 = np.lexsort((F[:, 1], F[:, 0]))  # sweep ranks in (f1, f2) order
+    width = np.diff(np.append(F[by_f1, 0], r[0]))
+    f2 = F[by_f1, 1]
     total = 0.0
-    for i, z in enumerate(levels):
-        thickness = edges[i + 1] - edges[i]
-        if thickness <= 0.0:
-            continue
-        active = F[last <= z, :-1]
-        active = active[non_dominated_mask(active)]
-        total += thickness * _hv_slice(active, r[:-1])
+    block = max(1, (1 << 18) // n)  # prefixes per table, to bound memory
+    for start in range(0, n, block):
+        prefix = np.arange(start, min(n, start + block))[:, None]
+        low = np.minimum.accumulate(np.where(by_f1 <= prefix, f2, r[1]), axis=1)
+        areas = np.sum(width * (r[1] - low), axis=1)
+        total += float(np.sum(depth[start:start + block] * areas))
+    return total
+
+
+def _hv_limit_sets(F: np.ndarray, r: np.ndarray) -> float:
+    """Dimension sweep along the last objective for k >= 4.
+
+    The (k-1)-D slice volume grows by each point's exclusive
+    contribution: its box minus the volume of its limit set, the earlier
+    points clipped to it (While, Bradstreet & Barone, IEEE TEVC 2012).
+    """
+    F = F[np.argsort(F[:, -1], kind="stable")]
+    head, r_head = F[:, :-1], r[:-1]
+    depth = np.diff(np.append(F[:, -1], r[-1]))
+    boxes = np.prod(r_head - head, axis=1)
+    area = total = 0.0
+    for i in range(F.shape[0]):
+        area += boxes[i]
+        if i:
+            limits = np.maximum(head[:i], head[i])
+            area -= _hv(limits[non_dominated_mask(limits)], r_head)
+        total += depth[i] * area
     return total
 
 

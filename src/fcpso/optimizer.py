@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import ArchiveEntry, ExternalArchive
+from .archive import ExternalArchive
 from .indicators import hypervolume
 from .mutation import MutationConfig, apply_turbulence
 from .problems import ProblemInstance
@@ -88,7 +88,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
     swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity)
     for p in swarm:
-        archive.try_insert(ArchiveEntry(p.position.copy(), p.pbest_objectives.copy()))
+        archive.try_insert(p.position, p.pbest_objectives)
     evaluations = dyn.swarm_size
 
     trace: list[tuple[int, float]] = []
@@ -107,7 +107,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
         em = dyn.variant != "smpso"
         for p in swarm:
-            leader = archive.select_leader(rng).position
+            leader = archive.select_leader(rng)
             if em:
                 p.velocity, p.momentum = compute_speed_em(p, leader, dyn, rng, bounds)
             else:
@@ -117,7 +117,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
         objectives = [problem.evaluate(p.position) for p in swarm]
         evaluations += dyn.swarm_size
         for p, y in zip(swarm, objectives):
-            archive.try_insert(ArchiveEntry(p.position.copy(), np.asarray(y, dtype=float)))
+            archive.try_insert(p.position, y)
         for p, y in zip(swarm, objectives):
             update_pbest(p, y, rng)
         generation += 1
@@ -128,7 +128,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> Ru
         variant=dyn.variant,
         scheme=dyn.scheme.as_tuple(),
         seed=seed,
-        front_objectives=archive.objectives_array().copy(),
+        front_objectives=archive.objectives_array(),
         front_positions=archive.positions_array(),
         evaluations_used=evaluations,
         hv_trace=trace,

@@ -76,7 +76,11 @@ def _checked(name: str, bounds: BoxBounds, fn: Callable) -> Callable:
             raise ValueError(f"{name} expects {lower.shape[0]} variables, got {x.shape}")
         if (x < lower).any() or (x > upper).any():
             raise ValueError(f"{name}: input outside box bounds")
-        return fn(x)
+        y = fn(x)
+        # a NaN compares False with everything, so the archive would take it
+        if not np.isfinite(y).all():
+            raise ValueError(f"{name}: non-finite objectives {y}")
+        return y
 
     return evaluate
 

@@ -5,7 +5,6 @@ from fcpso.archive import (
     DOMINATED,
     INSERTED,
     REPLACED_CROWDED,
-    ArchiveEntry,
     ExternalArchive,
     crowding_distance,
     dominates,
@@ -14,8 +13,9 @@ from fcpso.archive import (
 
 
 def entry(*objs):
+    """(position, objectives) of a candidate whose position is its objectives."""
     y = np.array(objs, dtype=float)
-    return ArchiveEntry(position=y.copy(), objectives=y)
+    return y.copy(), y
 
 
 class TestDominates:
@@ -93,44 +93,44 @@ class TestCrowdingDistance:
 class TestTryInsert:
     def test_insert_non_dominated(self):
         a = ExternalArchive(capacity=10)
-        assert a.try_insert(entry(1.0, 0.0)) == INSERTED
-        assert a.try_insert(entry(0.0, 1.0)) == INSERTED
-        assert a.try_insert(entry(0.5, 0.5)) == INSERTED
+        assert a.try_insert(*entry(1.0, 0.0)) == INSERTED
+        assert a.try_insert(*entry(0.0, 1.0)) == INSERTED
+        assert a.try_insert(*entry(0.5, 0.5)) == INSERTED
         assert len(a) == 3
 
     def test_reject_dominated(self):
         a = ExternalArchive(capacity=10)
-        a.try_insert(entry(1.0, 1.0))
-        assert a.try_insert(entry(2.0, 2.0)) == DOMINATED
+        a.try_insert(*entry(1.0, 1.0))
+        assert a.try_insert(*entry(2.0, 2.0)) == DOMINATED
         assert len(a) == 1
 
     def test_reject_duplicate(self):
         a = ExternalArchive(capacity=10)
-        a.try_insert(entry(1.0, 1.0))
-        assert a.try_insert(entry(1.0, 1.0)) == DOMINATED
+        a.try_insert(*entry(1.0, 1.0))
+        assert a.try_insert(*entry(1.0, 1.0)) == DOMINATED
         assert len(a) == 1
 
     def test_candidate_sweeps_out_dominated_entries(self):
         a = ExternalArchive(capacity=10)
-        a.try_insert(entry(1.0, 3.0))
-        a.try_insert(entry(3.0, 1.0))
-        assert a.try_insert(entry(0.5, 0.5)) == INSERTED
+        a.try_insert(*entry(1.0, 3.0))
+        a.try_insert(*entry(3.0, 1.0))
+        assert a.try_insert(*entry(0.5, 0.5)) == INSERTED
         assert len(a) == 1
 
     def test_crowding_eviction_keeps_extremes(self):
         a = ExternalArchive(capacity=2)
-        a.try_insert(entry(0.0, 1.0))
-        a.try_insert(entry(1.0, 0.0))
-        assert a.try_insert(entry(0.5, 0.5)) == REPLACED_CROWDED
+        a.try_insert(*entry(0.0, 1.0))
+        a.try_insert(*entry(1.0, 0.0))
+        assert a.try_insert(*entry(0.5, 0.5)) == REPLACED_CROWDED
         assert len(a) == 2
-        objs = {tuple(e.objectives) for e in a.entries}
+        objs = {tuple(y) for y in a.objectives_array()}
         assert objs == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_dimension_mismatch(self):
         a = ExternalArchive(capacity=4)
-        a.try_insert(entry(0.0, 1.0))
+        a.try_insert(*entry(0.0, 1.0))
         with pytest.raises(ValueError):
-            a.try_insert(entry(0.0, 1.0, 2.0))
+            a.try_insert(*entry(0.0, 1.0, 2.0))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestArchiveInvariants:
         a = ExternalArchive(capacity=30)
         for i in range(2500):
             y = rng.random(k)
-            a.try_insert(ArchiveEntry(position=y.copy(), objectives=y))
+            a.try_insert(y, y)
             if i % 500 == 0:
                 assert len(a) <= 30
                 F = a.objectives_array()
@@ -155,8 +155,8 @@ class TestArchiveInvariants:
         offered = rng.random((200, 3))
         a = ExternalArchive(capacity=10_000)
         for y in offered:
-            a.try_insert(ArchiveEntry(position=y.copy(), objectives=y.copy()))
-        got = {tuple(e.objectives) for e in a.entries}
+            a.try_insert(y, y)
+        got = {tuple(y) for y in a.objectives_array()}
         expected = {tuple(row) for row in offered[non_dominated_mask(offered)]}
         assert got == expected
 
@@ -164,18 +164,18 @@ class TestArchiveInvariants:
 class TestSelectLeader:
     def test_single_entry(self, rng):
         a = ExternalArchive(capacity=4)
-        a.try_insert(entry(0.3, 0.7))
-        assert a.select_leader(rng) is a.entries[0]
+        a.try_insert(*entry(0.3, 0.7))
+        np.testing.assert_array_equal(a.select_leader(rng), [0.3, 0.7])
 
     def test_higher_crowding_wins(self, queued_rng):
         a = ExternalArchive(capacity=8)
-        a.try_insert(entry(0.0, 1.0))
-        a.try_insert(entry(0.45, 0.55))
-        a.try_insert(entry(0.5, 0.5))
-        a.try_insert(entry(1.0, 0.0))
+        a.try_insert(*entry(0.0, 1.0))
+        a.try_insert(*entry(0.45, 0.55))
+        a.try_insert(*entry(0.5, 0.5))
+        a.try_insert(*entry(1.0, 0.0))
         # force a tournament between a boundary (inf crowding) and an interior entry
         leader = a.select_leader(queued_rng([0, 2]))
-        assert leader is a.entries[0]
+        np.testing.assert_array_equal(leader, a.positions_array()[0])
 
     def test_empty_archive_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -184,11 +184,12 @@ class TestSelectLeader:
     def test_boundary_bias(self, rng):
         a = ExternalArchive(capacity=20)
         for x in np.linspace(0.0, 1.0, 10):
-            a.try_insert(entry(float(x), float(1.0 - x)))
-        counts = {i: 0 for i in range(len(a.entries))}
-        ids = {id(e): i for i, e in enumerate(a.entries)}
+            a.try_insert(*entry(float(x), float(1.0 - x)))
+        # positions are distinct, so a leader's position names its entry
+        ids = {tuple(x): i for i, x in enumerate(a.positions_array())}
+        counts = {i: 0 for i in range(len(a))}
         for _ in range(10_000):
-            counts[ids[id(a.select_leader(rng))]] += 1
-        boundary = counts[0] + counts[len(a.entries) - 1]
+            counts[ids[tuple(a.select_leader(rng))]] += 1
+        boundary = counts[0] + counts[len(a) - 1]
         interior = sum(counts.values()) - boundary
-        assert boundary / 2 > interior / (len(a.entries) - 2)
+        assert boundary / 2 > interior / (len(a) - 2)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fcpso.archive import non_dominated_mask
+from fcpso.swarm import BoxBounds
 from fcpso.problems import (
     ZDT6_F1_MIN,
+    _checked,
     available_problems,
     get_problem,
     load_reference_front,
@@ -130,3 +132,9 @@ class TestRegistry:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
             np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objectives_are_rejected(self, bad):
+        evaluate = _checked("stub", BoxBounds(np.zeros(2), np.ones(2)), lambda x: np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="stub: non-finite objectives"):
+            evaluate(np.full(2, 0.5))

@@ -1,14 +1,27 @@
-"""Property tests for the archive and hypervolume invariants.
+"""Property tests for the archive, hypervolume and activation invariants.
 
 Objectives are small integers, so duplicates and ties are common, and
 every hypervolume is an exact sum of integer boxes.
 """
 
+import math
+
 import numpy as np
+from hv_oracle import hv_oracle
+from hv_oracle import non_dominated_mask as non_dominated_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcpso.archive import ArchiveEntry, ExternalArchive, dominates
+from fcpso.archive import (
+    DOMINATED,
+    INSERTED,
+    REPLACED_CROWDED,
+    ExternalArchive,
+    crowding_distance,
+    dominates,
+    non_dominated_mask,
+)
+from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import hypervolume
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -16,14 +29,14 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def objective_stream(draw, slots_per_objective=0):
-    k = draw(st.integers(2, 3))
+    k = draw(st.integers(2, 5))
     low = max(1, slots_per_objective * k)
     capacity = draw(st.integers(low, low + 6))
-    # points near the plane sum(f) = 20 are mostly mutually non-dominated,
-    # so the archive overflows and evicts often
+    # points near the plane sum(f) = 10 (k - 1) are mostly mutually
+    # non-dominated, so the archive overflows and evicts often
     head = st.lists(st.integers(0, 10), min_size=k - 1, max_size=k - 1)
     points = draw(st.lists(st.tuples(head, st.integers(0, 2)), max_size=40))
-    return capacity, [np.array([*h, 20 - sum(h) + noise], dtype=float) for h, noise in points]
+    return capacity, [np.array([*h, 10 * (k - 1) - sum(h) + noise], dtype=float) for h, noise in points]
 
 
 def _mutually_non_dominated(F: np.ndarray) -> bool:
@@ -34,13 +47,64 @@ def _mutually_non_dominated(F: np.ndarray) -> bool:
     )
 
 
+def crowding_loop(F: np.ndarray) -> np.ndarray:
+    """Crowding distance one objective at a time."""
+    m, k = F.shape
+    if m <= 2:
+        return np.full(m, np.inf)
+    d = np.zeros(m)
+    for j in range(k):
+        order = np.argsort(F[:, j], kind="stable")
+        fj = F[order, j]
+        span = fj[-1] - fj[0]
+        if span == 0.0:
+            continue
+        d[order[0]] = np.inf
+        d[order[-1]] = np.inf
+        d[order[1:-1]] += (fj[2:] - fj[:-2]) / span
+    return d
+
+
+class ListArchive:
+    """The archive as a list of (position, objectives) pairs: the
+    sequential semantics the array-backed archive must keep, entry order
+    and random draws included."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []
+
+    def try_insert(self, x, y):
+        if any(np.all(f <= y) for _, f in self.entries):
+            return DOMINATED
+        self.entries = [(p, f) for p, f in self.entries if not dominates(y, f)]
+        self.entries.append((x.copy(), y.copy()))
+        if len(self.entries) <= self.capacity:
+            return INSERTED
+        d = self.crowding()
+        del self.entries[min(range(len(d)), key=lambda i: d[i])]
+        return REPLACED_CROWDED
+
+    def crowding(self):
+        return crowding_loop(np.array([f for _, f in self.entries]))
+
+    def select_leader(self, rng):
+        d = self.crowding()
+        i, j = rng.integers(0, len(self.entries), size=2)
+        if d[i] > d[j]:
+            return self.entries[i][0]
+        if d[j] > d[i]:
+            return self.entries[j][0]
+        return self.entries[i][0] if rng.random() < 0.5 else self.entries[j][0]
+
+
 @PROPERTY_SETTINGS
 @given(objective_stream())
 def test_archive_stays_non_dominated_and_within_capacity(stream):
     capacity, points = stream
     archive = ExternalArchive(capacity)
     for y in points:
-        archive.try_insert(ArchiveEntry(np.zeros(1), y))
+        archive.try_insert(np.zeros(1), y)
         assert len(archive) <= capacity
         assert _mutually_non_dominated(archive.objectives_array())
 
@@ -51,17 +115,51 @@ def test_archive_keeps_each_objective_minimum(stream):
     capacity, points = stream
     archive = ExternalArchive(capacity)
     for y in points:
-        before = [e.objectives for e in archive.entries] + [y]
-        archive.try_insert(ArchiveEntry(np.zeros(1), y))
+        before = [*archive.objectives_array(), y]
+        archive.try_insert(np.zeros(1), y)
         np.testing.assert_array_equal(archive.objectives_array().min(axis=0), np.min(before, axis=0))
+
+
+@PROPERTY_SETTINGS
+@given(objective_stream(), st.integers(0, 2**32 - 1))
+def test_archive_matches_the_sequential_list_archive(stream, seed):
+    capacity, points = stream
+    archive, reference = ExternalArchive(capacity), ListArchive(capacity)
+    for i, y in enumerate(points):
+        x = np.array([float(i), -float(i)])  # names the candidate
+        assert archive.try_insert(x, y) == reference.try_insert(x, y)
+        np.testing.assert_array_equal(archive.positions_array(), [p for p, _ in reference.entries])
+        np.testing.assert_array_equal(archive.objectives_array(), [f for _, f in reference.entries])
+    if points:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            np.testing.assert_array_equal(archive.select_leader(a), reference.select_leader(b))
+
+
+@st.composite
+def integer_points(draw, k_min=2, k_max=3, min_size=1, max_size=12):
+    k = draw(st.integers(k_min, k_max))
+    coords = st.lists(st.integers(0, 10), min_size=k, max_size=k)
+    return np.array(draw(st.lists(coords, min_size=min_size, max_size=max_size)), dtype=float)
+
+
+@PROPERTY_SETTINGS
+@given(integer_points(k_max=5, max_size=30))
+def test_crowding_is_bitwise_the_per_objective_loop(F):
+    np.testing.assert_array_equal(crowding_distance(F), crowding_loop(F))
+
+
+@PROPERTY_SETTINGS
+@given(integer_points(k_max=5, max_size=30))
+def test_non_dominated_mask_matches_the_point_by_point_filter(F):
+    np.testing.assert_array_equal(non_dominated_mask(F), non_dominated_loop(F))
 
 
 @st.composite
 def front_and_point(draw):
-    k = draw(st.integers(2, 3))
-    coords = st.lists(st.integers(0, 10), min_size=k, max_size=k)
-    front = np.array(draw(st.lists(coords, min_size=1, max_size=12)), dtype=float)
-    point = np.array(draw(coords), dtype=float)
+    front = draw(integer_points())
+    k = front.shape[1]
+    point = np.array(draw(st.lists(st.integers(0, 10), min_size=k, max_size=k)), dtype=float)
     return front, point, np.full(k, 10.0)
 
 
@@ -80,3 +178,33 @@ def test_hypervolume_ignores_dominated_points(case, data):
 def test_hypervolume_never_drops_when_a_point_is_added(case):
     front, point, ref = case
     assert hypervolume(np.vstack([front, point]), ref) >= hypervolume(front, ref)
+
+
+@PROPERTY_SETTINGS
+@given(integer_points(k_min=3, k_max=5, max_size=25))
+def test_hypervolume_matches_the_slicing_oracle(front):
+    # coordinates reach 10, the reference, so some points sit on its boundary
+    ref = np.full(front.shape[1], 10.0)
+    expected = hv_oracle(front, ref)
+    assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
+
+
+@st.composite
+def uniform_schemes(draw):
+    phi1 = draw(st.floats(0.1, 5.0))
+    phi2 = phi1 + draw(st.floats(0.01, 4.0))
+    beta1 = draw(st.floats(0.0, 0.9))
+    beta2 = min(1.0, beta1 + draw(st.floats(0.05, 1.0 - beta1)))
+    return ParameterScheme(phi1, phi2, beta1, beta2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(uniform_schemes())
+def test_activation_probability_matches_monte_carlo(scheme):
+    samples = 200_000
+    exact = activation_probability(scheme)
+    sampled = monte_carlo_activation(scheme, samples).p_activation
+    if exact in (0.0, 1.0):
+        assert sampled == exact
+    else:
+        assert abs(sampled - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / samples)
