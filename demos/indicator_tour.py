@@ -29,7 +29,7 @@ print(f"eps(shifted, ref)  = {additive_epsilon(shifted, reference):.4f}  (unifor
 print(f"spacing(even grid) = {spacing(np.column_stack([np.linspace(0, 1, 11), np.linspace(1, 0, 11)])):.4f}")
 
 print()
-print("=== a real front, measured against the bundled reference ===")
+print("=== a real front, measured against the generated reference ===")
 problem = get_problem("zdt1")
 result = run(problem, RunConfig(dynamics=DynamicsConfig(variant="fcpso")), seed=1)
 F = result.front_objectives

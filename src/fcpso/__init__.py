@@ -38,7 +38,6 @@ from .problems import (
     ProblemInstance,
     available_problems,
     get_problem,
-    load_reference_front,
     theoretical_front,
 )
 from .swarm import (

@@ -39,13 +39,13 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     n = F.shape[0]
     if F.shape[1] == 2:
         # lexicographic sweep: a point survives iff its f2 beats every
-        # earlier (f1, f2)-smaller point's f2
-        keep = np.zeros(n, dtype=bool)
-        best = np.inf
-        for i in np.lexsort((F[:, 1], F[:, 0])):
-            if F[i, 1] < best:
-                keep[i] = True
-                best = F[i, 1]
+        # earlier (f1, f2)-smaller point's f2; fmin skips NaNs, where a
+        # plain running minimum would turn every later entry NaN
+        order = np.lexsort((F[:, 1], F[:, 0]))
+        f2 = F[order, 1]
+        best_before = np.fmin.accumulate(np.concatenate(([np.inf], f2[:-1])))
+        keep = np.empty(n, dtype=bool)
+        keep[order] = f2 < best_before
         return keep
     # point b goes when some point a weakly dominates it and either beats
     # it somewhere or is an earlier duplicate; rows go in blocks of about

@@ -27,7 +27,7 @@ from .fairness import (
 from .indicators import IndicatorReport, additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
-from .problems import available_problems, get_problem, load_reference_front, parse_problem_id
+from .problems import available_problems, get_problem, parse_problem_id
 from .swarm import VARIANTS, DynamicsConfig
 
 __all__ = ["main"]
@@ -120,6 +120,13 @@ def _mutation_from_config(section: dict[str, str]) -> MutationConfig:
 # --- solve ------------------------------------------------------------------
 
 
+def _flag_or_config(flag, section: dict[str, str], key: str, parse, default):
+    """A given flag (0 included) beats the config file, which beats the default."""
+    if flag is not None:
+        return flag
+    return parse(section[key]) if key in section else default
+
+
 def cmd_solve(args) -> int:
     config = load_config_file(args.config) if args.config else {}
     run_cfg = config.get("run", {})
@@ -139,26 +146,24 @@ def cmd_solve(args) -> int:
         raise UsageError(f"unknown variant {variant!r}; valid choices: {', '.join(VARIANTS)}")
     scheme_text = args.scheme or run_cfg.get("scheme")
     scheme = _parse_scheme(scheme_text) if scheme_text else None
-    seed = args.seed if args.seed is not None else int(run_cfg.get("seed", 1))
-
-    dynamics = DynamicsConfig(
-        variant=variant,
-        scheme=scheme,
-        inertia=float(run_cfg.get("inertia", 0.1)),
-        swarm_size=args.swarm or int(run_cfg.get("swarm_size", 100)),
-        seed=seed,
-        velocity_init=run_cfg.get("velocity_init", "zero"),
-    )
-    hv_target = args.hv_target
-    if hv_target is None and "hv_target" in run_cfg:
-        hv_target = float(run_cfg["hv_target"])
-    cfg = RunConfig(
-        dynamics=dynamics,
-        mutation=_mutation_from_config(config.get("mutation", {})),
-        max_evaluations=args.evaluations or int(run_cfg.get("max_evaluations", 25_000)),
-        archive_capacity=args.archive or int(run_cfg.get("archive_capacity", 100)),
-        hv_target_fraction=hv_target,
-    )
+    try:
+        seed = _flag_or_config(args.seed, run_cfg, "seed", int, 1)
+        dynamics = DynamicsConfig(
+            variant=variant,
+            scheme=scheme,
+            inertia=float(run_cfg.get("inertia", 0.1)),
+            swarm_size=_flag_or_config(args.swarm, run_cfg, "swarm_size", int, 100),
+            velocity_init=run_cfg.get("velocity_init", "zero"),
+        )
+        cfg = RunConfig(
+            dynamics=dynamics,
+            mutation=_mutation_from_config(config.get("mutation", {})),
+            max_evaluations=_flag_or_config(args.evaluations, run_cfg, "max_evaluations", int, 25_000),
+            archive_capacity=_flag_or_config(args.archive, run_cfg, "archive_capacity", int, 100),
+            hv_target_fraction=_flag_or_config(args.hv_target, run_cfg, "hv_target", float, None),
+        )
+    except ValueError as exc:  # a bad option or config value is a usage error
+        raise UsageError(str(exc)) from None
 
     result = run(problem, cfg, seed)
     out_dir = io.run_directory(io.results_root(args.out), result)
@@ -215,7 +220,10 @@ def _experiment_from_config(config: dict[str, dict[str, str]]) -> ExperimentSpec
 
 def cmd_benchmark(args) -> int:
     path = _resolve_spec_path(args.spec)
-    spec = _experiment_from_config(load_config_file(path))
+    try:
+        spec = _experiment_from_config(load_config_file(path))
+    except ValueError as exc:  # a bad spec value is a usage error
+        raise UsageError(str(exc)) from None
     rows = run_experiment(spec, workers=args.workers)
     out_dir = io.results_root(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,8 +310,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    front = load_reference_front(args.front)
-    reference = load_reference_front(args.reference) if args.reference else None
+    front = io.read_front_csv(args.front)
+    reference = io.read_front_csv(args.reference) if args.reference else None
     if args.indicators:
         wanted = tuple(i.strip() for i in args.indicators.split(",") if i.strip())
         bad = [i for i in wanted if i not in ("hv", "igd", "eps", "sp")]

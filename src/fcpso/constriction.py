@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ConstrictionInput",
     "MapState",
     "EigenPair",
     "chi_vanilla",
@@ -27,18 +26,6 @@ __all__ = [
     "eigenvalues",
     "lambda_max",
 ]
-
-
-@dataclass(frozen=True)
-class ConstrictionInput:
-    """Acceleration sum phi = c1 + c2 and momentum factor beta."""
-
-    phi: float
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_phi(self.phi)
-        _check_beta(self.beta)
 
 
 @dataclass(frozen=True)

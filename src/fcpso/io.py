@@ -1,7 +1,9 @@
-"""CSV and metadata writers for runs, comparisons and profiles.
+"""CSV files for fronts, runs, comparisons and profiles.
 
-Floats are written with repr precision so a rerun with the same seed
-produces byte-identical files.
+Front CSVs (an ``f1,...,fk`` header, one point per row) are written by
+``write_front_csv`` and read back by ``read_front_csv``.  Floats are
+written with repr precision so a rerun with the same seed produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "results_root",
     "run_directory",
     "write_front_csv",
+    "read_front_csv",
     "write_metadata",
     "write_hv_trace_csv",
     "write_run_result",
@@ -53,6 +56,45 @@ def _write_matrix_csv(path, values: np.ndarray, prefix: str) -> None:
 
 def write_front_csv(path, objectives: np.ndarray) -> None:
     _write_matrix_csv(path, objectives, "f")
+
+
+def read_front_csv(path) -> np.ndarray:
+    """Read a front CSV (optional f1,...,fk header; one point per row).
+
+    Malformed rows are rejected with their 1-based row number.
+    """
+    rows: list[list[float]] = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if lineno == 1 and any(not _is_number(c) for c in cells):
+                continue  # header row
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(values)} columns, expected {width}"
+                )
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 def write_metadata(path, result: RunResult) -> None:

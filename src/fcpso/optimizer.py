@@ -41,6 +41,8 @@ class RunConfig:
     record_interval: int = 0  # generations between hv-trace samples (0 = off)
 
     def __post_init__(self) -> None:
+        if self.archive_capacity < 1:
+            raise ValueError(f"archive_capacity must be >= 1, got {self.archive_capacity!r}")
         if self.max_evaluations < self.dynamics.swarm_size:
             raise ValueError("max_evaluations must cover at least one swarm evaluation")
         if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
@@ -66,11 +68,9 @@ class RunResult:
         return self.front_objectives.shape[0]
 
 
-def run(problem: ProblemInstance, cfg: RunConfig, seed: int | None = None) -> RunResult:
+def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     """Execute one optimization run and return the archive as the front."""
     t0 = time.perf_counter()
-    if seed is None:
-        seed = cfg.dynamics.seed
     rng = np.random.default_rng(seed)
     dyn = cfg.dynamics
     bounds = problem.bounds

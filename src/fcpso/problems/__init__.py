@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Callable
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "get_problem",
     "parse_problem_id",
     "available_problems",
-    "load_reference_front",
     "theoretical_front",
     "ZDT6_F1_MIN",
     "ZDT_REFERENCE_HV",
@@ -101,18 +99,7 @@ def parse_problem_id(problem_id: str) -> tuple[str, int | None]:
     return problem_id.strip().lower(), None
 
 
-def _bundled_front(name: str, m: int) -> np.ndarray | None:
-    ref = resources.files("fcpso").joinpath(f"data/fronts/{name}_{m}.csv")
-    if not ref.is_file():
-        return None
-    with resources.as_file(ref) as path:
-        return load_reference_front(path)
-
-
 def _reference_front(name: str, m: int) -> np.ndarray | None:
-    front = _bundled_front(name, m)
-    if front is not None:
-        return front
     try:
         return theoretical_front(name, m)
     except ValueError:
@@ -186,42 +173,3 @@ def get_problem(name: str, n_obj: int | None = None, n_var: int | None = None) -
         )
 
     raise ValueError(f"unknown problem {name!r}; available: {', '.join(available_problems())}")
-
-
-def load_reference_front(path) -> np.ndarray:
-    """Read a front CSV (optional f1,...,fk header; one point per row).
-
-    Malformed rows are rejected with their 1-based row number.
-    """
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if lineno == 1 and any(not _is_number(c) for c in cells):
-                continue  # header row
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(values)} columns, expected {width}"
-                )
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

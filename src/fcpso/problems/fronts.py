@@ -1,10 +1,11 @@
 """Theoretical Pareto fronts, generated from closed-form identities.
 
-ZDT fronts follow their analytic f2(f1) curves; DTLZ1 samples the
+ZDT1/2/4/6 fronts follow their analytic f2(f1) curves; DTLZ1 samples the
 Sigma f = 0.5 simplex, DTLZ2-4 the unit sphere, DTLZ5/6 (3 objectives)
-their degenerate arc; DTLZ7 and ZDT3 are built by non-dominated
-filtering of their dense generating curves.  WFG4-9 share the concave
-front Sigma (f_j / 2j)^2 = 1.
+their degenerate arc.  ZDT3 (a dense curve over f1) and DTLZ7 (m <= 4, a
+grid over its first m - 1 objectives) keep the points that no other
+point of their grid dominates.  WFG4-9 share the concave front
+Sigma (f_j / 2j)^2 = 1.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-
-from ..archive import non_dominated_mask
 
 __all__ = ["theoretical_front", "ZDT6_F1_MIN", "simplex_lattice"]
 
@@ -34,6 +33,28 @@ def simplex_lattice(m: int, h: int) -> np.ndarray:
         parts.append(h + m - 2 - prev)
         rows.append(parts)
     return np.array(rows, dtype=float) / h
+
+
+def _grid_non_dominated_mask(last: np.ndarray) -> np.ndarray:
+    """Non-dominated mask of the points of a grid whose first objectives
+    are the grid's (strictly increasing) axes; ``last`` holds the last
+    objective, one value per grid cell.
+
+    Another cell can dominate a cell only from below it on every axis, so
+    a cell survives exactly when its value is below the minimum over that
+    orthant, the cell itself excluded: a running minimum along each axis,
+    then the least of those minima one step back along each axis.
+    """
+    lowest = last
+    for axis in range(last.ndim):
+        lowest = np.minimum.accumulate(lowest, axis=axis)
+    below = np.full(last.shape, np.inf)
+    for axis in range(last.ndim):
+        to = [slice(None)] * last.ndim
+        frm = [slice(None)] * last.ndim
+        to[axis], frm[axis] = slice(1, None), slice(None, -1)
+        below[tuple(to)] = np.minimum(below[tuple(to)], lowest[tuple(frm)])
+    return last < below
 
 
 def _zdt_curve(f1: np.ndarray, kind: str) -> np.ndarray:
@@ -57,8 +78,8 @@ def theoretical_front(name: str, m: int = 2, n_points: int = 1000) -> np.ndarray
     if name == "zdt3":
         f1 = np.linspace(0.0, 1.0, 40 * n_points)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        pts = np.column_stack([f1, f2])
-        pts = pts[non_dominated_mask(pts)]
+        keep = _grid_non_dominated_mask(f2)
+        pts = np.column_stack([f1[keep], f2[keep]])
         step = max(1, pts.shape[0] // n_points)
         return pts[::step]
 
@@ -87,7 +108,7 @@ def theoretical_front(name: str, m: int = 2, n_points: int = 1000) -> np.ndarray
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
             h = m - np.sum(grid / 2.0 * (1.0 + np.sin(3.0 * np.pi * grid)), axis=1)
             pts = np.column_stack([grid, 2.0 * h])
-            return pts[non_dominated_mask(pts)]
+            return pts[_grid_non_dominated_mask(pts[:, -1].reshape((side,) * (m - 1))).ravel()]
         raise ValueError(f"no closed-form front for {name} with {m} objectives")
 
     if name.startswith("wfg"):

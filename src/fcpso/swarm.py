@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import dominates
 from .constriction import chi_momentum, chi_vanilla
 from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
 
@@ -87,7 +86,6 @@ class DynamicsConfig:
     scheme: ParameterScheme | None = None  # None -> variant default
     inertia: float = 0.1  # smpso only
     swarm_size: int = 100
-    seed: int = 0
     velocity_init: str = "zero"  # "zero" | "uniform"
 
     def __post_init__(self) -> None:
@@ -200,12 +198,18 @@ def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> 
 
 
 def update_pbest(p: Particle, new_objectives: np.ndarray, rng: np.random.Generator) -> None:
-    """Keep the dominating record; a mutually non-dominated newcomer
-    replaces the memory with probability 1/2."""
+    """Keep the dominating record; a mutually non-dominated newcomer (an
+    equal one included) replaces the memory with probability 1/2.
+
+    Objectives are finite (the problems reject anything else), so one
+    pair of comparisons decides dominance both ways.
+    """
     new_objectives = np.asarray(new_objectives, dtype=float)
-    if dominates(p.pbest_objectives, new_objectives):
+    better = (new_objectives < p.pbest_objectives).any()
+    worse = (new_objectives > p.pbest_objectives).any()
+    if worse and not better:
         return
-    if not dominates(new_objectives, p.pbest_objectives) and rng.random() >= 0.5:
+    if better == worse and rng.random() >= 0.5:
         return
     p.pbest_position = p.position.copy()
     p.pbest_objectives = new_objectives

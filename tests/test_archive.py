@@ -60,6 +60,12 @@ class TestNonDominatedMask:
             )
             np.testing.assert_array_equal(fast, slow)
 
+    def test_2d_nan_does_not_hide_later_points(self):
+        # a NaN f2 is never kept, and the points after it in the sweep
+        # still compare with the best f2 before it
+        F = np.array([[0.0, np.nan], [1.0, 1.0], [2.0, 0.5], [3.0, 2.0]])
+        np.testing.assert_array_equal(non_dominated_mask(F), [False, True, True, False])
+
 
 class TestCrowdingDistance:
     def test_hand_example(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcpso.cli import build_parser, load_config_file, main
-from fcpso.problems import load_reference_front
+from fcpso.io import read_front_csv
 
 
 def run_cli(*argv):
@@ -20,11 +20,11 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "front_size=" in out and "hv=" in out
         run_dir = tmp_path / "zdt1" / "fcpso" / "7"
-        front = load_reference_front(run_dir / "front.csv")
+        front = read_front_csv(run_dir / "front.csv")
         assert front.shape[1] == 2
         meta = (run_dir / "meta.txt").read_text()
         assert "seed=7" in meta and "variant=fcpso" in meta
-        positions = load_reference_front(run_dir / "positions.csv")
+        positions = read_front_csv(run_dir / "positions.csv")
         assert positions.shape[1] == 30
 
     def test_unknown_problem_exits_1_naming_choices(self, tmp_path, capsys):
@@ -56,9 +56,16 @@ class TestSolve:
                 "solve", "--problem", "zdt1", "--variant", variant, "--seed", "7",
                 "--out", str(tmp_path),
             ) == 0
-            front = load_reference_front(tmp_path / "zdt1" / variant / "7" / "front.csv")
+            front = read_front_csv(tmp_path / "zdt1" / variant / "7" / "front.csv")
             sizes[variant] = front.shape[0]
         assert sizes["em-smpso"] < sizes["fcpso"]
+
+    @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
+    def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
+        code = run_cli("solve", "--problem", "zdt1", flag, "0", "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "zdt1").exists()
 
 
 class TestConfigFile:
@@ -84,6 +91,14 @@ class TestConfigFile:
         assert code == 0
         assert "seed=9" in capsys.readouterr().out
         assert (tmp_path / "zdt1" / "fcpso" / "9").is_dir()
+
+    @pytest.mark.parametrize("line", ["swarm_size = abc", "seed = x", "inertia = fast", "hv_target = 2"])
+    def test_bad_value_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\n{line}\n")
+        code = run_cli("solve", "--problem", "zdt1", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(
@@ -119,6 +134,12 @@ class TestBenchmark:
         code = run_cli("benchmark", str(spec), "--out", str(tmp_path))
         assert code == 1
         assert "repititions" in capsys.readouterr().err
+
+    def test_bad_spec_value_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("[experiment]\nproblems = zdt1\nrepetitions = five\n")
+        code = run_cli("benchmark", str(spec), "--out", str(tmp_path))
+        assert code == 1
 
     def test_unknown_spec_name(self, tmp_path, capsys):
         assert run_cli("benchmark", "no-such-spec", "--out", str(tmp_path)) == 1

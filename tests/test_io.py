@@ -5,6 +5,7 @@ from fcpso.experiments import ComparisonRow, ProfilePoint
 from fcpso.io import (
     fmt,
     read_comparison_csv,
+    read_front_csv,
     read_profile_csv,
     results_root,
     run_directory,
@@ -15,7 +16,6 @@ from fcpso.io import (
     write_run_result,
 )
 from fcpso.optimizer import RunResult
-from fcpso.problems import load_reference_front
 
 
 def make_result(**overrides):
@@ -46,7 +46,7 @@ class TestFrontCsv:
         F = rng.random((17, 3))
         path = tmp_path / "front.csv"
         write_front_csv(path, F)
-        back = load_reference_front(path)
+        back = read_front_csv(path)
         np.testing.assert_array_equal(back, F)
         assert path.read_text().splitlines()[0] == "f1,f2,f3"
 

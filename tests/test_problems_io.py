@@ -1,16 +1,16 @@
-"""Reference fronts: generation, bundled CSVs, and the CSV loader."""
+"""Reference fronts: generation and the front CSV reader."""
 
 import numpy as np
 import pytest
 
 from fcpso.archive import non_dominated_mask
+from fcpso.io import read_front_csv
 from fcpso.swarm import BoxBounds
 from fcpso.problems import (
     ZDT6_F1_MIN,
     _checked,
     available_problems,
     get_problem,
-    load_reference_front,
     parse_problem_id,
     theoretical_front,
 )
@@ -20,38 +20,40 @@ class TestLoader:
     def test_single_point(self, tmp_path):
         f = tmp_path / "front.csv"
         f.write_text("0.0,1.0\n")
-        front = load_reference_front(f)
+        front = read_front_csv(f)
         np.testing.assert_array_equal(front, [[0.0, 1.0]])
 
     def test_header_skipped(self, tmp_path):
         f = tmp_path / "front.csv"
         f.write_text("f1,f2\n0.0,1.0\n1.0,0.0\n")
-        assert load_reference_front(f).shape == (2, 2)
+        assert read_front_csv(f).shape == (2, 2)
 
     def test_ragged_row_names_line(self, tmp_path):
         f = tmp_path / "front.csv"
         f.write_text("0.0,1.0\n0.5\n")
         with pytest.raises(ValueError, match="row 2"):
-            load_reference_front(f)
+            read_front_csv(f)
 
     def test_non_numeric_names_line(self, tmp_path):
         f = tmp_path / "front.csv"
         f.write_text("0.0,1.0\n0.5,oops\n")
         with pytest.raises(ValueError, match="row 2"):
-            load_reference_front(f)
+            read_front_csv(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_reference_front(tmp_path / "nope.csv")
+            read_front_csv(tmp_path / "nope.csv")
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "front.csv"
         f.write_text("")
         with pytest.raises(ValueError, match="no data"):
-            load_reference_front(f)
+            read_front_csv(f)
 
 
 class TestBundledFronts:
+    """The registry's reference fronts, all generated by theoretical_front."""
+
     def test_zdt1_identity(self):
         front = get_problem("zdt1").reference_front
         assert front.shape[0] >= 1000
@@ -71,6 +73,15 @@ class TestBundledFronts:
         m = 2 if name.startswith("zdt") else 3
         front = get_problem(name, None if m == 2 else m).reference_front
         assert non_dominated_mask(front).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_dtlz7_is_the_pairwise_filter_of_its_grid(self, m):
+        side = {2: 2000, 3: 64, 4: 20}[m]
+        axes = [np.linspace(0.0, 1.0, side)] * (m - 1)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
+        h = m - np.sum(grid / 2.0 * (1.0 + np.sin(3.0 * np.pi * grid)), axis=1)
+        pts = np.column_stack([grid, 2.0 * h])
+        np.testing.assert_array_equal(theoretical_front("dtlz7", m), pts[non_dominated_mask(pts)])
 
     def test_dtlz1_simplex(self):
         front = get_problem("dtlz1", 3).reference_front

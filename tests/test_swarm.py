@@ -239,6 +239,27 @@ class TestUpdatePbest:
             replaced += int(np.array_equal(p.pbest_objectives, [1.0, 3.0]))
         assert abs(replaced / trials - 0.5) <= 0.05
 
+    @pytest.mark.parametrize(
+        "record,newcomer,draws,replaced",
+        [
+            ([1.0, 1.0], [2.0, 2.0], False, False),  # the record dominates
+            ([1.0, 2.0], [1.0, 3.0], False, False),  # ... with one objective tied
+            ([2.0, 2.0], [1.0, 1.0], False, True),  # the newcomer dominates
+            ([1.0, 3.0], [1.0, 2.0], False, True),
+            ([3.0, 1.0], [1.0, 3.0], True, True),  # mutually non-dominated
+            ([1.0, 1.0], [1.0, 1.0], True, True),  # equal
+        ],
+    )
+    def test_draws_only_when_neither_dominates(self, queued_rng, record, newcomer, draws, replaced):
+        p = particle([0.5, 0.5])
+        p.pbest_objectives = np.array(record)
+        p.position = np.array([0.1, 0.2])
+        rng = queued_rng([0.25])  # a draw below 1/2 replaces
+        update_pbest(p, np.array(newcomer), rng)
+        assert rng.values == ([] if draws else [0.25])
+        np.testing.assert_array_equal(p.pbest_objectives, newcomer if replaced else record)
+        np.testing.assert_array_equal(p.pbest_position, [0.1, 0.2] if replaced else [0.5, 0.5])
+
 
 class TestIterationInvariants:
     def test_velocity_cap_and_bounds_hold_over_iterations(self, rng):
