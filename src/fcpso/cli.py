@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .fairness import (
     solve_fair_phi2,
     unfairness,
 )
-from .indicators import IndicatorReport, additive_epsilon, hypervolume, igd, spacing
+from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
 from .problems import available_problems, get_problem, parse_problem_id
@@ -43,93 +43,115 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# --- config files -----------------------------------------------------------
+# --- config values ----------------------------------------------------------
 
-_RUN_KEYS = {
-    "variant",
-    "scheme",
-    "seed",
-    "inertia",
-    "swarm_size",
-    "archive_capacity",
-    "max_evaluations",
-    "velocity_init",
-    "hv_target",
+
+def _items(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in _items(text))
+
+
+def _scheme(text: str) -> ParameterScheme:
+    values = _floats(text)
+    if len(values) != 4:
+        raise ValueError(f"expected 'phi1,phi2,beta1,beta2', got {text!r}")
+    return ParameterScheme(*values)
+
+
+def _problem_ids(text: str) -> tuple[str, ...]:
+    ids = _items(text)
+    for pid in ids:
+        get_problem(*parse_problem_id(pid))  # raises on an unknown or mis-sized id
+    return ids
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+# section -> key -> parser of the key's text.  [mutation] and [experiment]
+# keys are MutationConfig and ExperimentSpec fields; [run] keys are the
+# DynamicsConfig and RunConfig fields, the run seed, and hv_target, which
+# sets RunConfig.hv_target_fraction.
+_KEYS = {
+    "run": {
+        "variant": str,
+        "scheme": _scheme,
+        "seed": int,
+        "inertia": float,
+        "swarm_size": int,
+        "archive_capacity": int,
+        "max_evaluations": int,
+        "velocity_init": str,
+        "hv_target": float,
+    },
+    "mutation": {
+        "distribution_index": float,
+        "per_variable_probability": _optional_float,
+        "particle_fraction": float,
+    },
+    "experiment": {
+        "problems": _problem_ids,
+        "variants": _items,
+        "repetitions": int,
+        "indicators": _items,
+        "base_seed": int,
+        "max_evaluations": int,
+        "swarm_size": int,
+        "archive_capacity": int,
+    },
 }
-_MUTATION_KEYS = {"distribution_index", "per_variable_probability", "particle_fraction"}
-_EXPERIMENT_KEYS = {
-    "problems",
-    "variants",
-    "repetitions",
-    "indicators",
-    "base_seed",
-    "max_evaluations",
-    "swarm_size",
-    "archive_capacity",
-}
-_SECTIONS = {"run": _RUN_KEYS, "mutation": _MUTATION_KEYS, "experiment": _EXPERIMENT_KEYS}
+_DYNAMICS_FIELDS = {f.name for f in fields(DynamicsConfig)}
 
 
-def load_config_file(path) -> dict[str, dict[str, str]]:
-    """Parse a [section] key=value file, rejecting unknown sections/keys."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise UsageError(f"{path}: unknown section [{section}]")
-        allowed = _SECTIONS[section]
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise UsageError(f"{path}: unknown key '{key}' in [{section}]")
-            out.setdefault(section, {})[key] = value
-    return out
-
-
-def _parse_scheme(text: str) -> ParameterScheme:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise UsageError(f"--scheme expects 'phi1,phi2,beta1,beta2', got {text!r}")
+def _convert(parse, text: str, where: str):
+    """parse(text), reporting a bad value as a usage error at `where`."""
     try:
-        phi1, phi2, beta1, beta2 = (float(p) for p in parts)
-        return ParameterScheme(phi1, phi2, beta1, beta2)
+        return parse(text)
     except ValueError as exc:
-        raise UsageError(f"invalid scheme {text!r}: {exc}") from None
+        raise UsageError(f"{where}: {exc}") from None
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def load_config_file(path, sections=tuple(_KEYS)) -> dict[str, dict]:
+    """Parse a [section] key = value file into typed values, accepting only
+    the given sections and their keys."""
+    parser = configparser.ConfigParser()
     try:
-        return np.array([float(p) for p in text.split(",")])
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _mutation_from_config(section: dict[str, str]) -> MutationConfig:
-    kwargs = {}
-    if "distribution_index" in section:
-        kwargs["distribution_index"] = float(section["distribution_index"])
-    if "per_variable_probability" in section and section["per_variable_probability"]:
-        kwargs["per_variable_probability"] = float(section["per_variable_probability"])
-    if "particle_fraction" in section:
-        kwargs["particle_fraction"] = float(section["particle_fraction"])
-    return MutationConfig(**kwargs)
+        found = parser.read(path)
+    except configparser.Error as exc:  # its message names the file and line
+        raise UsageError(str(exc)) from None
+    if not found:
+        raise UsageError(f"config file not found: {path}")
+    config: dict[str, dict] = {}
+    for section in parser.sections():
+        if section not in sections:
+            expected = ", ".join(f"[{s}]" for s in sections)
+            raise UsageError(f"{path}: unexpected section [{section}]; this command reads {expected}")
+        keys = _KEYS[section]
+        for key, text in parser.items(section):
+            where = f"{path}: [{section}] {key}"
+            if key not in keys:
+                raise UsageError(f"{where}: unknown key; valid keys: {', '.join(keys)}")
+            config.setdefault(section, {})[key] = _convert(keys[key], text, where)
+    return config
 
 
 # --- solve ------------------------------------------------------------------
 
 
-def _flag_or_config(flag, section: dict[str, str], key: str, parse, default):
-    """A given flag (0 included) beats the config file, which beats the default."""
-    if flag is not None:
-        return flag
-    return parse(section[key]) if key in section else default
-
-
 def cmd_solve(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    run_cfg = config.get("run", {})
+    config = load_config_file(args.config, ("run", "mutation")) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in _KEYS["run"] and v is not None}
+    if "scheme" in flags:
+        flags["scheme"] = _convert(_scheme, flags["scheme"], "--scheme")
+    values = {**config.get("run", {}), **flags}  # a given flag, 0 included, beats the file
+    seed = values.pop("seed", 1)
+    if "hv_target" in values:
+        values["hv_target_fraction"] = values.pop("hv_target")
+    dynamics = {key: values.pop(key) for key in _DYNAMICS_FIELDS & values.keys()}
 
     name, n_obj = parse_problem_id(args.problem)
     if args.objectives is not None:
@@ -140,27 +162,11 @@ def cmd_solve(args) -> int:
         raise UsageError(
             f"unknown problem {args.problem!r}; valid choices: {', '.join(available_problems())}"
         ) from None
-
-    variant = args.variant or run_cfg.get("variant", "fcpso")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; valid choices: {', '.join(VARIANTS)}")
-    scheme_text = args.scheme or run_cfg.get("scheme")
-    scheme = _parse_scheme(scheme_text) if scheme_text else None
     try:
-        seed = _flag_or_config(args.seed, run_cfg, "seed", int, 1)
-        dynamics = DynamicsConfig(
-            variant=variant,
-            scheme=scheme,
-            inertia=float(run_cfg.get("inertia", 0.1)),
-            swarm_size=_flag_or_config(args.swarm, run_cfg, "swarm_size", int, 100),
-            velocity_init=run_cfg.get("velocity_init", "zero"),
-        )
         cfg = RunConfig(
-            dynamics=dynamics,
-            mutation=_mutation_from_config(config.get("mutation", {})),
-            max_evaluations=_flag_or_config(args.evaluations, run_cfg, "max_evaluations", int, 25_000),
-            archive_capacity=_flag_or_config(args.archive, run_cfg, "archive_capacity", int, 100),
-            hv_target_fraction=_flag_or_config(args.hv_target, run_cfg, "hv_target", float, None),
+            dynamics=DynamicsConfig(**dynamics),
+            mutation=MutationConfig(**config.get("mutation", {})),
+            **values,
         )
     except ValueError as exc:  # a bad option or config value is a usage error
         raise UsageError(str(exc)) from None
@@ -171,7 +177,7 @@ def cmd_solve(args) -> int:
 
     hv = hypervolume(result.front_objectives, problem.hv_reference_point)
     print(f"problem={problem.name}")
-    print(f"variant={variant}")
+    print(f"variant={cfg.dynamics.variant}")
     print(f"seed={seed}")
     print(f"front_size={result.front_size}")
     print(f"evaluations={result.evaluations_used}")
@@ -194,34 +200,17 @@ def _resolve_spec_path(spec_arg: str) -> Path:
     raise UsageError(f"spec file not found: {spec_arg}")
 
 
-def _experiment_from_config(config: dict[str, dict[str, str]]) -> ExperimentSpec:
-    section = config.get("experiment")
-    if not section:
-        raise UsageError("spec file needs an [experiment] section")
-    if "problems" not in section:
+def _experiment_from_config(config: dict[str, dict]) -> ExperimentSpec:
+    experiment = config.get("experiment", {})
+    if "problems" not in experiment:
         raise UsageError("spec file needs 'problems' in [experiment]")
-    kwargs = {
-        "problems": tuple(p.strip() for p in section["problems"].split(",") if p.strip()),
-    }
-    if "variants" in section:
-        kwargs["variants"] = tuple(v.strip() for v in section["variants"].split(",") if v.strip())
-    if "indicators" in section:
-        kwargs["indicators"] = tuple(
-            i.strip() for i in section["indicators"].split(",") if i.strip()
-        )
-    for key in ("repetitions", "base_seed", "max_evaluations", "swarm_size", "archive_capacity"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    spec = ExperimentSpec(**kwargs)
-    if "mutation" in config:
-        spec = replace(spec, mutation=_mutation_from_config(config["mutation"]))
-    return spec
+    return ExperimentSpec(**experiment, mutation=MutationConfig(**config.get("mutation", {})))
 
 
 def cmd_benchmark(args) -> int:
     path = _resolve_spec_path(args.spec)
     try:
-        spec = _experiment_from_config(load_config_file(path))
+        spec = _experiment_from_config(load_config_file(path, ("experiment", "mutation")))
     except ValueError as exc:  # a bad spec value is a usage error
         raise UsageError(str(exc)) from None
     rows = run_experiment(spec, workers=args.workers)
@@ -260,7 +249,7 @@ def cmd_fairness(args) -> int:
         print(f"scheme_mu={io.fmt(unfairness(scheme))}")
         did_something = True
     if args.scheme:
-        scheme = _parse_scheme(args.scheme)
+        scheme = _convert(_scheme, args.scheme, "--scheme")
         p = activation_probability(scheme)
         print("method=analytic")
         print(f"p_activation={io.fmt(p)}")
@@ -284,8 +273,10 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    problems = [p.strip() for p in args.problems.split(",") if p.strip()]
-    mu_grid = [float(m) for m in args.mu_grid.split(",") if m.strip()]
+    problems = _convert(_problem_ids, args.problems, "--problems")
+    mu_grid = _convert(_floats, args.mu_grid, "--mu-grid")
+    if args.repetitions < 1:
+        raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     points, notices = unfairness_profile(
         problems,
         mu_grid,
@@ -313,7 +304,7 @@ def cmd_indicators(args) -> int:
     front = io.read_front_csv(args.front)
     reference = io.read_front_csv(args.reference) if args.reference else None
     if args.indicators:
-        wanted = tuple(i.strip() for i in args.indicators.split(",") if i.strip())
+        wanted = _items(args.indicators)
         bad = [i for i in wanted if i not in ("hv", "igd", "eps", "sp")]
         if bad:
             raise UsageError(f"unknown indicators {bad}; choose from hv, igd, eps, sp")
@@ -329,7 +320,7 @@ def cmd_indicators(args) -> int:
             f"reference has {reference.shape[1]}"
         )
 
-    ref_point = _parse_vector(args.ref_point) if args.ref_point else None
+    ref_point = np.array(_convert(_floats, args.ref_point, "--ref-point")) if args.ref_point else None
     values: dict[str, float] = {}
     if "hv" in wanted:
         if ref_point is None:
@@ -349,16 +340,11 @@ def cmd_indicators(args) -> int:
     if "sp" in wanted:
         values["sp"] = spacing(front)
 
-    report = IndicatorReport(
-        front_size=front.shape[0],
-        reference_point=ref_point,
-        hv=values.get("hv"),
-        igd=values.get("igd"),
-        eps=values.get("eps"),
-        sp=values.get("sp"),
-    )
-    for line in report.as_lines():
-        print(line)
+    print(f"front_size={front.shape[0]}")
+    if ref_point is not None:
+        print("reference_point=" + ",".join(io.fmt(v) for v in ref_point))
+    for key, value in values.items():
+        print(f"{key}={io.fmt(value)}")
     return 0
 
 
@@ -375,9 +361,10 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", default=None, help=f"one of {', '.join(VARIANTS)} (default fcpso)")
     p.add_argument("--scheme", default=None, help="phi1,phi2,beta1,beta2 sampling bounds")
     p.add_argument("--seed", type=int, default=None, help="run seed (default 1)")
-    p.add_argument("--evaluations", type=int, default=None, help="evaluation budget (default 25000)")
-    p.add_argument("--swarm", type=int, default=None, help="swarm size (default 100)")
-    p.add_argument("--archive", type=int, default=None, help="archive capacity (default 100)")
+    p.add_argument("--evaluations", type=int, dest="max_evaluations",
+                   help="evaluation budget (default 25000)")
+    p.add_argument("--swarm", type=int, dest="swarm_size", help="swarm size (default 100)")
+    p.add_argument("--archive", type=int, dest="archive_capacity", help="archive capacity (default 100)")
     p.add_argument("--hv-target", type=float, default=None,
                    help="stop at this fraction of the reference hypervolume")
     p.add_argument("--config", default=None, help="key=value config file with [run]/[mutation]")

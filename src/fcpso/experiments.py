@@ -55,6 +55,10 @@ class ExperimentSpec:
     hv_target_fraction: float = 0.95  # used by the "fe" indicator only
 
     def __post_init__(self) -> None:
+        if not self.problems or not self.indicators or len(self.variants) < 2:
+            raise ValueError("an experiment needs a problem, an indicator and two variants to pair")
+        for pid in self.problems:
+            get_problem(*parse_problem_id(pid))  # cached; raises on an unknown or mis-sized id
         if self.repetitions < 2:
             raise ValueError("repetitions must be >= 2 for statistics")
         bad = [i for i in self.indicators if i not in INDICATORS]
@@ -251,6 +255,8 @@ def unfairness_profile(
     for pid in problems:
         baseline = median([m["hv"] for m in metrics[cursor : cursor + repetitions]])
         cursor += repetitions
+        if baseline == 0.0:
+            raise ValueError(f"{pid}: the smpso baseline's median hv is 0, so no hv can be normalized by it")
         for mu, _ in schemes:
             hvs = [m["hv"] for m in metrics[cursor : cursor + repetitions]]
             cursor += repetitions

@@ -9,7 +9,6 @@ or more.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,32 +17,11 @@ from .archive import non_dominated_mask
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "IndicatorReport",
     "hypervolume",
     "igd",
     "additive_epsilon",
     "spacing",
 ]
-
-
-@dataclass(frozen=True)
-class IndicatorReport:
-    front_size: int
-    reference_point: np.ndarray | None = None
-    hv: float | None = None
-    igd: float | None = None
-    eps: float | None = None
-    sp: float | None = None
-
-    def as_lines(self) -> list[str]:
-        out = [f"front_size={self.front_size}"]
-        if self.reference_point is not None:
-            out.append("reference_point=" + ",".join(f"{v:.17g}" for v in self.reference_point))
-        for key in ("hv", "igd", "eps", "sp"):
-            val = getattr(self, key)
-            if val is not None:
-                out.append(f"{key}={val:.17g}")
-        return out
 
 
 def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:

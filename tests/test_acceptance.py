@@ -175,25 +175,24 @@ def test_c07_unfairness_profile_shape(profile_points):
     by_problem = {}
     for pt in profile_points:
         by_problem.setdefault(pt.problem, []).append(pt)
-    under_ok, over_ok, trend_ok = True, True, True
+    failures = []
     for problem, pts in by_problem.items():
         pts = sorted(pts, key=lambda p: p.mu)
         for pt in pts:
             if pt.mu < 0 and pt.normalized_hv < 0.995:
-                under_ok = False
+                failures.append(f"under-constricted {problem} mu={pt.mu:+.2f}: "
+                                f"{pt.normalized_hv:.3f} < 0.995")
             if pt.mu >= 0.4 and pt.normalized_hv > 0.9:
-                over_ok = False
+                failures.append(f"over-constricted {problem} mu={pt.mu:+.2f}: "
+                                f"{pt.normalized_hv:.3f} > 0.9")
         tail = [(p.mu, p.normalized_hv) for p in pts if p.mu > 0.1]
         rho = st.spearmanr([t[0] for t in tail], [t[1] for t in tail]).statistic
         if not rho < 0:
-            trend_ok = False
-    ok = under_ok and over_ok and trend_ok
-    report("C7 unfairness profile shape", ok,
+            failures.append(f"trend {problem} beyond mu = 0.1: spearman rho {rho:.3f} is not < 0")
+    report("C7 unfairness profile shape", not failures,
            "; ".join(f"{p}: " + ",".join(f"{pt.normalized_hv:.3f}" for pt in sorted(v, key=lambda q: q.mu))
                      for p, v in sorted(by_problem.items())))
-    assert under_ok, "under-constricted region dipped below 0.995"
-    assert over_ok, "mu >= 0.4 did not degrade to <= 0.9"
-    assert trend_ok, "no negative trend beyond mu = 0.1"
+    assert not failures, "; ".join(failures)
 
 
 def test_c08_indicator_oracles(rng):

@@ -1,12 +1,84 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from fcpso.cli import build_parser, load_config_file, main
+from fcpso.cli import _KEYS, build_parser, load_config_file, main
+from fcpso.fairness import ParameterScheme
 from fcpso.io import read_front_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_with_config(command, cfg, out):
+    """`solve` zdt1 with the config file `cfg`, or `benchmark` the spec `cfg`."""
+    argv = ["solve", "--problem", "zdt1", "--config"] if command == "solve" else ["benchmark"]
+    return run_cli(*argv, str(cfg), "--out", str(out))
+
+
+# (section, key) -> (a non-default value's text, the value it must reach)
+NON_DEFAULT = {
+    ("run", "variant"): ("smpso", "smpso"),
+    ("run", "scheme"): ("2.5, 4.5, 0.1, 0.9", ParameterScheme(2.5, 4.5, 0.1, 0.9)),
+    ("run", "seed"): ("9", 9),
+    ("run", "inertia"): ("0.3", 0.3),
+    ("run", "swarm_size"): ("30", 30),
+    ("run", "archive_capacity"): ("40", 40),
+    ("run", "max_evaluations"): ("700", 700),
+    ("run", "velocity_init"): ("uniform", "uniform"),
+    ("run", "hv_target"): ("0.5", 0.5),
+    ("mutation", "distribution_index"): ("15", 15.0),
+    ("mutation", "per_variable_probability"): ("0.2", 0.2),
+    ("mutation", "particle_fraction"): ("0.3", 0.3),
+    ("experiment", "problems"): ("zdt2, dtlz2:3", ("zdt2", "dtlz2:3")),
+    ("experiment", "variants"): ("fcpso, em-smpso", ("fcpso", "em-smpso")),
+    ("experiment", "repetitions"): ("3", 3),
+    ("experiment", "indicators"): ("igd, fe", ("igd", "fe")),
+    ("experiment", "base_seed"): ("4", 4),
+    ("experiment", "max_evaluations"): ("700", 700),
+    ("experiment", "swarm_size"): ("30", 30),
+    ("experiment", "archive_capacity"): ("40", 40),
+}
+TABLE_CASES = [
+    (command, section, key)
+    for section, keys in _KEYS.items()
+    for key in keys
+    for command in {"run": ("solve",), "mutation": ("solve", "benchmark"),
+                    "experiment": ("benchmark",)}[section]
+]
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(*args, **kwargs):
+    raise _Captured(*args)
+
+
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _settings_reached(tmp_path, command, sections) -> dict:
+    """Run `command` with a config file of `sections`; return the values
+    the built RunConfig or ExperimentSpec holds, keyed like the file."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    ))
+    with pytest.raises(_Captured) as captured:
+        run_with_config(command, cfg, tmp_path)
+    if command == "benchmark":
+        (spec,) = captured.value.args
+        return {"experiment": _fields(spec), "mutation": _fields(spec.mutation)}
+    _, run_cfg, seed = captured.value.args
+    run_values = {**_fields(run_cfg), **_fields(run_cfg.dynamics)}
+    run_values.update(seed=seed, hv_target=run_cfg.hv_target_fraction)
+    return {"run": run_values, "mutation": _fields(run_cfg.mutation)}
 
 
 class TestSolve:
@@ -99,6 +171,39 @@ class TestConfigFile:
         code = run_cli("solve", "--problem", "zdt1", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key", TABLE_CASES)
+    def test_every_key_takes_effect(self, tmp_path, monkeypatch, command, section, key):
+        monkeypatch.setattr("fcpso.cli.run", _capture)
+        monkeypatch.setattr("fcpso.cli.run_experiment", _capture)
+        text, expected = NON_DEFAULT[(section, key)]
+        base = {"experiment": {"problems": "zdt1"}} if command == "benchmark" else {}
+        default = _settings_reached(tmp_path, command, base)[section][key]
+        sections = {**base, section: {**base.get(section, {}), key: text}}
+        assert _settings_reached(tmp_path, command, sections)[section][key] == expected != default
+
+    @pytest.mark.parametrize("command, text, named", [
+        ("solve", "[run]\nswarm_size = abc\n", "[run] swarm_size: "),
+        ("solve", "[mutation]\ndistribution_index = steep\n", "[mutation] distribution_index: "),
+        ("benchmark", "[experiment]\nproblems = zdt1\nrepetitions = five\n", "[experiment] repetitions: "),
+        ("benchmark", "[experiment]\nproblems = zdt1, zdt99\n", "[experiment] problems: "),
+    ])
+    def test_bad_value_named_by_section_and_key(self, tmp_path, capsys, command, text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run_with_config(command, cfg, tmp_path) == 1
+        assert f"error: {cfg}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "zdt1").exists() and not (tmp_path / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("command, text, section", [
+        ("solve", "[run]\nseed = 9\n[experiment]\nproblems = zdt1\n", "[experiment]"),
+        ("benchmark", "[experiment]\nproblems = zdt1\n[run]\nvariant = smpso\nseed = 9\n", "[run]"),
+    ])
+    def test_other_commands_section_rejected(self, tmp_path, capsys, command, text, section):
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(text)
+        assert run_with_config(command, cfg, tmp_path) == 1
+        assert f"unexpected section {section}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(
@@ -250,6 +355,26 @@ class TestProfileCmd:
         lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
         assert lines[0] == "mu,problem,normalized_hv"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--mu-grid=abc"], "--mu-grid"),
+        (["--problems", "zdt1,zdt99", "--mu-grid=0.1"], "--problems"),
+        (["--mu-grid=0.1", "--repetitions", "0"], "--repetitions"),
+    ])
+    def test_bad_input_exits_1_naming_flag(self, tmp_path, capsys, argv, named):
+        assert run_cli("profile", *argv, "--workers", "1", "--out", str(tmp_path)) == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
+    def test_zero_baseline_hv_is_a_named_runtime_error(self, tmp_path, capsys):
+        # two generations leave the smpso archive outside zdt1's (2, 2) hv box
+        code = run_cli(
+            "profile", "--problems", "zdt1", "--mu-grid=0.1", "--repetitions", "2",
+            "--evaluations", "200", "--workers", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: zdt1:") and "baseline" in err
 
 
 class TestParser:

@@ -119,6 +119,16 @@ class TestExperimentSpec:
             ExperimentSpec(problems=("zdt1",), indicators=("hv", "banana"))
         with pytest.raises(ValueError):
             ExperimentSpec(problems=("zdt1",), variants=("smpso", "bogus"))
+        with pytest.raises(ValueError, match="zdt99"):
+            ExperimentSpec(problems=("zdt1", "zdt99"))
+        with pytest.raises(ValueError, match="bi-objective"):
+            ExperimentSpec(problems=("zdt1:3",))
+        with pytest.raises(ValueError, match="two variants"):
+            ExperimentSpec(problems=("zdt1",), variants=("smpso",))
+        with pytest.raises(ValueError):
+            ExperimentSpec(problems=())
+        with pytest.raises(ValueError):
+            ExperimentSpec(problems=("zdt1",), indicators=())
 
 
 @pytest.fixture(scope="module")
