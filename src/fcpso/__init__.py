@@ -47,6 +47,7 @@ from .swarm import (
     compute_speed_em,
     compute_speed_smpso,
     default_scheme,
+    draw_coefficients,
     initialize_swarm,
     update_pbest,
     update_position,

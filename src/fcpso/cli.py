@@ -27,7 +27,7 @@ from .fairness import (
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
-from .problems import available_problems, get_problem, parse_problem_id
+from .problems import get_problem, parse_problem_id
 from .swarm import VARIANTS, DynamicsConfig
 
 __all__ = ["main"]
@@ -153,15 +153,14 @@ def cmd_solve(args) -> int:
         values["hv_target_fraction"] = values.pop("hv_target")
     dynamics = {key: values.pop(key) for key in _DYNAMICS_FIELDS & values.keys()}
 
-    name, n_obj = parse_problem_id(args.problem)
-    if args.objectives is not None:
-        n_obj = args.objectives
     try:
+        name, n_obj = parse_problem_id(args.problem)
+        if args.objectives is not None:
+            n_obj = args.objectives
         problem = get_problem(name, n_obj)
-    except ValueError:
-        raise UsageError(
-            f"unknown problem {args.problem!r}; valid choices: {', '.join(available_problems())}"
-        ) from None
+    except ValueError as exc:
+        given = "" if args.objectives is None else f" --objectives {args.objectives}"
+        raise UsageError(f"--problem {args.problem}{given}: {exc}") from None
     try:
         cfg = RunConfig(
             dynamics=DynamicsConfig(**dynamics),

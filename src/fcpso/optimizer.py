@@ -22,6 +22,7 @@ from .swarm import (
     DynamicsConfig,
     compute_speed_em,
     compute_speed_smpso,
+    draw_coefficients,
     initialize_swarm,
     update_pbest,
     update_position,
@@ -108,10 +109,11 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         em = dyn.variant != "smpso"
         for p in swarm:
             leader = archive.select_leader(rng)
+            coefficients = draw_coefficients(dyn.scheme, rng, em)
             if em:
-                p.velocity, p.momentum = compute_speed_em(p, leader, dyn, rng, bounds)
+                p.velocity, p.momentum = compute_speed_em(p, leader, coefficients, bounds)
             else:
-                p.velocity = compute_speed_smpso(p, leader, dyn, rng, bounds)
+                p.velocity = compute_speed_smpso(p, leader, coefficients, dyn.inertia, bounds)
             update_position(p, bounds)
         apply_turbulence(swarm, bounds, cfg.mutation, rng)
         objectives = [problem.evaluate(p.position) for p in swarm]

@@ -2,7 +2,10 @@
 
 Every problem is exposed as a :class:`ProblemInstance` bundling the
 evaluator, its box bounds, the canonical hypervolume reference point and
-(where a closed form exists) a sampled theoretical front.
+(where a closed form exists) a sampled theoretical front.  The DTLZ and
+WFG evaluators come from cached builders, so their constants are
+computed once per instance; the instance wraps them in one shape,
+bounds and finiteness check per call.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import numpy as np
 
 from ..swarm import BoxBounds
 from . import fronts
-from .dtlz import DTLZ_DISTANCE_VARS, dtlz, dtlz_dimension
+from .dtlz import DTLZ_DISTANCE_VARS, dtlz_dimension, dtlz_evaluator
 from .fronts import ZDT6_F1_MIN, theoretical_front
-from .wfg import WFG_DISTANCE_VARS, wfg, wfg_bounds, wfg_dimension
+from .wfg import WFG_DISTANCE_VARS, wfg_bounds, wfg_dimension, wfg_evaluator
 from .zdt import ZDT_DIMENSIONS, zdt1, zdt2, zdt3, zdt4, zdt6
 
 __all__ = [
@@ -95,8 +98,17 @@ def parse_problem_id(problem_id: str) -> tuple[str, int | None]:
     """Split "name" or "name:objectives" into (name, n_obj or None)."""
     if ":" in problem_id:
         name, _, m = problem_id.partition(":")
-        return name.strip().lower(), int(m)
+        try:
+            return name.strip().lower(), int(m)
+        except ValueError:
+            raise ValueError(
+                f"problem id {problem_id!r}: the objective count after ':' must be an integer"
+            ) from None
     return problem_id.strip().lower(), None
+
+
+def _unknown(name: str) -> ValueError:
+    return ValueError(f"unknown problem {name!r}; available: {', '.join(available_problems())}")
 
 
 def _reference_front(name: str, m: int) -> np.ndarray | None:
@@ -108,13 +120,16 @@ def _reference_front(name: str, m: int) -> np.ndarray | None:
 
 @lru_cache(maxsize=None)
 def get_problem(name: str, n_obj: int | None = None, n_var: int | None = None) -> ProblemInstance:
-    """Build a registered problem; n_obj/n_var fall back to the suite's
-    canonical defaults."""
+    """Build a registered problem and its evaluator, once per argument
+    tuple; n_obj/n_var of None fall back to the suite's canonical
+    defaults."""
     name = name.lower()
     if name in _ZDT_EVALUATORS:
         if n_obj not in (None, 2):
             raise ValueError(f"{name} is bi-objective; got n_obj={n_obj!r}")
-        n = n_var or ZDT_DIMENSIONS[name]
+        n = ZDT_DIMENSIONS[name] if n_var is None else n_var
+        if n < 2:
+            raise ValueError(f"{name} needs at least 2 variables, got n_var={n_var!r}")
         if name == "zdt4":
             lower = np.full(n, -5.0)
             upper = np.full(n, 5.0)
@@ -134,31 +149,35 @@ def get_problem(name: str, n_obj: int | None = None, n_var: int | None = None) -
         )
 
     if name.startswith("dtlz"):
-        index = int(name[4:])
+        index = int(name[4:]) if name[4:].isdigit() else None
         if index not in DTLZ_DISTANCE_VARS:
-            raise ValueError(f"unknown problem {name!r}")
-        m = n_obj or 3
-        n = n_var or dtlz_dimension(index, m)
+            raise _unknown(name)
+        m = 3 if n_obj is None else n_obj
+        evaluate = dtlz_evaluator(index, m)
+        n = dtlz_dimension(index, m) if n_var is None else n_var
+        if n < m:
+            raise ValueError(f"{name} needs at least {m} variables for {m} objectives, got {n}")
         bounds = BoxBounds(np.zeros(n), np.ones(n))
         return ProblemInstance(
             name=name,
             n_var=n,
             n_obj=m,
             bounds=bounds,
-            evaluate=_checked(name, bounds, lambda x, _i=index, _m=m: dtlz(_i, _m, x)),
+            evaluate=_checked(name, bounds, evaluate),
             reference_front=_reference_front(name, m),
             reference_hv=None,
             hv_reference_point=np.full(m, 2.0),
         )
 
     if name.startswith("wfg"):
-        index = int(name[3:])
+        index = int(name[3:]) if name[3:].isdigit() else 0
         if not 1 <= index <= 9:
-            raise ValueError(f"unknown problem {name!r}")
-        m = n_obj or 5
+            raise _unknown(name)
+        m = 5 if n_obj is None else n_obj
         if n_var is not None and n_var <= 2 * (m - 1):
             raise ValueError(f"{name} needs more than {2 * (m - 1)} variables for {m} objectives")
         l = (n_var - 2 * (m - 1)) if n_var is not None else WFG_DISTANCE_VARS
+        evaluate = wfg_evaluator(index, m, l)
         lower, upper = wfg_bounds(m, l)
         bounds = BoxBounds(lower, upper)
         return ProblemInstance(
@@ -166,10 +185,10 @@ def get_problem(name: str, n_obj: int | None = None, n_var: int | None = None) -
             n_var=wfg_dimension(m, l),
             n_obj=m,
             bounds=bounds,
-            evaluate=_checked(name, bounds, lambda x, _i=index, _m=m, _l=l: wfg(_i, _m, x, _l)),
+            evaluate=_checked(name, bounds, evaluate),
             reference_front=_reference_front(name, m),
             reference_hv=None,
             hv_reference_point=2.0 * np.arange(1, m + 1, dtype=float) + 1.0,
         )
 
-    raise ValueError(f"unknown problem {name!r}; available: {', '.join(available_problems())}")
+    raise _unknown(name)

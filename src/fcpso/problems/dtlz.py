@@ -2,15 +2,25 @@
 
 Decision dimension follows the canonical convention n = m + p - 1 with
 p = 5 (DTLZ1), 10 (DTLZ2-6) or 20 (DTLZ7) distance variables.
+
+:func:`dtlz_evaluator` builds one evaluator per (index, m) and caches it.
+The products over the position variables come from one ``np.cumprod``,
+multiplied in the order of the textbook loop, so every output is bitwise
+that loop's.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["dtlz", "DTLZ_DISTANCE_VARS", "dtlz_dimension"]
+__all__ = ["dtlz", "dtlz_evaluator", "DTLZ_DISTANCE_VARS", "dtlz_dimension"]
 
 DTLZ_DISTANCE_VARS = {1: 5, 2: 10, 3: 10, 4: 10, 5: 10, 6: 10, 7: 20}
+
+_TWENTY_PI = 20.0 * np.pi
 
 
 def dtlz_dimension(index: int, m: int) -> int:
@@ -19,66 +29,79 @@ def dtlz_dimension(index: int, m: int) -> int:
 
 def _g_rastrigin(xm: np.ndarray) -> float:
     z = xm - 0.5
-    return 100.0 * (xm.shape[0] + np.sum(z * z - np.cos(20.0 * np.pi * z)))
+    return 100.0 * (xm.shape[0] + np.sum(z * z - np.cos(_TWENTY_PI * z)))
 
 
-def _spherical(theta_like: np.ndarray, g: float, m: int) -> np.ndarray:
-    # theta_like holds m-1 angles already scaled to [0, pi/2]
-    f = np.full(m, 1.0 + g)
-    cos = np.cos(theta_like)
-    sin = np.sin(theta_like)
-    for i in range(m):
-        if m - 1 - i > 0:
-            f[i] *= np.prod(cos[: m - 1 - i])
-        if i > 0:
-            f[i] *= sin[m - 1 - i]
+def _g_sphere(xm: np.ndarray) -> float:
+    return float(np.sum((xm - 0.5) ** 2))
+
+
+def _objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """f_i = scale * prod(factors[:m-1-i]) * last[m-1-i], where f_0 takes
+    no factor of ``last`` and f_{m-1} no product; m-1 factors each."""
+    f = np.full(factors.shape[0] + 1, scale)
+    f[:-1] *= np.cumprod(factors)[::-1]
+    f[1:] *= last[::-1]
     return f
+
+
+@lru_cache(maxsize=None)
+def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Build the evaluator of DTLZ<index> with m objectives.  It takes a
+    float array of at least m variables, unchecked."""
+    if index not in DTLZ_DISTANCE_VARS:
+        raise ValueError(f"DTLZ index must be 1..7, got {index!r}")
+    if m < 2:
+        raise ValueError(f"dtlz{index} needs at least 2 objectives, got {m!r}")
+
+    if index == 1:
+
+        def evaluate(x):
+            pos = x[: m - 1]
+            return _objectives(0.5 * (1.0 + _g_rastrigin(x[m - 1 :])), pos, 1.0 - pos)
+
+        return evaluate
+
+    if index in (2, 3, 4):
+        g = _g_rastrigin if index == 3 else _g_sphere
+        power = 100.0 if index == 4 else None
+
+        def evaluate(x):
+            pos = x[: m - 1]
+            theta = (pos if power is None else pos**power) * (np.pi / 2.0)
+            return _objectives(1.0 + g(x[m - 1 :]), np.cos(theta), np.sin(theta))
+
+        return evaluate
+
+    if index in (5, 6):
+
+        def evaluate(x):
+            pos, xm = x[: m - 1], x[m - 1 :]
+            g = _g_sphere(xm) if index == 5 else float(np.sum(xm**0.1))
+            theta = np.empty(m - 1)
+            theta[0] = pos[0] * (np.pi / 2.0)
+            theta[1:] = (np.pi / (4.0 * (1.0 + g))) * (1.0 + 2.0 * g * pos[1:])
+            return _objectives(1.0 + g, np.cos(theta), np.sin(theta))
+
+        return evaluate
+
+    def evaluate(x):  # DTLZ7
+        pos, xm = x[: m - 1], x[m - 1 :]
+        g = 1.0 + 9.0 * np.sum(xm) / xm.shape[0]
+        f = np.empty(m)
+        f[: m - 1] = pos
+        f[m - 1] = (1.0 + g) * (m - np.sum((pos / (1.0 + g)) * (1.0 + np.sin(3.0 * np.pi * pos))))
+        return f
+
+    return evaluate
 
 
 def dtlz(index: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate DTLZ<index> with m objectives at x in [0,1]^n."""
-    if index not in DTLZ_DISTANCE_VARS:
-        raise ValueError(f"DTLZ index must be 1..7, got {index!r}")
+    """Evaluate DTLZ<index> with m objectives at x in [0,1]^n, n >= m."""
+    evaluate = dtlz_evaluator(index, m)
     x = np.asarray(x, dtype=float)
-    pos, xm = x[: m - 1], x[m - 1 :]
-
-    if index == 1:
-        g = _g_rastrigin(xm)
-        f = np.full(m, 0.5 * (1.0 + g))
-        for i in range(m):
-            if m - 1 - i > 0:
-                f[i] *= np.prod(pos[: m - 1 - i])
-            if i > 0:
-                f[i] *= 1.0 - pos[m - 1 - i]
-        return f
-
-    if index == 2:
-        g = float(np.sum((xm - 0.5) ** 2))
-        return _spherical(pos * (np.pi / 2.0), g, m)
-
-    if index == 3:
-        g = _g_rastrigin(xm)
-        return _spherical(pos * (np.pi / 2.0), g, m)
-
-    if index == 4:
-        g = float(np.sum((xm - 0.5) ** 2))
-        return _spherical(pos**100.0 * (np.pi / 2.0), g, m)
-
-    if index in (5, 6):
-        if index == 5:
-            g = float(np.sum((xm - 0.5) ** 2))
-        else:
-            g = float(np.sum(xm**0.1))
-        theta = np.empty(m - 1)
-        if m > 1:
-            theta[0] = pos[0] * (np.pi / 2.0)
-            theta[1:] = (np.pi / (4.0 * (1.0 + g))) * (1.0 + 2.0 * g * pos[1:])
-        return _spherical(theta, g, m)
-
-    # DTLZ7
-    g = 1.0 + 9.0 * np.sum(xm) / xm.shape[0]
-    f = np.empty(m)
-    f[: m - 1] = pos
-    h = m - np.sum((pos / (1.0 + g)) * (1.0 + np.sin(3.0 * np.pi * pos)))
-    f[m - 1] = (1.0 + g) * h
-    return f
+    if x.shape[0] < m:
+        raise ValueError(
+            f"DTLZ{index} with {m} objectives needs at least {m} variables, got {x.shape[0]}"
+        )
+    return evaluate(x)

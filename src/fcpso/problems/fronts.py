@@ -126,6 +126,8 @@ def theoretical_front(name: str, m: int = 2, n_points: int = 1000) -> np.ndarray
 def _lattice_h(m: int, target: int) -> int:
     from math import comb
 
+    if m < 2:  # comb(h, 0) == 1 for every h: the search would never end
+        raise ValueError(f"a simplex lattice needs at least 2 objectives, got {m!r}")
     h = 1
     while comb(h + 1 + m - 1, m - 1) <= target:
         h += 1

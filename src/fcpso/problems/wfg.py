@@ -4,13 +4,25 @@ Each problem maps z in [0, 2], [0, 4], ..., [0, 2n] through a chain of
 shift/bias/reduction transformations onto underlying parameters in
 [0, 1], then applies a shape function scaled by S_j = 2j.  Position
 parameters k = 2(m-1) and distance parameters l = 20 by default.
+
+:func:`wfg_evaluator` builds one evaluator per (index, m, l) and caches
+it: the 2i input scales, S_j, the group slices with their weight vectors
+and divisors, and the transformation constants are computed once, so a
+call only transforms z.  The outputs are bitwise those of a direct
+transcription of the suite: reductions keep their ``np.dot`` order, and
+``sin``/``cos``/``pow`` see the same arrays or scalars (numpy's vector and
+scalar ``pow`` may differ in the last bit).
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["wfg", "wfg_bounds", "wfg_dimension", "WFG_DISTANCE_VARS"]
+__all__ = ["wfg", "wfg_evaluator", "wfg_bounds", "wfg_dimension", "WFG_DISTANCE_VARS"]
 
 WFG_DISTANCE_VARS = 20
 
@@ -30,114 +42,120 @@ def wfg_bounds(m: int, l: int = WFG_DISTANCE_VARS) -> tuple[np.ndarray, np.ndarr
 
 
 def _clip01(y):
-    return np.clip(y, 0.0, 1.0)
+    return np.minimum(np.maximum(y, 0.0), 1.0)
 
 
-# --- transformations --------------------------------------------------------
+# --- transformations: each factory folds its constants ------------------------
 
 
-def _s_linear(y, a):
-    return _clip01(np.abs(y - a) / np.abs(np.floor(a - y) + a))
+def _s_linear(a):
+    def s(y):
+        return _clip01(np.abs(y - a) / np.abs(np.floor(a - y) + a))
+
+    return s
 
 
-def _s_deceptive(y, a, b, c):
-    t1 = np.floor(y - a + b) * (1.0 - c + (a - b) / b) / (a - b)
-    t2 = np.floor(a + b - y) * (1.0 - c + (1.0 - a - b) / b) / (1.0 - a - b)
-    return _clip01(1.0 + (np.abs(y - a) - b) * (t1 + t2 + 1.0 / b))
+def _s_deceptive(a, b, c):
+    k1, d1 = 1.0 - c + (a - b) / b, a - b
+    k2, d2 = 1.0 - c + (1.0 - a - b) / b, 1.0 - a - b
+    inv_b = 1.0 / b
+
+    def s(y):
+        t1 = np.floor(y - a + b) * k1 / d1
+        t2 = np.floor(a + b - y) * k2 / d2
+        return _clip01(1.0 + (np.abs(y - a) - b) * (t1 + t2 + inv_b))
+
+    return s
 
 
-def _s_multimodal(y, a, b, c):
-    t1 = np.abs(y - c) / (2.0 * (np.floor(c - y) + c))
-    t2 = (4.0 * a + 2.0) * np.pi * (0.5 - t1)
-    return _clip01((1.0 + np.cos(t2) + 4.0 * b * t1 * t1) / (b + 2.0))
+def _s_multimodal(a, b, c):
+    freq, four_b, denom = (4.0 * a + 2.0) * np.pi, 4.0 * b, b + 2.0
+
+    def s(y):
+        t1 = np.abs(y - c) / (2.0 * (np.floor(c - y) + c))
+        return _clip01((1.0 + np.cos(freq * (0.5 - t1)) + four_b * t1 * t1) / denom)
+
+    return s
 
 
-def _b_flat(y, a, b, c):
-    out = (
-        a
-        + np.minimum(0.0, np.floor(y - b)) * a * (b - y) / b
-        - np.minimum(0.0, np.floor(c - y)) * (1.0 - a) * (y - c) / (1.0 - c)
-    )
-    return _clip01(out)
+def _b_flat(a, b, c):
+    one_a, one_c = 1.0 - a, 1.0 - c
+
+    def s(y):
+        return _clip01(
+            a
+            + np.minimum(0.0, np.floor(y - b)) * a * (b - y) / b
+            - np.minimum(0.0, np.floor(c - y)) * one_a * (y - c) / one_c
+        )
+
+    return s
 
 
-def _b_poly(y, alpha):
-    return _clip01(y**alpha)
+# b_param(y, u; 0.98/49.98, 0.02, 50), the dependency bias of WFG7-9
+_BP_A, _BP_B, _BP_C = 0.98 / 49.98, 0.02, 50.0
+_BP_RANGE = _BP_C - _BP_B
 
 
-def _b_param(y, u, a, b, c):
-    v = a - (1.0 - 2.0 * u) * np.abs(np.floor(0.5 - u) + a)
-    return _clip01(y ** (b + (c - b) * v))
+def _b_param(values: list[float], means: list[float]) -> list[float]:
+    """b_param per element in Python floats, whose ``**`` is numpy's scalar
+    pow (its vector pow may round differently)."""
+    out = []
+    for y, u in zip(values, means):
+        v = _BP_A - (1.0 - 2.0 * u) * abs(math.floor(0.5 - u) + _BP_A)
+        out.append(min(max(0.0, y ** (_BP_B + _BP_RANGE * v)), 1.0))
+    return out
 
 
-def _r_sum(y, w):
-    return float(np.dot(y, w) / np.sum(w))
-
-
-def _r_nonsep(y, a):
-    n = y.shape[0]
+def _r_nonsep(values: list[float], a: int, divisor: float) -> float:
+    n = len(values)
     total = 0.0
     for j in range(n):
-        total += y[j]
+        total += values[j]
         for k in range(a - 1):
-            total += abs(y[j] - y[(j + k + 1) % n])
-    half = np.ceil(a / 2.0)
-    return float(np.clip(total / ((n / a) * half * (1.0 + 2.0 * a - 2.0 * half)), 0.0, 1.0))
+            total += abs(values[j] - values[(j + k + 1) % n])
+    return min(max(0.0, total / divisor), 1.0)
 
 
-def _grouped_r_sum(y, m, k, w=None, tail_end=None):
-    """Reduce position groups of size k/(m-1) plus the distance tail."""
-    if w is None:
-        w = np.ones(y.shape[0])
-    gap = k // (m - 1)
-    end = y.shape[0] if tail_end is None else tail_end
-    t = [_r_sum(y[i * gap : (i + 1) * gap], w[i * gap : (i + 1) * gap]) for i in range(m - 1)]
-    t.append(_r_sum(y[k:end], w[k:end]))
-    return np.array(t)
+def _nonsep_divisor(n: int, a: int) -> float:
+    half = math.ceil(a / 2.0)
+    return (n / a) * half * (1.0 + 2.0 * a - 2.0 * half)
+
+
+def _sum_groups(w: np.ndarray, ranges) -> list[tuple[slice, np.ndarray, float]]:
+    """(slice, weights, weight sum) of an r_sum over each [start, end)."""
+    return [(slice(a, b), w[a:b], np.sum(w[a:b])) for a, b in ranges]
+
+
+def _r_sum(y: np.ndarray, groups) -> list[float]:
+    return [float(np.dot(y[sl], w) / d) for sl, w, d in groups]
 
 
 # --- shapes -----------------------------------------------------------------
 
 
-def _shape_linear(x, m):
-    M = x.shape[0]  # x has M underlying position params (length m-1)
-    out = np.empty(m)
-    for j in range(1, m + 1):
-        if j == 1:
-            out[0] = np.prod(x)
-        elif j < m:
-            out[j - 1] = np.prod(x[: m - j]) * (1.0 - x[m - j])
-        else:
-            out[m - 1] = 1.0 - x[0]
+def _shape(factors: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """h_1 = prod(f), h_j = prod(f[:m-j]) * last[m-j] for 1 < j < m and
+    h_m = last[0], clipped to [0, 1]; f and last have m-1 entries."""
+    prods = np.cumprod(factors)
+    out = np.empty(factors.shape[0] + 1)
+    out[0] = prods[-1]
+    out[1:-1] = prods[:-1][::-1] * last[1:][::-1]
+    out[-1] = last[0]
     return _clip01(out)
 
 
-def _shape_convex(x, m):
-    out = np.empty(m)
-    for j in range(1, m + 1):
-        if j == 1:
-            out[0] = np.prod(1.0 - np.cos(x * np.pi / 2.0))
-        elif j < m:
-            out[j - 1] = np.prod(1.0 - np.cos(x[: m - j] * np.pi / 2.0)) * (
-                1.0 - np.sin(x[m - j] * np.pi / 2.0)
-            )
-        else:
-            out[m - 1] = 1.0 - np.sin(x[0] * np.pi / 2.0)
-    return _clip01(out)
+def _shape_linear(x):
+    return _shape(x, 1.0 - x)
 
 
-def _shape_concave(x, m):
-    out = np.empty(m)
-    for j in range(1, m + 1):
-        if j == 1:
-            out[0] = np.prod(np.sin(x * np.pi / 2.0))
-        elif j < m:
-            out[j - 1] = np.prod(np.sin(x[: m - j] * np.pi / 2.0)) * np.cos(
-                x[m - j] * np.pi / 2.0
-            )
-        else:
-            out[m - 1] = np.cos(x[0] * np.pi / 2.0)
-    return _clip01(out)
+def _shape_convex(x):
+    angle = x * np.pi / 2.0
+    return _shape(1.0 - np.cos(angle), 1.0 - np.sin(angle))
+
+
+def _shape_concave(x):
+    angle = x * np.pi / 2.0
+    return _shape(np.sin(angle), np.cos(angle))
 
 
 def _shape_mixed(x1, alpha, a):
@@ -152,103 +170,122 @@ def _shape_disconnected(x1, alpha, beta, a):
 # --- the nine problems ------------------------------------------------------
 
 
-def _underlying(t, m, degenerate=False):
-    """Map the reduced vector t (length m) to underlying params x."""
-    a = np.ones(m - 1)
-    if degenerate:
-        a[1:] = 0.0
-    x = np.maximum(t[-1], a) * (t[:-1] - 0.5) + 0.5
-    return x, t[-1]
-
-
-def wfg(index: int, m: int, z: np.ndarray, l: int = WFG_DISTANCE_VARS) -> np.ndarray:
-    """Evaluate WFG<index> with m objectives at z (z_i in [0, 2i])."""
+@lru_cache(maxsize=None)
+def wfg_evaluator(
+    index: int, m: int, l: int = WFG_DISTANCE_VARS
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Build the evaluator of WFG<index> with m objectives and l distance
+    variables.  It takes a float array of length 2(m-1) + l, unchecked."""
     if not 1 <= index <= 9:
         raise ValueError(f"WFG index must be 1..9, got {index!r}")
+    if m < 2:
+        raise ValueError(f"wfg{index} needs at least 2 objectives, got {m!r}")
+    if l < 1:
+        raise ValueError(f"wfg{index} needs at least one distance variable, got {l!r}")
     if index in (2, 3) and l % 2 != 0:
         raise ValueError(f"WFG{index} needs an even number of distance variables, got {l}")
     k = wfg_position_vars(m)
     n = k + l
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != n:
-        raise ValueError(f"WFG{index} with {m} objectives expects {n} variables, got {z.shape[0]}")
+    gap = k // (m - 1)
+    scale = 2.0 * np.arange(1, n + 1, dtype=float)
     s = 2.0 * np.arange(1, m + 1, dtype=float)
-    y = z / (2.0 * np.arange(1, n + 1, dtype=float))
+    a = np.ones(m - 1)
+    if index == 3:  # degenerate: only the first position parameter spans the front
+        a[1:] = 0.0
+
+    def blocks(end):  # the m-1 position groups, then the distance tail
+        return [(i * gap, (i + 1) * gap) for i in range(m - 1)] + [(k, end)]
+
+    def summed(groups):
+        return lambda y: np.array(_r_sum(y, groups))
+
+    def nonsep(y):
+        values = y.tolist()
+        return np.array([_r_nonsep(values[b:e], e - b, d) for (b, e), d in nonsep_blocks])
+
+    nonsep_blocks = [(r, _nonsep_divisor(r[1] - r[0], r[1] - r[0])) for r in blocks(n)]
+    linear = _s_linear(0.35)
+    reduce = summed(_sum_groups(np.ones(n), blocks(n)))
+    shape = _shape_concave
 
     if index == 1:
-        y = y.copy()
-        y[k:] = _s_linear(y[k:], 0.35)
-        y[k:] = _b_flat(y[k:], 0.8, 0.75, 0.85)
-        y = _b_poly(y, 0.02)
-        t = _grouped_r_sum(y, m, k, w=2.0 * np.arange(1, n + 1, dtype=float))
-        x, x_last = _underlying(t, m)
-        h = np.append(_shape_convex(x, m)[: m - 1], _shape_mixed(x[0], 1.0, 5.0))
-    elif index in (2, 3):
-        y = y.copy()
-        y[k:] = _s_linear(y[k:], 0.35)
-        pieces = [y[:k]]
-        for i in range(l // 2):
-            pieces.append(_r_nonsep(y[k + 2 * i : k + 2 * i + 2], 2))
-        y = np.append(pieces[0], pieces[1:])
-        t = _grouped_r_sum(y, m, k)
-        if index == 2:
-            x, x_last = _underlying(t, m)
-            h = np.append(_shape_convex(x, m)[: m - 1], _shape_disconnected(x[0], 1.0, 1.0, 5.0))
-        else:
-            x, x_last = _underlying(t, m, degenerate=True)
-            h = _shape_linear(x, m)
-    elif index == 4:
-        y = _s_multimodal(y, 30.0, 10.0, 0.35)
-        t = _grouped_r_sum(y, m, k)
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
-    elif index == 5:
-        y = _s_deceptive(y, 0.35, 0.001, 0.05)
-        t = _grouped_r_sum(y, m, k)
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
-    elif index == 6:
-        y = y.copy()
-        y[k:] = _s_linear(y[k:], 0.35)
-        gap = k // (m - 1)
-        t = np.array(
-            [_r_nonsep(y[i * gap : (i + 1) * gap], gap) for i in range(m - 1)]
-            + [_r_nonsep(y[k:], l)]
-        )
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
-    elif index == 7:
-        y = y.copy()
-        for i in range(k):
-            u = _r_sum(y[i + 1 :], np.ones(n - i - 1))
-            y[i] = _b_param(y[i], u, 0.98 / 49.98, 0.02, 50.0)
-        y[k:] = _s_linear(y[k:], 0.35)
-        t = _grouped_r_sum(y, m, k)
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
-    elif index == 8:
-        y0 = y  # t1 is simultaneous: every u reads pre-transformation values
-        y = y.copy()
-        for i in range(k, n):
-            u = _r_sum(y0[:i], np.ones(i))
-            y[i] = _b_param(y0[i], u, 0.98 / 49.98, 0.02, 50.0)
-        y[k:] = _s_linear(y[k:], 0.35)
-        t = _grouped_r_sum(y, m, k)
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
-    else:  # WFG9
-        y = y.copy()
-        for i in range(n - 1):
-            u = _r_sum(y[i + 1 :], np.ones(n - i - 1))
-            y[i] = _b_param(y[i], u, 0.98 / 49.98, 0.02, 50.0)
-        y[:k] = _s_deceptive(y[:k], 0.35, 0.001, 0.05)
-        y[k:] = _s_multimodal(y[k:], 30.0, 95.0, 0.35)
-        gap = k // (m - 1)
-        t = np.array(
-            [_r_nonsep(y[i * gap : (i + 1) * gap], gap) for i in range(m - 1)]
-            + [_r_nonsep(y[k:], l)]
-        )
-        x, x_last = _underlying(t, m)
-        h = _shape_concave(x, m)
+        flat = _b_flat(0.8, 0.75, 0.85)
 
-    return x_last + s * h
+        def transform(y):
+            y[k:] = flat(linear(y[k:]))
+            return _clip01(y**0.02)
+
+        def shape(x):
+            h = _shape_convex(x)
+            h[-1] = _shape_mixed(x[0], 1.0, 5.0)
+            return h
+
+        reduce = summed(_sum_groups(scale, blocks(n)))
+    elif index in (2, 3):
+        pair = _nonsep_divisor(2, 2)
+
+        def transform(y):
+            y[k:] = linear(y[k:])
+            values = y.tolist()
+            pairs = [_r_nonsep(values[b : b + 2], 2, pair) for b in range(k, n, 2)]
+            return np.append(y[:k], pairs)
+
+        def shape2(x):
+            h = _shape_convex(x)
+            h[-1] = _shape_disconnected(x[0], 1.0, 1.0, 5.0)
+            return h
+
+        shape = shape2 if index == 2 else _shape_linear
+        reduce = summed(_sum_groups(np.ones(k + l // 2), blocks(k + l // 2)))
+    elif index == 4:
+        transform = _s_multimodal(30.0, 10.0, 0.35)
+    elif index == 5:
+        transform = _s_deceptive(0.35, 0.001, 0.05)
+    elif index == 6:
+
+        def transform(y):
+            y[k:] = linear(y[k:])
+            return y
+
+        reduce = nonsep
+    else:
+        # b_param reads each u from values still untransformed: WFG7 and
+        # WFG9 from those right of the biased one, WFG8 from those left
+        if index == 8:
+            span, ranges = slice(k, n), [(0, i) for i in range(k, n)]
+        else:
+            end = k if index == 7 else n - 1
+            span, ranges = slice(0, end), [(i + 1, n) for i in range(end)]
+        means = _sum_groups(np.ones(n), ranges)
+        deceptive = _s_deceptive(0.35, 0.001, 0.05)
+        multimodal = _s_multimodal(30.0, 95.0, 0.35)
+
+        def transform(y):
+            y[span] = _b_param(y[span].tolist(), _r_sum(y, means))
+            if index == 9:
+                y[:k] = deceptive(y[:k])
+                y[k:] = multimodal(y[k:])
+            else:
+                y[k:] = linear(y[k:])
+            return y
+
+        if index == 9:
+            reduce = nonsep
+
+    def evaluate(z):
+        t = reduce(transform(z / scale))
+        x_last = t[-1]
+        x = np.maximum(x_last, a) * (t[:-1] - 0.5) + 0.5
+        return x_last + s * shape(x)
+
+    return evaluate
+
+
+def wfg(index: int, m: int, z: np.ndarray, l: int = WFG_DISTANCE_VARS) -> np.ndarray:
+    """Evaluate WFG<index> with m objectives at z (z_i in [0, 2i])."""
+    evaluate = wfg_evaluator(index, m, l)
+    z = np.asarray(z, dtype=float)
+    n = wfg_dimension(m, l)
+    if z.shape[0] != n:
+        raise ValueError(f"WFG{index} with {m} objectives expects {n} variables, got {z.shape[0]}")
+    return evaluate(z)

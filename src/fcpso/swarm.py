@@ -5,6 +5,10 @@ speed is computed: "smpso" applies the plain constriction factor to an
 inertia-weighted update, while "em-smpso" and "fcpso" replace inertia
 with exponentially-averaged momentum and use the momentum-aware factor.
 The variants then differ only in their sampling scheme for (c1, c2, beta).
+
+Sampling is split from the dynamics: :func:`draw_coefficients` makes one
+generator call per particle and move, and the ``compute_speed_*`` kernels
+take the drawn coefficients.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "DynamicsConfig",
     "VARIANTS",
     "default_scheme",
+    "draw_coefficients",
     "compute_speed_smpso",
     "compute_speed_em",
     "update_position",
@@ -99,29 +104,37 @@ class DynamicsConfig:
             object.__setattr__(self, "scheme", default_scheme(self.variant))
 
 
-def _draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator):
-    r1 = rng.uniform(0.0, 1.0)
-    r2 = rng.uniform(0.0, 1.0)
-    c1 = rng.uniform(scheme.phi1 / 2.0, scheme.phi2 / 2.0)
-    c2 = rng.uniform(scheme.phi1 / 2.0, scheme.phi2 / 2.0)
-    return r1, r2, c1, c2
+def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentum: bool) -> tuple:
+    """One particle's (r1, r2, c1, c2), plus beta when ``momentum``, from a
+    single ``rng.random`` call.
+
+    ``lo + (hi - lo) * u`` in Python floats is what ``rng.uniform(lo, hi)``
+    computes, so the values and the generator's state after the call are
+    bitwise those of one scalar ``uniform`` draw per coefficient.
+    """
+    u = rng.random(5 if momentum else 4).tolist()
+    lo, hi = scheme.phi1 / 2.0, scheme.phi2 / 2.0
+    coefficients = (u[0], u[1], lo + (hi - lo) * u[2], lo + (hi - lo) * u[3])
+    if momentum:
+        return coefficients + (scheme.beta1 + (scheme.beta2 - scheme.beta1) * u[4],)
+    return coefficients
 
 
 def compute_speed_smpso(
     p: Particle,
     gbest: np.ndarray,
-    cfg: DynamicsConfig,
-    rng: np.random.Generator,
+    coefficients: tuple[float, float, float, float],
+    inertia: float,
     bounds: BoxBounds | None = None,
 ) -> np.ndarray:
-    """Constricted inertial velocity update; one (r1, r2, c1, c2) draw per
-    particle, shared across components."""
+    """Constricted inertial velocity update from one (r1, r2, c1, c2) draw
+    per particle, shared across components."""
     if gbest.shape != p.position.shape:
         raise ValueError(f"gbest dimension {gbest.shape} != position {p.position.shape}")
-    r1, r2, c1, c2 = _draw_coefficients(cfg.scheme, rng)
+    r1, r2, c1, c2 = coefficients
     chi = chi_vanilla(c1 + c2)
     v = chi * (
-        cfg.inertia * p.velocity
+        inertia * p.velocity
         + c1 * r1 * (p.pbest_position - p.position)
         + c2 * r2 * (gbest - p.position)
     )
@@ -133,16 +146,15 @@ def compute_speed_smpso(
 def compute_speed_em(
     p: Particle,
     gbest: np.ndarray,
-    cfg: DynamicsConfig,
-    rng: np.random.Generator,
+    coefficients: tuple[float, float, float, float, float],
     bounds: BoxBounds | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum velocity update: m' = beta m + (1-beta) v, then the
-    constricted attraction step on top of m'.  Returns (velocity, momentum)."""
+    """Momentum velocity update from one (r1, r2, c1, c2, beta) draw:
+    m' = beta m + (1-beta) v, then the constricted attraction step on top
+    of m'.  Returns (velocity, momentum)."""
     if gbest.shape != p.position.shape:
         raise ValueError(f"gbest dimension {gbest.shape} != position {p.position.shape}")
-    r1, r2, c1, c2 = _draw_coefficients(cfg.scheme, rng)
-    beta = rng.uniform(cfg.scheme.beta1, cfg.scheme.beta2)
+    r1, r2, c1, c2, beta = coefficients
     chi = chi_momentum(c1 + c2, beta)
     m = beta * p.momentum + (1.0 - beta) * p.velocity
     v = chi * (m + c1 * r1 * (p.pbest_position - p.position) + c2 * r2 * (gbest - p.position))
@@ -153,7 +165,7 @@ def compute_speed_em(
 
 def velocity_constriction(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     """Clamp each velocity component to [-delta_j, delta_j]."""
-    return np.clip(v, -bounds.delta, bounds.delta)
+    return np.minimum(np.maximum(v, -bounds.delta), bounds.delta)
 
 
 def update_position(p: Particle, bounds: BoxBounds) -> None:

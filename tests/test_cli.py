@@ -132,6 +132,17 @@ class TestSolve:
             sizes[variant] = front.shape[0]
         assert sizes["em-smpso"] < sizes["fcpso"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--problem", "zdt1:x"], "--problem zdt1:x: problem id 'zdt1:x'"),
+        (["--problem", "dtlz2:1"], "--problem dtlz2:1: dtlz2 needs at least 2 objectives"),
+        (["--problem", "wfg4", "--objectives", "0"], "--problem wfg4 --objectives 0: wfg4 needs"),
+    ])
+    def test_bad_problem_id_exits_1_naming_flag(self, tmp_path, capsys, argv, named):
+        code = run_cli("solve", *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
         code = run_cli("solve", "--problem", "zdt1", flag, "0", "--out", str(tmp_path))
@@ -187,6 +198,8 @@ class TestConfigFile:
         ("solve", "[mutation]\ndistribution_index = steep\n", "[mutation] distribution_index: "),
         ("benchmark", "[experiment]\nproblems = zdt1\nrepetitions = five\n", "[experiment] repetitions: "),
         ("benchmark", "[experiment]\nproblems = zdt1, zdt99\n", "[experiment] problems: "),
+        ("benchmark", "[experiment]\nproblems = zdt1:x\n", "[experiment] problems: problem id"),
+        ("benchmark", "[experiment]\nproblems = dtlz2:1\n", "[experiment] problems: dtlz2 needs"),
     ])
     def test_bad_value_named_by_section_and_key(self, tmp_path, capsys, command, text, named):
         cfg = tmp_path / "bad.cfg"

@@ -40,7 +40,7 @@ def optimal_distance_wfg9(m, pos_y, l=20):
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("index", range(1, 10))
-    @pytest.mark.parametrize("m", [3, 5, 10])
+    @pytest.mark.parametrize("m", [2, 3, 5, 10])
     def test_random_points_match(self, index, m, rng):
         lo, up = wfg_bounds(m)
         for _ in range(100):

@@ -1,10 +1,15 @@
 """ZDT/DTLZ evaluators against literal single-formula transcriptions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcpso
 from fcpso.problems import get_problem
 from fcpso.problems.dtlz import dtlz, dtlz_dimension
 from fcpso.problems.zdt import zdt1, zdt2, zdt3, zdt4, zdt6
@@ -191,7 +196,7 @@ class TestDtlzValues:
         np.testing.assert_allclose(dtlz(7, 3, x), [1.0, 1.0, 4.0], atol=1e-12)
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4, 5, 6, 7])
-    @pytest.mark.parametrize("m", [3, 5, 10])
+    @pytest.mark.parametrize("m", [2, 3, 5, 10])
     def test_against_reference(self, index, m, rng):
         n = dtlz_dimension(index, m)
         for _ in range(50):
@@ -203,6 +208,10 @@ class TestDtlzValues:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             dtlz(8, 3, np.zeros(10))
+
+    def test_too_few_variables(self):
+        with pytest.raises(ValueError, match="at least 3 variables"):
+            dtlz(7, 3, np.zeros(2))
 
 
 class TestDtlzInstances:
@@ -219,3 +228,48 @@ class TestDtlzInstances:
         p = get_problem("dtlz3", 3)
         x = rng.random(p.n_var)
         np.testing.assert_array_equal(p.evaluate(x), p.evaluate(x))
+
+
+# Each call runs in its own interpreter with a timeout, so a call that
+# never returns (as the simplex-lattice search once did for one
+# objective) fails the test instead of hanging the suite.
+_CALL = """
+from fcpso.problems import fronts, get_problem
+try:
+    {call}
+except ValueError as exc:
+    print("ValueError:", exc)
+else:
+    print("returned")
+"""
+
+
+def _outcome(call: str) -> str:
+    src = str(Path(fcpso.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _CALL.format(call=call)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestObjectiveAndVariableCounts:
+    @pytest.mark.parametrize("call, named", [
+        ('get_problem("dtlz2", 1)', "dtlz2"),
+        ('get_problem("wfg4", 1)', "wfg4"),
+        ('get_problem("dtlz1", 0)', "dtlz1"),  # 0 is a count, not "the default"
+        ('get_problem("wfg4", 0)', "wfg4"),
+        ('get_problem("dtlz1", None, 0)', "dtlz1"),
+        ('get_problem("zdt1", None, 0)', "zdt1"),
+        ('fronts.theoretical_front("dtlz2", 1)', "2 objectives"),
+        ('fronts._lattice_h(1, 1000)', "2 objectives"),
+    ])
+    def test_rejected_with_a_named_error(self, call, named):
+        outcome = _outcome(call)
+        assert outcome.startswith("ValueError:") and named in outcome
+
+    def test_two_objectives_build(self):
+        for name in ("dtlz1", "dtlz2", "wfg4"):
+            p = get_problem(name, 2)
+            assert p.n_obj == 2 and p.evaluate(p.bounds.lower).shape == (2,)

@@ -1,4 +1,5 @@
-"""Property tests for the archive, hypervolume and activation invariants.
+"""Property tests for the archive, hypervolume, activation and
+coefficient-draw invariants.
 
 Objectives are small integers, so duplicates and ties are common, and
 every hypervolume is an exact sum of integer boxes.
@@ -23,6 +24,7 @@ from fcpso.archive import (
 )
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import hypervolume
+from fcpso.swarm import draw_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -208,3 +210,19 @@ def test_activation_probability_matches_monte_carlo(scheme):
         assert sampled == exact
     else:
         assert abs(sampled - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / samples)
+
+
+@PROPERTY_SETTINGS
+@given(uniform_schemes(), st.integers(0, 2**64 - 1), st.booleans(), st.integers(1, 5))
+def test_one_draw_call_is_the_scalar_uniform_stream(scheme, seed, momentum, particles):
+    # one uniform(lo, hi) per coefficient, in (r1, r2, c1, c2[, beta]) order
+    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(particles):
+        c = (scheme.phi1 / 2.0, scheme.phi2 / 2.0)
+        expected = [scalar.uniform(0.0, 1.0), scalar.uniform(0.0, 1.0)]
+        expected += [scalar.uniform(*c), scalar.uniform(*c)]
+        if momentum:
+            expected.append(scalar.uniform(scheme.beta1, scheme.beta2))
+        drawn = draw_coefficients(scheme, batched, momentum)
+        assert np.array(drawn).tobytes() == np.array(expected).tobytes()
+    assert batched.bit_generator.state == scalar.bit_generator.state

@@ -13,6 +13,7 @@ from fcpso.swarm import (
     compute_speed_em,
     compute_speed_smpso,
     default_scheme,
+    draw_coefficients,
     initialize_swarm,
     update_pbest,
     update_position,
@@ -65,86 +66,85 @@ class TestDefaults:
 
 
 class TestComputeSpeedSmpso:
-    def test_hand_example_inactive_chi(self, queued_rng):
-        cfg = DynamicsConfig(variant="smpso", inertia=0.1)
+    def test_hand_example_inactive_chi(self):
         p = particle(0.0, v=1.0, pbest=1.0)
-        stub = queued_rng([0.5, 0.5, 2.0, 2.0])  # r1, r2, c1, c2 -> phi = 4
+        coefficients = (0.5, 0.5, 2.0, 2.0)  # r1, r2, c1, c2 -> phi = 4
         bounds = BoxBounds(np.array([0.0]), np.array([10.0]))  # delta 5
-        v = compute_speed_smpso(p, np.array([1.0]), cfg, stub, bounds)
+        v = compute_speed_smpso(p, np.array([1.0]), coefficients, 0.1, bounds)
         assert v[0] == pytest.approx(2.1, abs=1e-12)
 
-    def test_hand_example_active_chi(self, queued_rng):
-        cfg = DynamicsConfig(variant="smpso", inertia=0.1)
+    def test_hand_example_active_chi(self):
         p = particle(0.0, v=1.0, pbest=1.0)
-        stub = queued_rng([0.5, 0.5, 2.25, 2.25])  # phi = 4.5 -> chi = -0.5
+        coefficients = (0.5, 0.5, 2.25, 2.25)  # phi = 4.5 -> chi = -0.5
         bounds = BoxBounds(np.array([0.0]), np.array([10.0]))
-        v = compute_speed_smpso(p, np.array([1.0]), cfg, stub, bounds)
+        v = compute_speed_smpso(p, np.array([1.0]), coefficients, 0.1, bounds)
         assert v[0] == pytest.approx(-1.175, abs=1e-12)
 
-    def test_zero_displacement_leaves_inertia_term(self, queued_rng):
-        cfg = DynamicsConfig(variant="smpso", inertia=0.1)
+    def test_zero_displacement_leaves_inertia_term(self):
         p = particle(0.7, v=1.0, pbest=0.7)
-        stub = queued_rng([0.5, 0.5, 2.0, 2.0])
-        v = compute_speed_smpso(p, np.array([0.7]), cfg, stub, WIDE)
+        v = compute_speed_smpso(p, np.array([0.7]), (0.5, 0.5, 2.0, 2.0), 0.1, WIDE)
         assert v[0] == pytest.approx(0.1, abs=1e-15)
 
-    def test_velocity_clamped(self, queued_rng):
-        cfg = DynamicsConfig(variant="smpso", inertia=0.1)
+    def test_velocity_clamped(self):
         p = particle(0.0, v=1.0)
-        stub = queued_rng([1.0, 1.0, 2.0, 2.0])
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))  # delta 0.5
-        v = compute_speed_smpso(p, np.array([1.0]), cfg, stub, bounds)
+        v = compute_speed_smpso(p, np.array([1.0]), (1.0, 1.0, 2.0, 2.0), 0.1, bounds)
         assert v[0] == 0.5
 
-    def test_dimension_mismatch(self, rng):
-        cfg = DynamicsConfig(variant="smpso")
+    def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compute_speed_smpso(particle([0.0, 0.0]), np.array([1.0]), cfg, rng)
+            compute_speed_smpso(particle([0.0, 0.0]), np.array([1.0]), (0.5, 0.5, 2.0, 2.0), 0.1)
 
 
 class TestComputeSpeedEm:
-    def test_hand_example(self, queued_rng):
-        cfg = DynamicsConfig(variant="em-smpso")
+    def test_hand_example(self):
         p = particle(0.0, v=1.0, m=0.0, pbest=1.0)
-        stub = queued_rng([0.5, 0.5, 2.0, 2.0, 0.5])  # r1, r2, c1, c2, beta
-        v, m = compute_speed_em(p, np.array([1.0]), cfg, stub, WIDE)
+        coefficients = (0.5, 0.5, 2.0, 2.0, 0.5)  # r1, r2, c1, c2, beta
+        v, m = compute_speed_em(p, np.array([1.0]), coefficients, WIDE)
         assert m[0] == pytest.approx(0.5)
         assert v[0] == pytest.approx(chi_momentum(4.0, 0.5) * 2.5, abs=1e-12)
         assert v[0] == pytest.approx(-1.0355339, abs=1e-6)
 
-    def test_beta_zero_matches_inertia_one_smpso(self, queued_rng):
-        em_cfg = DynamicsConfig(variant="em-smpso")
-        smpso_cfg = DynamicsConfig(variant="smpso", inertia=1.0)
+    def test_beta_zero_matches_inertia_one_smpso(self):
         p1 = particle(0.2, v=0.8, m=0.0)
         p2 = particle(0.2, v=0.8)
-        draws = [0.3, 0.9, 2.1, 1.7]
-        v_em, m_em = compute_speed_em(p1, np.array([1.0]), em_cfg, queued_rng(draws + [0.0]), WIDE)
-        v_sm = compute_speed_smpso(p2, np.array([1.0]), smpso_cfg, queued_rng(draws), WIDE)
+        draws = (0.3, 0.9, 2.1, 1.7)
+        v_em, m_em = compute_speed_em(p1, np.array([1.0]), draws + (0.0,), WIDE)
+        v_sm = compute_speed_smpso(p2, np.array([1.0]), draws, 1.0, WIDE)
         assert v_em[0] == pytest.approx(v_sm[0], abs=1e-15)
         assert m_em[0] == 0.8  # beta = 0 copies the previous velocity
 
-    def test_rest_state_is_fixed_point(self, queued_rng):
-        cfg = DynamicsConfig(variant="fcpso")
+    def test_rest_state_is_fixed_point(self):
         p = particle(0.4, v=0.0, m=0.0, pbest=0.4)
-        v, m = compute_speed_em(p, np.array([0.4]), cfg, queued_rng([0.5, 0.5, 1.2, 1.2, 0.7]), WIDE)
+        v, m = compute_speed_em(p, np.array([0.4]), (0.5, 0.5, 1.2, 1.2, 0.7), WIDE)
         assert v[0] == 0.0 and m[0] == 0.0
 
-    def test_momentum_recursion_matches_exponential_sum(self, queued_rng):
+    def test_momentum_recursion_matches_exponential_sum(self):
         # m(T) must equal sum_s beta^(T-1-s) (1-beta) v(s) for constant beta
         beta, steps = 0.6, 25
-        cfg = DynamicsConfig(variant="em-smpso")
         p = particle(0.0, v=1.0, m=0.0, pbest=0.3)
         gbest = np.array([0.9])
         rng = np.random.default_rng(4)
         velocities = []
         for _ in range(steps):
             velocities.append(p.velocity[0])
-            draws = [rng.uniform(), rng.uniform(), rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), beta]
-            p.velocity, p.momentum = compute_speed_em(p, gbest, cfg, queued_rng(draws), WIDE)
+            r1, r2 = rng.uniform(), rng.uniform()
+            draws = (r1, r2, rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), beta)
+            p.velocity, p.momentum = compute_speed_em(p, gbest, draws, WIDE)
         expected = sum(
             beta ** (steps - 1 - s) * (1.0 - beta) * v for s, v in enumerate(velocities)
         )
         assert p.momentum[0] == pytest.approx(expected, abs=1e-10)
+
+
+class TestDrawCoefficients:
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_scripted_draws_map_onto_the_scheme(self, queued_rng, momentum):
+        scheme = ParameterScheme(2.0, 3.0, 0.1, 0.4)
+        draws = [0.25, 0.5, 0.0, 1.0, 0.5]
+        coefficients = draw_coefficients(scheme, queued_rng(draws), momentum)
+        expected = (0.25, 0.5, 1.0, 1.5, 0.25)
+        assert coefficients == pytest.approx(expected[: 5 if momentum else 4], abs=1e-15)
 
 
 class TestUpdatePosition:
@@ -270,7 +270,8 @@ class TestIterationInvariants:
         for _ in range(40):
             gbest = swarm[int(rng.integers(len(swarm)))].pbest_position
             for p in swarm:
-                p.velocity, p.momentum = compute_speed_em(p, gbest, cfg, rng, bounds)
+                coefficients = draw_coefficients(cfg.scheme, rng, True)
+                p.velocity, p.momentum = compute_speed_em(p, gbest, coefficients, bounds)
                 update_position(p, bounds)
             for p in swarm:
                 assert np.all(np.abs(p.velocity) <= bounds.delta + 1e-12)
@@ -285,5 +286,6 @@ def test_custom_scheme_drives_em_update(rng):
     cfg = DynamicsConfig(variant="em-smpso", scheme=scheme)
     p = particle(0.0, v=0.0, m=0.0, pbest=1.0)
     for _ in range(500):
-        p.velocity, p.momentum = compute_speed_em(p, np.array([1.0]), cfg, rng, WIDE)
+        coefficients = draw_coefficients(cfg.scheme, rng, True)
+        p.velocity, p.momentum = compute_speed_em(p, np.array([1.0]), coefficients, WIDE)
         assert np.isfinite(p.velocity).all() and np.isfinite(p.momentum).all()
