@@ -7,7 +7,7 @@ probability calculus that separates them, benchmark problem suites and
 quality indicators.
 """
 
-from .archive import ExternalArchive, crowding_distance, dominates, non_dominated_mask
+from .archive import ExternalArchive, crowding_distance, non_dominated_mask
 from .constriction import (
     EigenPair,
     MapState,
@@ -43,7 +43,7 @@ from .problems import (
 from .swarm import (
     BoxBounds,
     DynamicsConfig,
-    Particle,
+    Swarm,
     compute_speed_em,
     compute_speed_smpso,
     default_scheme,

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ExternalArchive",
-    "dominates",
     "non_dominated_mask",
     "crowding_distance",
 ]
@@ -21,15 +20,6 @@ __all__ = [
 INSERTED = "inserted"
 DOMINATED = "dominated"
 REPLACED_CROWDED = "replaced-crowded"
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Minimization dominance: a <= b everywhere and a < b somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective dimensions differ: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
@@ -161,9 +151,11 @@ class ExternalArchive:
         if self._n <= self.capacity:
             return INSERTED
         self._refresh_crowding()
-        keep = np.ones(self._n, dtype=bool)
-        keep[np.argmin(self._crowding[: self._n])] = False  # first of the least crowded
-        self._keep(keep)
+        n = self._n
+        e = int(np.argmin(self._crowding[:n]))  # first of the least crowded
+        self._objectives[e : n - 1] = self._objectives[e + 1 : n]
+        self._positions[e : n - 1] = self._positions[e + 1 : n]
+        self._n = n - 1
         self._crowding_fresh = False
         return REPLACED_CROWDED
 

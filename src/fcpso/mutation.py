@@ -1,4 +1,8 @@
-"""Turbulence operator: polynomial mutation on a random slice of the swarm."""
+"""Turbulence operator: polynomial mutation on a random slice of the swarm.
+
+Positions are an (N, n) array mutated in place; each row draws whether
+it mutates, then its mutation, before the next row draws.
+"""
 
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ class MutationConfig:
     particle_fraction: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.distribution_index <= 0.0:
-            raise ValueError(f"distribution_index must be > 0, got {self.distribution_index!r}")
+        if not 0.0 < self.distribution_index < np.inf:
+            raise ValueError(f"distribution_index must be finite and > 0, got {self.distribution_index!r}")
         p = self.per_variable_probability
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"per_variable_probability must lie in [0, 1], got {p!r}")
@@ -64,11 +68,11 @@ def polynomial_mutate(
     return out
 
 
-def apply_turbulence(swarm, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
-    """Mutate the positions of a random particle_fraction of the swarm in
+def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
+    """Mutate a random particle_fraction of the rows of ``positions`` in
     place; velocities and momenta are untouched."""
     if cfg.particle_fraction == 0.0:
         return
-    for p in swarm:
+    for x in positions:
         if rng.random() < cfg.particle_fraction:
-            p.position = polynomial_mutate(p.position, bounds.lower, bounds.upper, cfg, rng)
+            x[:] = polynomial_mutate(x, bounds.lower, bounds.upper, cfg, rng)

@@ -1,5 +1,8 @@
 """The generation loop: initialize, move, mutate, evaluate, archive, remember.
 
+The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
+per row and which once per generation.
+
 One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
 hypervolume, whichever comes first.  The archive hypervolume is traced
@@ -88,8 +91,8 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
 
     swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity)
-    for p in swarm:
-        archive.try_insert(p.position, p.pbest_objectives)
+    for x, y in zip(swarm.positions, swarm.pbest_objectives):
+        archive.try_insert(x, y)
     evaluations = dyn.swarm_size
 
     trace: list[tuple[int, float]] = []
@@ -104,24 +107,26 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         trace.append((evaluations, hv))
         return hv_target is not None and hv >= hv_target
 
+    em = dyn.variant != "smpso"
+    X, V, M, P = swarm.positions, swarm.velocities, swarm.momenta, swarm.pbest_positions
     done = target_reached()
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
-        em = dyn.variant != "smpso"
-        for p in swarm:
+        # the archive is frozen while the swarm moves; each row draws its
+        # leader, then its coefficients, in row order
+        for i in range(dyn.swarm_size):
             leader = archive.select_leader(rng)
             coefficients = draw_coefficients(dyn.scheme, rng, em)
             if em:
-                p.velocity, p.momentum = compute_speed_em(p, leader, coefficients, bounds)
+                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], leader, coefficients, bounds)
             else:
-                p.velocity = compute_speed_smpso(p, leader, coefficients, dyn.inertia, bounds)
-            update_position(p, bounds)
-        apply_turbulence(swarm, bounds, cfg.mutation, rng)
-        objectives = [problem.evaluate(p.position) for p in swarm]
+                V[i] = compute_speed_smpso(X[i], V[i], P[i], leader, coefficients, dyn.inertia, bounds)
+        update_position(swarm, bounds)
+        apply_turbulence(X, bounds, cfg.mutation, rng)
+        objectives = np.array([problem.evaluate(x) for x in X])
         evaluations += dyn.swarm_size
-        for p, y in zip(swarm, objectives):
-            archive.try_insert(p.position, y)
-        for p, y in zip(swarm, objectives):
-            update_pbest(p, y, rng)
+        for x, y in zip(X, objectives):
+            archive.try_insert(x, y)
+        update_pbest(swarm, objectives, rng)
         generation += 1
         done = target_reached()
 

@@ -75,7 +75,8 @@ def _checked(name: str, bounds: BoxBounds, fn: Callable) -> Callable:
         x = np.asarray(x, dtype=float)
         if x.shape != lower.shape:
             raise ValueError(f"{name} expects {lower.shape[0]} variables, got {x.shape}")
-        if (x < lower).any() or (x > upper).any():
+        # written so that a NaN, which compares False, fails it
+        if not ((lower <= x) & (x <= upper)).all():
             raise ValueError(f"{name}: input outside box bounds")
         y = fn(x)
         # a NaN compares False with everything, so the archive would take it

@@ -1,14 +1,20 @@
 """Swarm state and the velocity/position update rules of the three solvers.
 
-Variants share the same outer loop and differ only in how a particle's
-speed is computed: "smpso" applies the plain constriction factor to an
-inertia-weighted update, while "em-smpso" and "fcpso" replace inertia
-with exponentially-averaged momentum and use the momentum-aware factor.
-The variants then differ only in their sampling scheme for (c1, c2, beta).
+The swarm is a set of arrays with one row per particle: N x n positions,
+velocities, momenta and personal-best positions, and N x m personal-best
+objectives.  Variants share the same outer loop and differ only in how a
+particle's speed is computed: "smpso" applies the plain constriction
+factor to an inertia-weighted update, while "em-smpso" and "fcpso"
+replace inertia with exponentially-averaged momentum and use the
+momentum-aware factor.  The variants then differ only in their sampling
+scheme for (c1, c2, beta).
 
 Sampling is split from the dynamics: :func:`draw_coefficients` makes one
 generator call per particle and move, and the ``compute_speed_*`` kernels
-take the drawn coefficients.
+take one particle's rows and its drawn coefficients.  Speeds are computed
+row by row, because each row's leader and coefficient draws interleave in
+the generator's stream; the position/bounce and personal-best steps draw
+nothing or draw in row order, so they run once over the whole block.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterSche
 
 __all__ = [
     "BoxBounds",
-    "Particle",
+    "Swarm",
     "DynamicsConfig",
     "VARIANTS",
     "default_scheme",
@@ -77,12 +83,14 @@ class BoxBounds:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    momentum: np.ndarray
-    pbest_position: np.ndarray
-    pbest_objectives: np.ndarray
+class Swarm:
+    """Row ``i`` of every array is particle ``i``."""
+
+    positions: np.ndarray  # (N, n)
+    velocities: np.ndarray  # (N, n)
+    momenta: np.ndarray  # (N, n)
+    pbest_positions: np.ndarray  # (N, n)
+    pbest_objectives: np.ndarray  # (N, m)
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,8 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        if not np.isfinite(self.inertia):
+            raise ValueError(f"inertia must be finite, got {self.inertia!r}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size!r}")
         if self.velocity_init not in ("zero", "uniform"):
@@ -121,43 +131,44 @@ def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentu
 
 
 def compute_speed_smpso(
-    p: Particle,
+    x: np.ndarray,
+    v: np.ndarray,
+    pbest: np.ndarray,
     gbest: np.ndarray,
     coefficients: tuple[float, float, float, float],
     inertia: float,
     bounds: BoxBounds | None = None,
 ) -> np.ndarray:
-    """Constricted inertial velocity update from one (r1, r2, c1, c2) draw
-    per particle, shared across components."""
-    if gbest.shape != p.position.shape:
-        raise ValueError(f"gbest dimension {gbest.shape} != position {p.position.shape}")
+    """One particle's constricted inertial velocity update from one
+    (r1, r2, c1, c2) draw, shared across components."""
+    if gbest.shape != x.shape:
+        raise ValueError(f"gbest dimension {gbest.shape} != position {x.shape}")
     r1, r2, c1, c2 = coefficients
     chi = chi_vanilla(c1 + c2)
-    v = chi * (
-        inertia * p.velocity
-        + c1 * r1 * (p.pbest_position - p.position)
-        + c2 * r2 * (gbest - p.position)
-    )
+    v = chi * (inertia * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
     if bounds is not None:
         v = velocity_constriction(v, bounds)
     return v
 
 
 def compute_speed_em(
-    p: Particle,
+    x: np.ndarray,
+    v: np.ndarray,
+    m: np.ndarray,
+    pbest: np.ndarray,
     gbest: np.ndarray,
     coefficients: tuple[float, float, float, float, float],
     bounds: BoxBounds | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum velocity update from one (r1, r2, c1, c2, beta) draw:
-    m' = beta m + (1-beta) v, then the constricted attraction step on top
-    of m'.  Returns (velocity, momentum)."""
-    if gbest.shape != p.position.shape:
-        raise ValueError(f"gbest dimension {gbest.shape} != position {p.position.shape}")
+    """One particle's momentum velocity update from one (r1, r2, c1, c2,
+    beta) draw: m' = beta m + (1-beta) v, then the constricted attraction
+    step on top of m'.  Returns (velocity, momentum)."""
+    if gbest.shape != x.shape:
+        raise ValueError(f"gbest dimension {gbest.shape} != position {x.shape}")
     r1, r2, c1, c2, beta = coefficients
     chi = chi_momentum(c1 + c2, beta)
-    m = beta * p.momentum + (1.0 - beta) * p.velocity
-    v = chi * (m + c1 * r1 * (p.pbest_position - p.position) + c2 * r2 * (gbest - p.position))
+    m = beta * m + (1.0 - beta) * v
+    v = chi * (m + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
     if bounds is not None:
         v = velocity_constriction(v, bounds)
     return v, m
@@ -168,60 +179,56 @@ def velocity_constriction(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     return np.minimum(np.maximum(v, -bounds.delta), bounds.delta)
 
 
-def update_position(p: Particle, bounds: BoxBounds) -> None:
-    """x' = x + v; a component hitting a wall is set on the wall and its
-    velocity component reversed."""
-    x = p.position + p.velocity
+def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
+    """x' = x + v for every particle; a component hitting a wall is set on
+    the wall and its velocity component reversed."""
+    x, v = swarm.positions, swarm.velocities
+    x += v
     low = x < bounds.lower
     high = x > bounds.upper
-    if low.any() or high.any():
-        bounce = low | high
-        x = np.where(low, bounds.lower, x)
-        x = np.where(high, bounds.upper, x)
-        p.velocity = np.where(bounce, -p.velocity, p.velocity)
-    p.position = x
+    np.copyto(x, bounds.lower, where=low)
+    np.copyto(x, bounds.upper, where=high)
+    np.negative(v, out=v, where=low | high)
 
 
-def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> list[Particle]:
+def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> Swarm:
     """Uniform random positions, zero momenta, pbest = evaluated start.
 
     Velocities start at zero by default (coherent with the zero momentum
     state); cfg.velocity_init="uniform" draws them in [-delta, delta].
+    One (N, n) or (N, 2n) uniform block, row by row, is the stream of one
+    position draw (then one velocity draw) per particle.
     """
     bounds = problem.bounds
-    swarm = []
-    for _ in range(cfg.swarm_size):
-        x = rng.uniform(bounds.lower, bounds.upper)
-        if cfg.velocity_init == "uniform":
-            v = rng.uniform(-bounds.delta, bounds.delta)
-        else:
-            v = np.zeros(bounds.n)
-        y = problem.evaluate(x)
-        swarm.append(
-            Particle(
-                position=x,
-                velocity=v,
-                momentum=np.zeros(bounds.n),
-                pbest_position=x.copy(),
-                pbest_objectives=np.asarray(y, dtype=float),
-            )
+    n = bounds.n
+    if cfg.velocity_init == "uniform":
+        block = rng.uniform(
+            np.concatenate([bounds.lower, -bounds.delta]),
+            np.concatenate([bounds.upper, bounds.delta]),
+            size=(cfg.swarm_size, 2 * n),
         )
-    return swarm
+        x, v = np.hsplit(block, 2)
+    else:
+        x = rng.uniform(bounds.lower, bounds.upper, size=(cfg.swarm_size, n))
+        v = np.zeros_like(x)
+    objectives = np.array([problem.evaluate(row) for row in x], dtype=float)
+    return Swarm(x, v, np.zeros_like(x), x.copy(), objectives)
 
 
-def update_pbest(p: Particle, new_objectives: np.ndarray, rng: np.random.Generator) -> None:
-    """Keep the dominating record; a mutually non-dominated newcomer (an
-    equal one included) replaces the memory with probability 1/2.
+def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator) -> None:
+    """Keep each particle's dominating record; a mutually non-dominated
+    newcomer (an equal one included) replaces the memory with probability
+    1/2.
 
     Objectives are finite (the problems reject anything else), so one
-    pair of comparisons decides dominance both ways.
+    pair of comparison matrices decides dominance both ways.  Only the
+    undecided rows draw, one draw each in row order.
     """
-    new_objectives = np.asarray(new_objectives, dtype=float)
-    better = (new_objectives < p.pbest_objectives).any()
-    worse = (new_objectives > p.pbest_objectives).any()
-    if worse and not better:
-        return
-    if better == worse and rng.random() >= 0.5:
-        return
-    p.pbest_position = p.position.copy()
-    p.pbest_objectives = new_objectives
+    objectives = np.asarray(objectives, dtype=float)
+    better = (objectives < swarm.pbest_objectives).any(axis=1)
+    worse = (objectives > swarm.pbest_objectives).any(axis=1)
+    replace = better & ~worse
+    undecided = np.flatnonzero(better == worse)
+    replace[undecided] = rng.random(undecided.size) < 0.5
+    swarm.pbest_positions[replace] = swarm.positions[replace]
+    swarm.pbest_objectives[replace] = objectives[replace]

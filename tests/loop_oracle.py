@@ -1,0 +1,156 @@
+"""The generation loop one particle at a time, for tests only.
+
+Each particle is an object with its own position, velocity, momentum and
+personal best, and every step (initial draw, velocity, position and
+bounce, turbulence, evaluation, archive insertion, personal best) runs
+once per particle in swarm order.  The array swarm in ``fcpso.swarm``
+batches the steps whose random draws keep this order, so a run must
+reproduce this loop bitwise: same fronts, positions, hv trace and
+evaluation count.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fcpso.archive import ExternalArchive
+from fcpso.constriction import chi_momentum, chi_vanilla
+from fcpso.indicators import hypervolume
+from fcpso.mutation import polynomial_mutate
+from fcpso.optimizer import RunResult
+from fcpso.swarm import draw_coefficients
+
+
+def dominates(a, b) -> bool:
+    """Minimization dominance: a <= b everywhere and a < b somewhere."""
+    return bool(np.all(a <= b) and np.any(a < b))
+
+
+@dataclass
+class Particle:
+    position: np.ndarray
+    velocity: np.ndarray
+    momentum: np.ndarray
+    pbest_position: np.ndarray
+    pbest_objectives: np.ndarray
+
+
+def _clamp_speed(v, bounds):
+    return np.minimum(np.maximum(v, -bounds.delta), bounds.delta)
+
+
+def speed_smpso(p, gbest, coefficients, inertia, bounds):
+    r1, r2, c1, c2 = coefficients
+    chi = chi_vanilla(c1 + c2)
+    v = chi * (
+        inertia * p.velocity
+        + c1 * r1 * (p.pbest_position - p.position)
+        + c2 * r2 * (gbest - p.position)
+    )
+    return _clamp_speed(v, bounds)
+
+
+def speed_em(p, gbest, coefficients, bounds):
+    r1, r2, c1, c2, beta = coefficients
+    chi = chi_momentum(c1 + c2, beta)
+    m = beta * p.momentum + (1.0 - beta) * p.velocity
+    v = chi * (m + c1 * r1 * (p.pbest_position - p.position) + c2 * r2 * (gbest - p.position))
+    return _clamp_speed(v, bounds), m
+
+
+def move(p, bounds):
+    """x' = x + v; a component past a wall is put on it and its velocity reversed."""
+    x = p.position + p.velocity
+    low = x < bounds.lower
+    high = x > bounds.upper
+    if low.any() or high.any():
+        x = np.where(low, bounds.lower, x)
+        x = np.where(high, bounds.upper, x)
+        p.velocity = np.where(low | high, -p.velocity, p.velocity)
+    p.position = x
+
+
+def remember(p, y, rng):
+    """Keep a dominating record; otherwise a coin flip decides."""
+    if dominates(p.pbest_objectives, y):
+        return
+    if not dominates(y, p.pbest_objectives) and rng.random() >= 0.5:
+        return
+    p.pbest_position = p.position.copy()
+    p.pbest_objectives = y
+
+
+def initial_swarm(problem, dyn, rng):
+    bounds = problem.bounds
+    swarm = []
+    for _ in range(dyn.swarm_size):
+        x = rng.uniform(bounds.lower, bounds.upper)
+        if dyn.velocity_init == "uniform":
+            v = rng.uniform(-bounds.delta, bounds.delta)
+        else:
+            v = np.zeros(bounds.n)
+        y = np.asarray(problem.evaluate(x), dtype=float)
+        swarm.append(Particle(x, v, np.zeros(bounds.n), x.copy(), y))
+    return swarm
+
+
+def run_oracle(problem, cfg, seed) -> RunResult:
+    """``fcpso.optimizer.run`` as a per-particle loop."""
+    rng = np.random.default_rng(seed)
+    dyn, bounds = cfg.dynamics, problem.bounds
+    hv_target = None
+    if cfg.hv_target_fraction is not None:
+        reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
+        hv_target = cfg.hv_target_fraction * reference_hv
+
+    swarm = initial_swarm(problem, dyn, rng)
+    archive = ExternalArchive(cfg.archive_capacity)
+    for p in swarm:
+        archive.try_insert(p.position, p.pbest_objectives)
+    evaluations = dyn.swarm_size
+    trace = []
+    interval = 1 if hv_target is not None else cfg.record_interval
+    generation = 0
+
+    def target_reached():
+        if not interval or generation % interval:
+            return False
+        hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
+        trace.append((evaluations, hv))
+        return hv_target is not None and hv >= hv_target
+
+    done = target_reached()
+    while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
+        em = dyn.variant != "smpso"
+        for p in swarm:
+            leader = archive.select_leader(rng)
+            coefficients = draw_coefficients(dyn.scheme, rng, em)
+            if em:
+                p.velocity, p.momentum = speed_em(p, leader, coefficients, bounds)
+            else:
+                p.velocity = speed_smpso(p, leader, coefficients, dyn.inertia, bounds)
+            move(p, bounds)
+        if cfg.mutation.particle_fraction != 0.0:
+            for p in swarm:
+                if rng.random() < cfg.mutation.particle_fraction:
+                    p.position = polynomial_mutate(p.position, bounds.lower, bounds.upper, cfg.mutation, rng)
+        objectives = [problem.evaluate(p.position) for p in swarm]
+        evaluations += dyn.swarm_size
+        for p, y in zip(swarm, objectives):
+            archive.try_insert(p.position, y)
+        for p, y in zip(swarm, objectives):
+            remember(p, y, rng)
+        generation += 1
+        done = target_reached()
+
+    return RunResult(
+        problem=problem.name,
+        variant=dyn.variant,
+        scheme=dyn.scheme.as_tuple(),
+        seed=seed,
+        front_objectives=archive.objectives_array(),
+        front_positions=archive.positions_array(),
+        evaluations_used=evaluations,
+        hv_trace=trace,
+        wall_time=0.0,
+    )

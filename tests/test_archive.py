@@ -7,7 +7,6 @@ from fcpso.archive import (
     REPLACED_CROWDED,
     ExternalArchive,
     crowding_distance,
-    dominates,
     non_dominated_mask,
 )
 
@@ -16,22 +15,6 @@ def entry(*objs):
     """(position, objectives) of a candidate whose position is its objectives."""
     y = np.array(objs, dtype=float)
     return y.copy(), y
-
-
-class TestDominates:
-    def test_strict(self):
-        assert dominates(np.array([1.0, 2.0]), np.array([2.0, 3.0]))
-
-    def test_incomparable(self):
-        assert not dominates(np.array([1.0, 3.0]), np.array([3.0, 1.0]))
-        assert not dominates(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
-
-    def test_equal_is_not_dominating(self):
-        assert not dominates(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestNonDominatedMask:

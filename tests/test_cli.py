@@ -183,6 +183,17 @@ class TestConfigFile:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("[run]\ninertia = nan\n", "inertia must be finite"),
+        ("[mutation]\ndistribution_index = inf\n", "distribution_index must be finite"),
+    ])
+    def test_non_finite_knob_exits_1_naming_it(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run_with_config("solve", cfg, tmp_path) == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "zdt1").exists()
+
     @pytest.mark.parametrize("command, section, key", TABLE_CASES)
     def test_every_key_takes_effect(self, tmp_path, monkeypatch, command, section, key):
         monkeypatch.setattr("fcpso.cli.run", _capture)

@@ -2,18 +2,7 @@ import numpy as np
 import pytest
 
 from fcpso.mutation import MutationConfig, apply_turbulence, polynomial_mutate
-from fcpso.swarm import BoxBounds, Particle
-
-
-def make_particle(x, n=None):
-    x = np.asarray(x, dtype=float)
-    return Particle(
-        position=x.copy(),
-        velocity=np.full_like(x, 0.25),
-        momentum=np.full_like(x, -0.5),
-        pbest_position=x.copy(),
-        pbest_objectives=np.array([1.0, 2.0]),
-    )
+from fcpso.swarm import BoxBounds
 
 
 class TestConfigValidation:
@@ -24,6 +13,8 @@ class TestConfigValidation:
             {"per_variable_probability": 1.5},
             {"per_variable_probability": -0.1},
             {"particle_fraction": 2.0},
+            {"distribution_index": float("nan")},
+            {"distribution_index": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -65,33 +56,32 @@ class TestPolynomialMutate:
 class TestApplyTurbulence:
     def test_zero_fraction_identity(self, rng):
         bounds = BoxBounds(np.zeros(4), np.ones(4))
-        swarm = [make_particle(rng.random(4)) for _ in range(10)]
-        before = [p.position.copy() for p in swarm]
-        apply_turbulence(swarm, bounds, MutationConfig(particle_fraction=0.0), rng)
-        for p, b in zip(swarm, before):
-            np.testing.assert_array_equal(p.position, b)
+        X = rng.random((10, 4))
+        before = X.copy()
+        apply_turbulence(X, bounds, MutationConfig(particle_fraction=0.0), rng)
+        np.testing.assert_array_equal(X, before)
 
     def test_full_fraction_mutates_in_bounds(self, rng):
         bounds = BoxBounds(np.zeros(6), np.ones(6))
-        swarm = [make_particle(rng.random(6)) for _ in range(20)]
-        before = [p.position.copy() for p in swarm]
+        X = rng.random((20, 6))
+        before = X.copy()
         cfg = MutationConfig(particle_fraction=1.0, per_variable_probability=1.0)
-        apply_turbulence(swarm, bounds, cfg, rng)
-        changed = sum(not np.array_equal(p.position, b) for p, b in zip(swarm, before))
+        apply_turbulence(X, bounds, cfg, rng)
+        changed = (X != before).any(axis=1).sum()
         assert changed >= 18  # essentially every particle moves
-        for p in swarm:
-            assert np.all(p.position >= 0.0) and np.all(p.position <= 1.0)
+        assert np.all(X >= 0.0) and np.all(X <= 1.0)
 
     def test_velocity_and_momentum_untouched(self, rng):
+        # turbulence is given the positions only; the rest of the swarm keeps
         bounds = BoxBounds(np.zeros(4), np.ones(4))
-        swarm = [make_particle(rng.random(4)) for _ in range(10)]
-        vel = [p.velocity.copy() for p in swarm]
-        mom = [p.momentum.copy() for p in swarm]
+        X = rng.random((10, 4))
+        V, M = np.full((10, 4), 0.25), np.full((10, 4), -0.5)
+        before = X.copy()
         cfg = MutationConfig(particle_fraction=1.0, per_variable_probability=1.0)
-        apply_turbulence(swarm, bounds, cfg, rng)
-        for p, v, m in zip(swarm, vel, mom):
-            np.testing.assert_array_equal(p.velocity, v)
-            np.testing.assert_array_equal(p.momentum, m)
+        apply_turbulence(X, bounds, cfg, rng)
+        assert not np.array_equal(X, before)  # mutated in place
+        np.testing.assert_array_equal(V, 0.25)
+        np.testing.assert_array_equal(M, -0.5)
 
     def test_selection_rate_is_binomial(self, rng):
         bounds = BoxBounds(np.zeros(3), np.ones(3))
@@ -99,12 +89,10 @@ class TestApplyTurbulence:
         total = 0
         trials, swarm_size = 100, 100
         for _ in range(trials):
-            swarm = [make_particle(rng.random(3)) for _ in range(swarm_size)]
-            before = [p.position.copy() for p in swarm]
-            apply_turbulence(swarm, bounds, cfg, rng)
-            total += sum(
-                not np.array_equal(p.position, b) for p, b in zip(swarm, before)
-            )
+            X = rng.random((swarm_size, 3))
+            before = X.copy()
+            apply_turbulence(X, bounds, cfg, rng)
+            total += (X != before).any(axis=1).sum()
         n = trials * swarm_size
         mean = 0.15 * n
         sigma = np.sqrt(n * 0.15 * 0.85)
@@ -116,7 +104,7 @@ class TestApplyTurbulence:
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(77)
-            swarm = [make_particle(np.full(4, 0.4)) for _ in range(15)]
-            apply_turbulence(swarm, bounds, cfg, rng)
-            outs.append(np.stack([p.position for p in swarm]))
+            X = np.full((15, 4), 0.4)
+            apply_turbulence(X, bounds, cfg, rng)
+            outs.append(X)
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -144,6 +144,15 @@ class TestZdtInstances:
         with pytest.raises(ValueError):
             p.evaluate(bad)
 
+    @pytest.mark.parametrize("problem_id", ["zdt1", "dtlz2", "wfg4"])
+    def test_nan_input_rejected_as_out_of_bounds(self, problem_id):
+        # a NaN compares False with both bounds; it must not reach the evaluator
+        p = get_problem(problem_id)
+        bad = p.bounds.lower.copy()
+        bad[1] = np.nan
+        with pytest.raises(ValueError, match="outside box bounds"):
+            p.evaluate(bad)
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             get_problem("zdt1").evaluate(np.zeros(29))

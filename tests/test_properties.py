@@ -1,5 +1,6 @@
 """Property tests for the archive, hypervolume, activation and
-coefficient-draw invariants.
+coefficient-draw invariants, and for the array swarm's generation loop
+against the per-particle loop in ``loop_oracle``.
 
 Objectives are small integers, so duplicates and ties are common, and
 every hypervolume is an exact sum of integer boxes.
@@ -12,6 +13,7 @@ from hv_oracle import hv_oracle
 from hv_oracle import non_dominated_mask as non_dominated_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from loop_oracle import dominates, run_oracle
 
 from fcpso.archive import (
     DOMINATED,
@@ -19,12 +21,14 @@ from fcpso.archive import (
     REPLACED_CROWDED,
     ExternalArchive,
     crowding_distance,
-    dominates,
     non_dominated_mask,
 )
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import hypervolume
-from fcpso.swarm import draw_coefficients
+from fcpso.mutation import MutationConfig
+from fcpso.optimizer import RunConfig, run
+from fcpso.problems import get_problem, parse_problem_id
+from fcpso.swarm import VARIANTS, DynamicsConfig, draw_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -226,3 +230,47 @@ def test_one_draw_call_is_the_scalar_uniform_stream(scheme, seed, momentum, part
         drawn = draw_coefficients(scheme, batched, momentum)
         assert np.array(drawn).tobytes() == np.array(expected).tobytes()
     assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@st.composite
+def run_cases(draw):
+    """A small run: any problem family, variant, start, swarm size,
+    turbulence setting, budget, archive size and termination mode."""
+    problem = get_problem(*parse_problem_id(draw(st.sampled_from(["zdt1", "zdt4", "dtlz2:3", "wfg4:5"]))))
+    swarm = draw(st.integers(2, 40))
+    dynamics = DynamicsConfig(
+        variant=draw(st.sampled_from(VARIANTS)),
+        swarm_size=swarm,
+        velocity_init=draw(st.sampled_from(["zero", "uniform"])),
+    )
+    mutation = MutationConfig(
+        distribution_index=draw(st.sampled_from([5.0, 20.0])),
+        per_variable_probability=draw(st.sampled_from([None, 0.0, 0.5, 1.0])),
+        particle_fraction=draw(st.sampled_from([0.0, 0.15, 1.0])),
+    )
+    target = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    reference_hv = None
+    if (target is not None and problem.reference_hv is None) or draw(st.booleans()):
+        reference_hv = draw(st.floats(0.5, 8.0))
+    cfg = RunConfig(
+        dynamics=dynamics,
+        mutation=mutation,
+        max_evaluations=swarm * draw(st.integers(1, 8)) + draw(st.integers(0, swarm - 1)),
+        archive_capacity=draw(st.integers(1, 30)),
+        hv_target_fraction=target,
+        reference_hv=reference_hv,
+        record_interval=draw(st.integers(0, 3)),
+    )
+    return problem, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_cases(), st.integers(0, 2**32 - 1))
+def test_array_swarm_run_is_bitwise_the_per_particle_loop(case, seed):
+    problem, cfg = case
+    got, expected = run(problem, cfg, seed), run_oracle(problem, cfg, seed)
+    assert got.front_objectives.shape == expected.front_objectives.shape
+    assert got.front_objectives.tobytes() == expected.front_objectives.tobytes()
+    assert got.front_positions.tobytes() == expected.front_positions.tobytes()
+    assert got.hv_trace == expected.hv_trace
+    assert got.evaluations_used == expected.evaluations_used

@@ -1,7 +1,8 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loop_oracle import Particle, dominates, initial_swarm, remember
 
 from fcpso.constriction import chi_momentum
 from fcpso.fairness import ParameterScheme
@@ -9,7 +10,7 @@ from fcpso.problems import get_problem
 from fcpso.swarm import (
     BoxBounds,
     DynamicsConfig,
-    Particle,
+    Swarm,
     compute_speed_em,
     compute_speed_smpso,
     default_scheme,
@@ -21,19 +22,26 @@ from fcpso.swarm import (
 )
 
 
-def particle(x, v=0.0, m=0.0, pbest=None):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pb = x.copy() if pbest is None else np.atleast_1d(np.asarray(pbest, dtype=float))
-    return Particle(
-        position=x,
-        velocity=np.full_like(x, float(v)),
-        momentum=np.full_like(x, float(m)),
-        pbest_position=pb,
-        pbest_objectives=np.array([0.0, 0.0]),
+def block(x, v=0.0, pbest_objectives=(0.0, 0.0)):
+    """A swarm whose rows are the rows of ``x``, remembered as their own
+    personal bests; velocities and pbest objectives broadcast."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    F = np.atleast_2d(np.asarray(pbest_objectives, dtype=float))
+    return Swarm(
+        positions=x.copy(),
+        velocities=np.broadcast_to(np.asarray(v, dtype=float), x.shape).copy(),
+        momenta=np.zeros_like(x),
+        pbest_positions=x.copy(),
+        pbest_objectives=np.broadcast_to(F, (x.shape[0], F.shape[1])).copy(),
     )
 
 
+def one(value):
+    return np.array([float(value)])
+
+
 WIDE = BoxBounds(np.array([-1e9]), np.array([1e9]))
+UNIT = BoxBounds(np.array([0.0]), np.array([1.0]))
 
 
 class TestBoxBounds:
@@ -63,78 +71,75 @@ class TestDefaults:
             DynamicsConfig(swarm_size=1)
         with pytest.raises(ValueError):
             DynamicsConfig(velocity_init="sideways")
+        for inertia in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="inertia must be finite"):
+                DynamicsConfig(variant="smpso", inertia=inertia)
 
 
 class TestComputeSpeedSmpso:
     def test_hand_example_inactive_chi(self):
-        p = particle(0.0, v=1.0, pbest=1.0)
         coefficients = (0.5, 0.5, 2.0, 2.0)  # r1, r2, c1, c2 -> phi = 4
         bounds = BoxBounds(np.array([0.0]), np.array([10.0]))  # delta 5
-        v = compute_speed_smpso(p, np.array([1.0]), coefficients, 0.1, bounds)
+        v = compute_speed_smpso(one(0.0), one(1.0), one(1.0), one(1.0), coefficients, 0.1, bounds)
         assert v[0] == pytest.approx(2.1, abs=1e-12)
 
     def test_hand_example_active_chi(self):
-        p = particle(0.0, v=1.0, pbest=1.0)
         coefficients = (0.5, 0.5, 2.25, 2.25)  # phi = 4.5 -> chi = -0.5
         bounds = BoxBounds(np.array([0.0]), np.array([10.0]))
-        v = compute_speed_smpso(p, np.array([1.0]), coefficients, 0.1, bounds)
+        v = compute_speed_smpso(one(0.0), one(1.0), one(1.0), one(1.0), coefficients, 0.1, bounds)
         assert v[0] == pytest.approx(-1.175, abs=1e-12)
 
     def test_zero_displacement_leaves_inertia_term(self):
-        p = particle(0.7, v=1.0, pbest=0.7)
-        v = compute_speed_smpso(p, np.array([0.7]), (0.5, 0.5, 2.0, 2.0), 0.1, WIDE)
+        v = compute_speed_smpso(one(0.7), one(1.0), one(0.7), one(0.7), (0.5, 0.5, 2.0, 2.0), 0.1, WIDE)
         assert v[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_velocity_clamped(self):
-        p = particle(0.0, v=1.0)
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))  # delta 0.5
-        v = compute_speed_smpso(p, np.array([1.0]), (1.0, 1.0, 2.0, 2.0), 0.1, bounds)
+        v = compute_speed_smpso(one(0.0), one(1.0), one(0.0), one(1.0), (1.0, 1.0, 2.0, 2.0), 0.1, bounds)
         assert v[0] == 0.5
 
     def test_dimension_mismatch(self):
+        x = np.zeros(2)
         with pytest.raises(ValueError):
-            compute_speed_smpso(particle([0.0, 0.0]), np.array([1.0]), (0.5, 0.5, 2.0, 2.0), 0.1)
+            compute_speed_smpso(x, x, x, np.array([1.0]), (0.5, 0.5, 2.0, 2.0), 0.1)
 
 
 class TestComputeSpeedEm:
     def test_hand_example(self):
-        p = particle(0.0, v=1.0, m=0.0, pbest=1.0)
         coefficients = (0.5, 0.5, 2.0, 2.0, 0.5)  # r1, r2, c1, c2, beta
-        v, m = compute_speed_em(p, np.array([1.0]), coefficients, WIDE)
+        v, m = compute_speed_em(one(0.0), one(1.0), one(0.0), one(1.0), one(1.0), coefficients, WIDE)
         assert m[0] == pytest.approx(0.5)
         assert v[0] == pytest.approx(chi_momentum(4.0, 0.5) * 2.5, abs=1e-12)
         assert v[0] == pytest.approx(-1.0355339, abs=1e-6)
 
     def test_beta_zero_matches_inertia_one_smpso(self):
-        p1 = particle(0.2, v=0.8, m=0.0)
-        p2 = particle(0.2, v=0.8)
+        x, v, pbest, gbest = one(0.2), one(0.8), one(0.2), one(1.0)
         draws = (0.3, 0.9, 2.1, 1.7)
-        v_em, m_em = compute_speed_em(p1, np.array([1.0]), draws + (0.0,), WIDE)
-        v_sm = compute_speed_smpso(p2, np.array([1.0]), draws, 1.0, WIDE)
+        v_em, m_em = compute_speed_em(x, v, one(0.0), pbest, gbest, draws + (0.0,), WIDE)
+        v_sm = compute_speed_smpso(x, v, pbest, gbest, draws, 1.0, WIDE)
         assert v_em[0] == pytest.approx(v_sm[0], abs=1e-15)
         assert m_em[0] == 0.8  # beta = 0 copies the previous velocity
 
     def test_rest_state_is_fixed_point(self):
-        p = particle(0.4, v=0.0, m=0.0, pbest=0.4)
-        v, m = compute_speed_em(p, np.array([0.4]), (0.5, 0.5, 1.2, 1.2, 0.7), WIDE)
+        x = one(0.4)
+        v, m = compute_speed_em(x, one(0.0), one(0.0), x, x, (0.5, 0.5, 1.2, 1.2, 0.7), WIDE)
         assert v[0] == 0.0 and m[0] == 0.0
 
     def test_momentum_recursion_matches_exponential_sum(self):
         # m(T) must equal sum_s beta^(T-1-s) (1-beta) v(s) for constant beta
         beta, steps = 0.6, 25
-        p = particle(0.0, v=1.0, m=0.0, pbest=0.3)
-        gbest = np.array([0.9])
+        x, v, m, pbest, gbest = one(0.0), one(1.0), one(0.0), one(0.3), one(0.9)
         rng = np.random.default_rng(4)
         velocities = []
         for _ in range(steps):
-            velocities.append(p.velocity[0])
+            velocities.append(v[0])
             r1, r2 = rng.uniform(), rng.uniform()
             draws = (r1, r2, rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), beta)
-            p.velocity, p.momentum = compute_speed_em(p, gbest, draws, WIDE)
+            v, m = compute_speed_em(x, v, m, pbest, gbest, draws, WIDE)
         expected = sum(
             beta ** (steps - 1 - s) * (1.0 - beta) * v for s, v in enumerate(velocities)
         )
-        assert p.momentum[0] == pytest.approx(expected, abs=1e-10)
+        assert m[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestDrawCoefficients:
@@ -149,27 +154,41 @@ class TestDrawCoefficients:
 
 class TestUpdatePosition:
     def test_interior_move(self):
-        p = particle(0.5, v=0.2)
-        update_position(p, BoxBounds(np.array([0.0]), np.array([1.0])))
-        assert p.position[0] == pytest.approx(0.7)
-        assert p.velocity[0] == pytest.approx(0.2)
+        s = block([[0.5], [0.2]], v=[[0.2], [-0.1]])
+        update_position(s, UNIT)
+        np.testing.assert_allclose(s.positions, [[0.7], [0.1]])
+        np.testing.assert_array_equal(s.velocities, [[0.2], [-0.1]])
 
     def test_reflection_at_wall(self):
-        p = particle(0.9, v=0.3)
-        update_position(p, BoxBounds(np.array([0.0]), np.array([1.0])))
-        assert p.position[0] == 1.0
-        assert p.velocity[0] == pytest.approx(-0.3)
+        # only the row that crosses the wall is put on it and turned back
+        s = block([[0.9], [0.5]], v=0.3)
+        update_position(s, UNIT)
+        assert s.positions[0, 0] == 1.0
+        assert s.positions[1, 0] == pytest.approx(0.8)
+        np.testing.assert_array_equal(s.velocities, [[-0.3], [0.3]])
 
     def test_lower_wall(self):
-        p = particle(0.1, v=-0.5)
-        update_position(p, BoxBounds(np.array([0.0]), np.array([1.0])))
-        assert p.position[0] == 0.0
-        assert p.velocity[0] == pytest.approx(0.5)
+        s = block([[0.1], [0.9]], v=-0.5)
+        update_position(s, UNIT)
+        assert s.positions[0, 0] == 0.0
+        assert s.positions[1, 0] == pytest.approx(0.4)
+        np.testing.assert_array_equal(s.velocities, [[0.5], [-0.5]])
 
     def test_zero_velocity(self):
-        p = particle(0.4, v=0.0)
-        update_position(p, BoxBounds(np.array([0.0]), np.array([1.0])))
-        assert p.position[0] == 0.4
+        s = block([[0.4], [0.0], [1.0]], v=0.0)
+        update_position(s, UNIT)
+        np.testing.assert_array_equal(s.positions, [[0.4], [0.0], [1.0]])
+
+    def test_two_rows_hit_opposite_walls(self):
+        bounds = BoxBounds(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+        s = block(
+            [[0.9, 0.0], [0.5, -0.8], [0.5, 0.5]],
+            v=[[0.3, 0.1], [0.1, -0.5], [0.2, -0.2]],
+        )
+        update_position(s, bounds)
+        np.testing.assert_allclose(s.positions, [[1.0, 0.1], [0.6, -1.0], [0.7, 0.3]])
+        assert s.positions[0, 0] == 1.0 and s.positions[1, 1] == -1.0
+        np.testing.assert_array_equal(s.velocities, [[-0.3, 0.1], [0.1, 0.5], [0.2, -0.2]])
 
 
 class TestVelocityConstriction:
@@ -184,60 +203,67 @@ class TestInitializeSwarm:
     def test_positions_in_bounds_state_zeroed(self):
         problem = get_problem("zdt4")
         cfg = DynamicsConfig(variant="fcpso", swarm_size=100)
-        swarm = initialize_swarm(problem, cfg, np.random.default_rng(3))
-        assert len(swarm) == 100
-        for p in swarm:
-            assert np.all(p.position >= problem.bounds.lower)
-            assert np.all(p.position <= problem.bounds.upper)
-            assert np.all(p.velocity == 0.0)
-            assert np.all(p.momentum == 0.0)
-            np.testing.assert_array_equal(p.pbest_position, p.position)
-            np.testing.assert_allclose(p.pbest_objectives, problem.evaluate(p.position))
+        s = initialize_swarm(problem, cfg, np.random.default_rng(3))
+        assert s.positions.shape == (100, problem.n_var)
+        assert s.pbest_objectives.shape == (100, 2)
+        assert np.all(s.positions >= problem.bounds.lower)
+        assert np.all(s.positions <= problem.bounds.upper)
+        assert np.all(s.velocities == 0.0)
+        assert np.all(s.momenta == 0.0)
+        np.testing.assert_array_equal(s.pbest_positions, s.positions)
+        for x, y in zip(s.positions, s.pbest_objectives):
+            np.testing.assert_allclose(y, problem.evaluate(x))
 
     def test_deterministic(self):
         problem = get_problem("zdt1")
         cfg = DynamicsConfig(variant="smpso", swarm_size=10)
         a = initialize_swarm(problem, cfg, np.random.default_rng(5))
         b = initialize_swarm(problem, cfg, np.random.default_rng(5))
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.position, pb.position)
+        np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_uniform_velocity_option(self):
         problem = get_problem("zdt1")
         cfg = DynamicsConfig(variant="smpso", swarm_size=20, velocity_init="uniform")
-        swarm = initialize_swarm(problem, cfg, np.random.default_rng(6))
-        speeds = np.stack([p.velocity for p in swarm])
-        assert np.any(speeds != 0.0)
-        assert np.all(np.abs(speeds) <= problem.bounds.delta)
+        s = initialize_swarm(problem, cfg, np.random.default_rng(6))
+        assert np.any(s.velocities != 0.0)
+        assert np.all(np.abs(s.velocities) <= problem.bounds.delta)
+
+    @pytest.mark.parametrize("problem_id", ["zdt4", "wfg4"])
+    @pytest.mark.parametrize("velocity_init", ["zero", "uniform"])
+    def test_one_block_is_the_per_particle_stream(self, problem_id, velocity_init):
+        problem = get_problem(problem_id)
+        cfg = DynamicsConfig(swarm_size=7, velocity_init=velocity_init)
+        batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        s = initialize_swarm(problem, cfg, batched)
+        particles = initial_swarm(problem, cfg, scalar)
+        assert s.positions.tobytes() == np.stack([p.position for p in particles]).tobytes()
+        assert s.velocities.tobytes() == np.stack([p.velocity for p in particles]).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestUpdatePbest:
     def test_dominating_newcomer_replaces(self, rng):
-        p = particle([0.5, 0.5])
-        p.pbest_objectives = np.array([2.0, 2.0])
-        p.position = np.array([0.1, 0.2])
-        update_pbest(p, np.array([1.0, 1.0]), rng)
-        np.testing.assert_array_equal(p.pbest_objectives, [1.0, 1.0])
-        np.testing.assert_array_equal(p.pbest_position, [0.1, 0.2])
+        s = block([[0.5, 0.5], [0.3, 0.3]], pbest_objectives=[[2.0, 2.0], [3.0, 1.0]])
+        s.positions = np.array([[0.1, 0.2], [0.4, 0.6]])
+        update_pbest(s, np.array([[1.0, 1.0], [2.0, 0.5]]), rng)
+        np.testing.assert_array_equal(s.pbest_objectives, [[1.0, 1.0], [2.0, 0.5]])
+        np.testing.assert_array_equal(s.pbest_positions, [[0.1, 0.2], [0.4, 0.6]])
 
     def test_dominated_newcomer_kept_out(self, rng):
-        p = particle([0.5, 0.5])
-        p.pbest_objectives = np.array([1.0, 1.0])
-        old_pos = p.pbest_position.copy()
-        update_pbest(p, np.array([2.0, 2.0]), rng)
-        np.testing.assert_array_equal(p.pbest_objectives, [1.0, 1.0])
-        np.testing.assert_array_equal(p.pbest_position, old_pos)
+        s = block([[0.5, 0.5], [0.3, 0.3]], pbest_objectives=[[1.0, 1.0], [3.0, 1.0]])
+        s.positions = np.array([[0.1, 0.2], [0.4, 0.6]])
+        update_pbest(s, np.array([[2.0, 2.0], [3.0, 1.5]]), rng)
+        np.testing.assert_array_equal(s.pbest_objectives, [[1.0, 1.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(s.pbest_positions, [[0.5, 0.5], [0.3, 0.3]])
 
     def test_tie_replaces_half_the_time(self):
-        rng = np.random.default_rng(8)
-        replaced = 0
-        trials = 10_000
-        for _ in range(trials):
-            p = particle([0.5, 0.5])
-            p.pbest_objectives = np.array([3.0, 1.0])
-            update_pbest(p, np.array([1.0, 3.0]), rng)
-            replaced += int(np.array_equal(p.pbest_objectives, [1.0, 3.0]))
-        assert abs(replaced / trials - 0.5) <= 0.05
+        rows = 10_000
+        s = block(np.full((rows, 2), 0.5), pbest_objectives=[3.0, 1.0])
+        s.positions = np.full((rows, 2), 0.1)
+        update_pbest(s, np.tile([1.0, 3.0], (rows, 1)), np.random.default_rng(8))
+        replaced = (s.pbest_objectives == [1.0, 3.0]).all(axis=1)
+        np.testing.assert_array_equal(replaced, (s.pbest_positions == 0.1).all(axis=1))
+        assert abs(replaced.mean() - 0.5) <= 0.05
 
     @pytest.mark.parametrize(
         "record,newcomer,draws,replaced",
@@ -251,14 +277,56 @@ class TestUpdatePbest:
         ],
     )
     def test_draws_only_when_neither_dominates(self, queued_rng, record, newcomer, draws, replaced):
-        p = particle([0.5, 0.5])
-        p.pbest_objectives = np.array(record)
-        p.position = np.array([0.1, 0.2])
+        s = block([0.5, 0.5], pbest_objectives=record)
+        s.positions = np.array([[0.1, 0.2]])
         rng = queued_rng([0.25])  # a draw below 1/2 replaces
-        update_pbest(p, np.array(newcomer), rng)
+        update_pbest(s, np.array([newcomer]), rng)
         assert rng.values == ([] if draws else [0.25])
-        np.testing.assert_array_equal(p.pbest_objectives, newcomer if replaced else record)
-        np.testing.assert_array_equal(p.pbest_position, [0.1, 0.2] if replaced else [0.5, 0.5])
+        np.testing.assert_array_equal(s.pbest_objectives, [newcomer if replaced else record])
+        np.testing.assert_array_equal(s.pbest_positions, [[0.1, 0.2] if replaced else [0.5, 0.5]])
+
+    def test_only_undecided_rows_draw_in_row_order(self, queued_rng):
+        records = [[1.0, 1.0], [3.0, 1.0], [2.0, 2.0], [1.0, 1.0], [1.0, 3.0], [1.0, 2.0]]
+        newcomers = [[2.0, 2.0], [1.0, 3.0], [1.0, 1.0], [1.0, 1.0], [3.0, 1.0], [1.0, 3.0]]
+        s = block(np.full((6, 2), 0.5), pbest_objectives=records)
+        s.positions = np.arange(12.0).reshape(6, 2)
+        # rows 1, 3 and 4 are undecided; row 3 draws 0.75 and keeps its record
+        rng = queued_rng([0.25, 0.75, 0.0, 0.5])
+        update_pbest(s, np.array(newcomers), rng)
+        assert rng.values == [0.5]
+        replaced = [False, True, True, False, True, False]
+        for i, r in enumerate(replaced):
+            np.testing.assert_array_equal(s.pbest_objectives[i], newcomers[i] if r else records[i])
+            np.testing.assert_array_equal(s.pbest_positions[i], s.positions[i] if r else [0.5, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda rows: st.tuples(
+            st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=rows, max_size=rows),
+            st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=rows, max_size=rows),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_pbest_is_the_per_particle_rule(case, seed):
+    # small integer objectives make ties, equal vectors and one-sided
+    # dominance common
+    records, newcomers = (np.array(a, dtype=float) for a in case)
+    rows = records.shape[0]
+    s = block(np.zeros((rows, 2)), pbest_objectives=records)
+    s.positions = np.arange(2.0 * rows).reshape(rows, 2)
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    update_pbest(s, newcomers, batched)
+    for i in range(rows):
+        p = Particle(s.positions[i], None, None, np.zeros(2), records[i])
+        remember(p, newcomers[i], scalar)
+        assert s.pbest_objectives[i].tobytes() == p.pbest_objectives.tobytes()
+        assert s.pbest_positions[i].tobytes() == p.pbest_position.tobytes()
+        if dominates(records[i], newcomers[i]):
+            assert s.pbest_objectives[i].tobytes() == records[i].tobytes()
+    assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestIterationInvariants:
@@ -266,17 +334,17 @@ class TestIterationInvariants:
         problem = get_problem("zdt1")
         bounds = problem.bounds
         cfg = DynamicsConfig(variant="em-smpso", swarm_size=20)
-        swarm = initialize_swarm(problem, cfg, rng)
+        s = initialize_swarm(problem, cfg, rng)
+        X, V, M, P = s.positions, s.velocities, s.momenta, s.pbest_positions
         for _ in range(40):
-            gbest = swarm[int(rng.integers(len(swarm)))].pbest_position
-            for p in swarm:
+            gbest = P[int(rng.integers(cfg.swarm_size))].copy()
+            for i in range(cfg.swarm_size):
                 coefficients = draw_coefficients(cfg.scheme, rng, True)
-                p.velocity, p.momentum = compute_speed_em(p, gbest, coefficients, bounds)
-                update_position(p, bounds)
-            for p in swarm:
-                assert np.all(np.abs(p.velocity) <= bounds.delta + 1e-12)
-                assert np.all(p.position >= bounds.lower - 1e-12)
-                assert np.all(p.position <= bounds.upper + 1e-12)
+                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], gbest, coefficients, bounds)
+            update_position(s, bounds)
+            assert np.all(np.abs(V) <= bounds.delta + 1e-12)
+            assert np.all(X >= bounds.lower - 1e-12)
+            assert np.all(X <= bounds.upper + 1e-12)
 
 
 def test_custom_scheme_drives_em_update(rng):
@@ -284,8 +352,8 @@ def test_custom_scheme_drives_em_update(rng):
     # finite state under repeated updates
     scheme = ParameterScheme(2.0, 3.0, 0.1, 0.4)
     cfg = DynamicsConfig(variant="em-smpso", scheme=scheme)
-    p = particle(0.0, v=0.0, m=0.0, pbest=1.0)
+    x, v, m, pbest, gbest = one(0.0), one(0.0), one(0.0), one(1.0), one(1.0)
     for _ in range(500):
         coefficients = draw_coefficients(cfg.scheme, rng, True)
-        p.velocity, p.momentum = compute_speed_em(p, np.array([1.0]), coefficients, WIDE)
-        assert np.isfinite(p.velocity).all() and np.isfinite(p.momentum).all()
+        v, m = compute_speed_em(x, v, m, pbest, gbest, coefficients, WIDE)
+        assert np.isfinite(v).all() and np.isfinite(m).all()
