@@ -9,7 +9,12 @@ favours isolated entries.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tape import RandomTape
 
 __all__ = [
     "ExternalArchive",
@@ -173,11 +178,13 @@ class ExternalArchive:
         self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
         self._crowding_fresh = True
 
-    def select_leader(self, rng: np.random.Generator) -> np.ndarray:
+    def select_leader(self, rng: RandomTape) -> np.ndarray:
         """Binary tournament on crowding distance (larger wins, tie random).
 
-        Returns the winner's position, a view that the next insertion may
-        overwrite.
+        The pair and the tie-break come from the run's tape, which returns
+        what ``Generator.integers(0, n, size=2)`` and ``Generator.random()``
+        would.  Returns the winner's position, a view that the next
+        insertion may overwrite.
         """
         if not self._n:
             raise ValueError("cannot select a leader from an empty archive")

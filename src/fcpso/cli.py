@@ -276,6 +276,11 @@ def cmd_profile(args) -> int:
     mu_grid = _convert(_floats, args.mu_grid, "--mu-grid")
     if args.repetitions < 1:
         raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
+    # a budget below one swarm evaluation is a usage error, found before any run
+    try:
+        RunConfig(max_evaluations=args.evaluations)
+    except ValueError as exc:
+        raise UsageError(f"--evaluations: {exc}") from None
     points, notices = unfairness_profile(
         problems,
         mu_grid,

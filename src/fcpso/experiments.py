@@ -66,6 +66,17 @@ class ExperimentSpec:
             raise ValueError(f"unknown indicators {bad}; choose from {INDICATORS}")
         for v in self.variants:
             DynamicsConfig(variant=v, swarm_size=self.swarm_size)
+        self.run_config()  # raises on a budget, capacity or hv target out of range
+
+    def run_config(self) -> RunConfig:
+        """The configuration every run of the experiment starts from."""
+        return RunConfig(
+            dynamics=DynamicsConfig(swarm_size=self.swarm_size),
+            mutation=self.mutation,
+            max_evaluations=self.max_evaluations,
+            archive_capacity=self.archive_capacity,
+            hv_target_fraction=self.hv_target_fraction,
+        )
 
 
 @dataclass(frozen=True)
@@ -162,13 +173,7 @@ def median(values) -> float:
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ComparisonRow]:
     """Run every (problem, variant, seed) cell and pair the variants."""
     workers = workers if workers is not None else (os.cpu_count() or 1)
-    base_cfg = RunConfig(
-        dynamics=DynamicsConfig(swarm_size=spec.swarm_size),
-        mutation=spec.mutation,
-        max_evaluations=spec.max_evaluations,
-        archive_capacity=spec.archive_capacity,
-        hv_target_fraction=spec.hv_target_fraction,
-    )
+    base_cfg = spec.run_config()
     tasks = [
         _Task(pid, variant, None, spec.base_seed + i, base_cfg, spec.indicators)
         for pid in spec.problems

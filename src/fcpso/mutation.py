@@ -1,14 +1,19 @@
 """Turbulence operator: polynomial mutation on a random slice of the swarm.
 
 Positions are an (N, n) array mutated in place; each row draws whether
-it mutates, then its mutation, before the next row draws.
+it mutates, then its mutation, before the next row draws.  The draws come
+from the run's :class:`~fcpso.tape.RandomTape`, passed in as ``rng``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tape import RandomTape
 
 __all__ = ["MutationConfig", "polynomial_mutate", "apply_turbulence"]
 
@@ -34,7 +39,7 @@ def polynomial_mutate(
     lower: np.ndarray,
     upper: np.ndarray,
     cfg: MutationConfig,
-    rng: np.random.Generator,
+    rng: RandomTape,
 ) -> np.ndarray:
     """Polynomial mutation with distribution index eta, clamped to bounds.
 
@@ -68,7 +73,7 @@ def polynomial_mutate(
     return out
 
 
-def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
+def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: RandomTape) -> None:
     """Mutate a random particle_fraction of the rows of ``positions`` in
     place; velocities and momenta are untouched."""
     if cfg.particle_fraction == 0.0:

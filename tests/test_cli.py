@@ -270,6 +270,18 @@ class TestBenchmark:
         code = run_cli("benchmark", str(spec), "--out", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("line, named", [
+        ("max_evaluations = 50", "max_evaluations must cover at least one swarm evaluation"),
+        ("archive_capacity = 0", "archive_capacity must be >= 1"),
+    ])
+    def test_budget_and_capacity_errors_exit_1(self, tmp_path, capsys, line, named):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"[experiment]\nproblems = zdt1\n{line}\n")
+        code = run_cli("benchmark", str(spec), "--workers", "1", "--out", str(tmp_path))
+        assert code == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_unknown_spec_name(self, tmp_path, capsys):
         assert run_cli("benchmark", "no-such-spec", "--out", str(tmp_path)) == 1
 
@@ -384,6 +396,7 @@ class TestProfileCmd:
         (["--mu-grid=abc"], "--mu-grid"),
         (["--problems", "zdt1,zdt99", "--mu-grid=0.1"], "--problems"),
         (["--mu-grid=0.1", "--repetitions", "0"], "--repetitions"),
+        (["--mu-grid=0.1", "--evaluations", "50"], "--evaluations: max_evaluations must cover"),
     ])
     def test_bad_input_exits_1_naming_flag(self, tmp_path, capsys, argv, named):
         assert run_cli("profile", *argv, "--workers", "1", "--out", str(tmp_path)) == 1

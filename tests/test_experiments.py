@@ -129,6 +129,12 @@ class TestExperimentSpec:
             ExperimentSpec(problems=())
         with pytest.raises(ValueError):
             ExperimentSpec(problems=("zdt1",), indicators=())
+        with pytest.raises(ValueError, match="max_evaluations"):
+            ExperimentSpec(problems=("zdt1",), max_evaluations=50)
+        with pytest.raises(ValueError, match="archive_capacity"):
+            ExperimentSpec(problems=("zdt1",), archive_capacity=0)
+        with pytest.raises(ValueError, match="hv_target_fraction"):
+            ExperimentSpec(problems=("zdt1",), hv_target_fraction=1.5)
 
 
 @pytest.fixture(scope="module")
