@@ -181,10 +181,11 @@ class ExternalArchive:
     def select_leader(self, rng: RandomTape) -> np.ndarray:
         """Binary tournament on crowding distance (larger wins, tie random).
 
-        The pair and the tie-break come from the run's tape, which returns
-        what ``Generator.integers(0, n, size=2)`` and ``Generator.random()``
-        would.  Returns the winner's position, a view that the next
-        insertion may overwrite.
+        The pair and the tie-break come from the run's tape, one
+        ``integers(0, n, size=2)`` and at most one ``random()`` call, each
+        what ``default_rng(seed)`` returns at the same stream position.
+        Returns the winner's position, a view that the next insertion may
+        overwrite.
         """
         if not self._n:
             raise ValueError("cannot select a leader from an empty archive")

@@ -72,6 +72,13 @@ def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 # section -> key -> parser of the key's text.  [mutation] and [experiment]
 # keys are MutationConfig and ExperimentSpec fields; [run] keys are the
 # DynamicsConfig and RunConfig fields, the run seed, and hv_target, which
@@ -80,7 +87,7 @@ _KEYS = {
     "run": {
         "variant": str,
         "scheme": _scheme,
-        "seed": int,
+        "seed": _seed,
         "inertia": float,
         "swarm_size": int,
         "archive_capacity": int,
@@ -98,7 +105,7 @@ _KEYS = {
         "variants": _items,
         "repetitions": int,
         "indicators": _items,
-        "base_seed": int,
+        "base_seed": _seed,
         "max_evaluations": int,
         "swarm_size": int,
         "archive_capacity": int,
@@ -147,6 +154,8 @@ def cmd_solve(args) -> int:
     flags = {k: v for k, v in vars(args).items() if k in _KEYS["run"] and v is not None}
     if "scheme" in flags:
         flags["scheme"] = _convert(_scheme, flags["scheme"], "--scheme")
+    if "seed" in flags:
+        flags["seed"] = _convert(_seed, flags["seed"], "--seed")
     values = {**config.get("run", {}), **flags}  # a given flag, 0 included, beats the file
     seed = values.pop("seed", 1)
     if "hv_target" in values:
@@ -233,6 +242,9 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_fairness(args) -> int:
+    seed = _convert(_seed, args.seed, "--seed")
+    if args.monte_carlo is not None and args.monte_carlo < 1:
+        raise UsageError(f"--monte-carlo must be >= 1, got {args.monte_carlo}")
     did_something = False
     if args.solve_fair:
         phi2 = solve_fair_phi2(2.0)
@@ -253,15 +265,15 @@ def cmd_fairness(args) -> int:
         print("method=analytic")
         print(f"p_activation={io.fmt(p)}")
         print(f"mu={io.fmt(p - 0.5)}")
-        if args.monte_carlo:
-            report = monte_carlo_activation(scheme, args.monte_carlo, seed=args.seed)
+        if args.monte_carlo is not None:
+            report = monte_carlo_activation(scheme, args.monte_carlo, seed=seed)
             print("method=monte-carlo")
             print(f"mc_samples={report.sample_count}")
             print(f"mc_p_activation={io.fmt(report.p_activation)}")
             print(f"mc_mu={io.fmt(report.unfairness)}")
             print(f"mc_std_error={io.fmt(report.std_error)}")
         did_something = True
-    elif args.monte_carlo:
+    elif args.monte_carlo is not None:
         raise UsageError("--monte-carlo needs --scheme")
     if not did_something:
         raise UsageError("nothing to do: pass --scheme, --solve-fair or --target-mu")
@@ -276,6 +288,7 @@ def cmd_profile(args) -> int:
     mu_grid = _convert(_floats, args.mu_grid, "--mu-grid")
     if args.repetitions < 1:
         raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
+    base_seed = _convert(_seed, args.base_seed, "--base-seed")
     # a budget below one swarm evaluation is a usage error, found before any run
     try:
         RunConfig(max_evaluations=args.evaluations)
@@ -285,7 +298,7 @@ def cmd_profile(args) -> int:
         problems,
         mu_grid,
         repetitions=args.repetitions,
-        base_seed=args.base_seed,
+        base_seed=base_seed,
         max_evaluations=args.evaluations,
         workers=args.workers,
     )

@@ -64,14 +64,17 @@ class ExperimentSpec:
         bad = [i for i in self.indicators if i not in INDICATORS]
         if bad:
             raise ValueError(f"unknown indicators {bad}; choose from {INDICATORS}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
+        if "fe" in self.indicators and self.hv_target_fraction is None:
+            raise ValueError("the fe indicator needs an hv_target_fraction")
         for v in self.variants:
-            DynamicsConfig(variant=v, swarm_size=self.swarm_size)
-        self.run_config()  # raises on a budget, capacity or hv target out of range
+            self.run_config(v)  # raises on a variant, budget, capacity or hv target out of range
 
-    def run_config(self) -> RunConfig:
-        """The configuration every run of the experiment starts from."""
+    def run_config(self, variant: str) -> RunConfig:
+        """The configuration of every run of ``variant``."""
         return RunConfig(
-            dynamics=DynamicsConfig(swarm_size=self.swarm_size),
+            dynamics=DynamicsConfig(variant=variant, swarm_size=self.swarm_size),
             mutation=self.mutation,
             max_evaluations=self.max_evaluations,
             archive_capacity=self.archive_capacity,
@@ -102,8 +105,6 @@ class ProfilePoint:
 @dataclass(frozen=True)
 class _Task:
     problem_id: str
-    variant: str
-    scheme: tuple[float, float, float, float] | None
     seed: int
     cfg: RunConfig
     indicators: tuple[str, ...]
@@ -134,23 +135,19 @@ def _fe(result: RunResult, hv_target: float) -> float:
 
 
 def _execute(task: _Task) -> dict:
-    name, n_obj = parse_problem_id(task.problem_id)
-    problem = get_problem(name, n_obj)
-    scheme = ParameterScheme(*task.scheme) if task.scheme is not None else None
-    dyn = replace(task.cfg.dynamics, variant=task.variant, scheme=scheme)
-    fraction = task.cfg.hv_target_fraction
-    cfg = replace(task.cfg, dynamics=dyn, hv_target_fraction=None)
+    problem = get_problem(*parse_problem_id(task.problem_id))
+    cfg = replace(task.cfg, hv_target_fraction=None)
     wanted = tuple(i for i in task.indicators if i != "fe")
     metrics: dict = {}
     hv_target = None
     if "fe" in task.indicators:
-        reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
-        if reference_hv is None:
+        try:
+            hv_target = task.cfg.hv_target(problem)
+        except ValueError:
             metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
         else:
             # the traced budget run's trace starts with the target run's trace
-            hv_target = fraction * reference_hv
-            cfg = replace(cfg, record_interval=1) if wanted else replace(cfg, hv_target_fraction=fraction)
+            cfg = replace(cfg, record_interval=1) if wanted else task.cfg
     if wanted or hv_target is not None:
         result = run(problem, cfg, task.seed)
         metrics.update(_metrics_for(result, problem, wanted))
@@ -173,9 +170,9 @@ def median(values) -> float:
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ComparisonRow]:
     """Run every (problem, variant, seed) cell and pair the variants."""
     workers = workers if workers is not None else (os.cpu_count() or 1)
-    base_cfg = spec.run_config()
+    configs = {variant: spec.run_config(variant) for variant in spec.variants}
     tasks = [
-        _Task(pid, variant, None, spec.base_seed + i, base_cfg, spec.indicators)
+        _Task(pid, spec.base_seed + i, configs[variant], spec.indicators)
         for pid in spec.problems
         for variant in spec.variants
         for i in range(spec.repetitions)
@@ -184,7 +181,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Com
 
     by_cell: dict[tuple[str, str], list[dict]] = {}
     for task, m in zip(tasks, metrics):
-        by_cell.setdefault((task.problem_id, task.variant), []).append(m)
+        by_cell.setdefault((task.problem_id, task.cfg.dynamics.variant), []).append(m)
 
     rows: list[ComparisonRow] = []
     for pid in spec.problems:
@@ -230,29 +227,32 @@ def unfairness_profile(
     scheme families is skipped with a notice.
     """
     workers = workers if workers is not None else (os.cpu_count() or 1)
-    base_cfg = RunConfig(
-        dynamics=DynamicsConfig(swarm_size=swarm_size),
-        max_evaluations=max_evaluations,
-        archive_capacity=archive_capacity,
-    )
+
+    def config(variant: str, scheme: ParameterScheme | None = None) -> RunConfig:
+        return RunConfig(
+            dynamics=DynamicsConfig(variant=variant, scheme=scheme, swarm_size=swarm_size),
+            max_evaluations=max_evaluations,
+            archive_capacity=archive_capacity,
+        )
 
     notices: list[str] = []
-    schemes: list[tuple[float, ParameterScheme]] = []
+    grid: list[float] = []
+    configs = [config("smpso")]  # the inertial baseline, then one momentum swarm per mu
     for mu in mu_grid:
         try:
-            schemes.append((float(mu), scheme_for_unfairness(float(mu))))
+            scheme = scheme_for_unfairness(float(mu))
         except ValueError as exc:
             notices.append(f"mu={mu}: skipped ({exc})")
+            continue
+        grid.append(float(mu))
+        configs.append(config("em-smpso", scheme))
 
-    tasks: list[_Task] = []
-    for pid in problems:
-        for i in range(repetitions):
-            tasks.append(_Task(pid, "smpso", None, base_seed + i, base_cfg, ("hv",)))
-        for _, scheme in schemes:
-            for i in range(repetitions):
-                tasks.append(
-                    _Task(pid, "em-smpso", scheme.as_tuple(), base_seed + i, base_cfg, ("hv",))
-                )
+    tasks = [
+        _Task(pid, base_seed + i, cfg, ("hv",))
+        for pid in problems
+        for cfg in configs
+        for i in range(repetitions)
+    ]
     metrics = _run_tasks(tasks, workers)
 
     points: list[ProfilePoint] = []
@@ -262,7 +262,7 @@ def unfairness_profile(
         cursor += repetitions
         if baseline == 0.0:
             raise ValueError(f"{pid}: the smpso baseline's median hv is 0, so no hv can be normalized by it")
-        for mu, _ in schemes:
+        for mu in grid:
             hvs = [m["hv"] for m in metrics[cursor : cursor + repetitions]]
             cursor += repetitions
             points.append(ProfilePoint(mu=mu, problem=pid, normalized_hv=median(hvs) / baseline))

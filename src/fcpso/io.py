@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def write_front_csv(path, objectives: np.ndarray) -> None:
 def read_front_csv(path) -> np.ndarray:
     """Read a front CSV (optional f1,...,fk header; one point per row).
 
-    Malformed rows are rejected with their 1-based row number.
+    Malformed rows (a non-numeric or non-finite field, or a column count
+    unlike the first row's) are rejected with their 1-based row number.
     """
     rows: list[list[float]] = []
     width = None
@@ -77,6 +79,8 @@ def read_front_csv(path) -> np.ndarray:
                 values = [float(c) for c in cells]
             except ValueError:
                 raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}: non-finite field in row {lineno}")
             if width is None:
                 width = len(values)
             elif len(values) != width:

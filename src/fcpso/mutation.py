@@ -2,7 +2,8 @@
 
 Positions are an (N, n) array mutated in place; each row draws whether
 it mutates, then its mutation, before the next row draws.  The draws come
-from the run's :class:`~fcpso.tape.RandomTape`, passed in as ``rng``.
+from the run's :class:`~fcpso.tape.RandomTape`, built from the run's seed
+and passed in as ``rng``; only its ``random()`` and ``random(k)`` are used.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """The generation loop: initialize, move, mutate, evaluate, archive, remember.
 
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
-per row and which once per generation.  The run's ``Generator(PCG64(seed))``
-draws the initial swarm; leader, coefficient, turbulence and personal-best
-draws then come from a :class:`~fcpso.tape.RandomTape` over it, which
-serves the same stream from blocks of raw words.
+per row and which once per generation.  A :class:`~fcpso.tape.RandomTape`
+built from the seed is the run's only random source: it draws the initial
+swarm, then every leader, coefficient, turbulence and personal-best draw.
 
 One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
@@ -63,6 +62,19 @@ class RunConfig:
         if self.record_interval < 0:
             raise ValueError("record_interval must be >= 0")
 
+    def hv_target(self, problem: ProblemInstance) -> float | None:
+        """The hypervolume that stops a run on ``problem``; None under pure
+        budget termination."""
+        if self.hv_target_fraction is None:
+            return None
+        reference_hv = self.reference_hv if self.reference_hv is not None else problem.reference_hv
+        if reference_hv is None:
+            raise ValueError(
+                f"hv-target termination needs a reference hypervolume, and {problem.name} "
+                "has none; set RunConfig.reference_hv"
+            )
+        return self.hv_target_fraction * reference_hv
+
 
 @dataclass
 class RunResult:
@@ -84,24 +96,12 @@ class RunResult:
 def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     """Execute one optimization run and return the archive as the front."""
     t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(seed))
     dyn = cfg.dynamics
     bounds = problem.bounds
+    hv_target = cfg.hv_target(problem)
 
-    hv_target = None
-    if cfg.hv_target_fraction is not None:
-        reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
-        if reference_hv is None:
-            raise ValueError(
-                f"hv-target termination needs a reference hypervolume, and {problem.name} "
-                "has none; set RunConfig.reference_hv"
-            )
-        hv_target = cfg.hv_target_fraction * reference_hv
-
-    swarm = initialize_swarm(problem, dyn, rng)
-    # every later draw decodes from the generator's raw words, bitwise the
-    # generator's own stream
-    draws = tape.RandomTape(rng)
+    draws = tape.RandomTape(seed)
+    swarm = initialize_swarm(problem, dyn, draws)
     archive = ExternalArchive(cfg.archive_capacity)
     for x, y in zip(swarm.positions, swarm.pbest_objectives):
         archive.try_insert(x, y)

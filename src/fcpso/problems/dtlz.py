@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["dtlz", "dtlz_evaluator", "DTLZ_DISTANCE_VARS", "dtlz_dimension"]
+__all__ = ["dtlz_evaluator", "DTLZ_DISTANCE_VARS", "dtlz_dimension"]
 
 DTLZ_DISTANCE_VARS = {1: 5, 2: 10, 3: 10, 4: 10, 5: 10, 6: 10, 7: 20}
 
@@ -95,13 +95,3 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
 
     return evaluate
 
-
-def dtlz(index: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate DTLZ<index> with m objectives at x in [0,1]^n, n >= m."""
-    evaluate = dtlz_evaluator(index, m)
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] < m:
-        raise ValueError(
-            f"DTLZ{index} with {m} objectives needs at least {m} variables, got {x.shape[0]}"
-        )
-    return evaluate(x)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["wfg", "wfg_evaluator", "wfg_bounds", "wfg_dimension", "WFG_DISTANCE_VARS"]
+__all__ = ["wfg_evaluator", "wfg_bounds", "wfg_dimension", "WFG_DISTANCE_VARS"]
 
 WFG_DISTANCE_VARS = 20
 
@@ -280,12 +280,3 @@ def wfg_evaluator(
 
     return evaluate
 
-
-def wfg(index: int, m: int, z: np.ndarray, l: int = WFG_DISTANCE_VARS) -> np.ndarray:
-    """Evaluate WFG<index> with m objectives at z (z_i in [0, 2i])."""
-    evaluate = wfg_evaluator(index, m, l)
-    z = np.asarray(z, dtype=float)
-    n = wfg_dimension(m, l)
-    if z.shape[0] != n:
-        raise ValueError(f"WFG{index} with {m} objectives expects {n} variables, got {z.shape[0]}")
-    return evaluate(z)

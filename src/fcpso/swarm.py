@@ -15,9 +15,8 @@ one particle's rows and its drawn coefficients.  Speeds are computed row
 by row, because each row's leader and coefficient draws interleave in the
 run's random stream; the position/bounce and personal-best steps draw
 nothing or draw in row order, so they run once over the whole block.
-:func:`initialize_swarm` draws from the run's ``Generator``; every later
-draw is passed a :class:`~fcpso.tape.RandomTape` over it, which returns
-the generator's own values.
+Every draw, the initial swarm's included, comes from the run's
+:class:`~fcpso.tape.RandomTape`.
 """
 
 from __future__ import annotations
@@ -198,26 +197,23 @@ def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
     np.negative(v, out=v, where=low | high)
 
 
-def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> Swarm:
+def initialize_swarm(problem, cfg: DynamicsConfig, rng: RandomTape) -> Swarm:
     """Uniform random positions, zero momenta, pbest = evaluated start.
 
     Velocities start at zero by default (coherent with the zero momentum
     state); cfg.velocity_init="uniform" draws them in [-delta, delta].
-    One (N, n) or (N, 2n) uniform block, row by row, is the stream of one
-    position draw (then one velocity draw) per particle.
+    One ``rng.random(N * k)`` block, k = n or 2n, is mapped row by row as
+    ``low + (high - low) * u``, which is what ``Generator.uniform`` computes:
+    the stream of one position draw (then one velocity draw) per particle.
     """
     bounds = problem.bounds
-    n = bounds.n
-    if cfg.velocity_init == "uniform":
-        block = rng.uniform(
-            np.concatenate([bounds.lower, -bounds.delta]),
-            np.concatenate([bounds.upper, bounds.delta]),
-            size=(cfg.swarm_size, 2 * n),
-        )
-        x, v = np.hsplit(block, 2)
-    else:
-        x = rng.uniform(bounds.lower, bounds.upper, size=(cfg.swarm_size, n))
-        v = np.zeros_like(x)
+    low, high = bounds.lower, bounds.upper
+    uniform_velocity = cfg.velocity_init == "uniform"
+    if uniform_velocity:
+        low, high = np.concatenate([low, -bounds.delta]), np.concatenate([high, bounds.delta])
+    u = rng.random(cfg.swarm_size * low.shape[0]).reshape(cfg.swarm_size, -1)
+    block = low + (high - low) * u
+    x, v = np.hsplit(block, 2) if uniform_velocity else (block, np.zeros_like(block))
     objectives = np.array([problem.evaluate(row) for row in x], dtype=float)
     return Swarm(x, v, np.zeros_like(x), x.copy(), objectives)
 

@@ -1,11 +1,12 @@
 """The run's random stream decoded from raw PCG64 words, a block at a time.
 
-After the swarm is drawn, the generation loop makes many small draws: a
-leader tournament and the coefficients per particle, then turbulence and
-personal-best coin flips.  numpy's per-call overhead is larger than the
-cost of the numbers themselves.  :class:`RandomTape` reads the
-generator's raw 64-bit words ``BLOCK`` at a time and decodes the calls the
-loop makes, each bitwise what the ``Generator`` returns:
+:class:`RandomTape` turns a run's seed into every number the run draws:
+the initial swarm, then per generation a leader tournament and the
+coefficients per particle, turbulence and personal-best coin flips.
+numpy's per-call overhead is larger than the cost of these small draws,
+so the tape reads the raw 64-bit words of ``PCG64(seed)`` ``BLOCK`` at a
+time and decodes the calls the run makes, each bitwise what
+``np.random.default_rng(seed)`` returns for the same sequence of calls:
 
 * ``random()`` and ``random(k)`` spend one word per double,
   ``(w >> 11) * 2**-53``;
@@ -13,8 +14,7 @@ loop makes, each bitwise what the ``Generator`` returns:
   32-bit halves, low half first.  A half left over is kept for the next
   ``integers`` call, as PCG64 keeps it, and doubles never consume it.
 
-Any other call raises.  The tape reads ahead, so the wrapped generator
-must not draw again.
+Any other call raises.
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ _MASK32 = 0xFFFFFFFF
 
 
 class RandomTape:
-    """Draws of a PCG64 ``Generator``, served from blocks of its raw words."""
+    """The draws of ``default_rng(seed)``, served from blocks of raw PCG64 words."""
 
-    def __init__(self, rng: np.random.Generator):
-        bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, np.random.PCG64):
-            raise TypeError(f"a tape decodes PCG64 words, got {type(bit_generator).__name__}")
-        if bit_generator.state["has_uint32"]:
-            raise ValueError("the generator holds a buffered 32-bit half-word, which a tape would skip")
-        self._bit_generator = bit_generator
+    def __init__(self, seed: int):
+        self._bit_generator = np.random.PCG64(seed)
         self._half: int | None = None  # the high half of a word whose low half was drawn
         self._refill()
 

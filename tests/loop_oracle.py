@@ -98,10 +98,7 @@ def run_oracle(problem, cfg, seed) -> RunResult:
     """``fcpso.optimizer.run`` as a per-particle loop."""
     rng = np.random.default_rng(seed)
     dyn, bounds = cfg.dynamics, problem.bounds
-    hv_target = None
-    if cfg.hv_target_fraction is not None:
-        reference_hv = cfg.reference_hv if cfg.reference_hv is not None else problem.reference_hv
-        hv_target = cfg.hv_target_fraction * reference_hv
+    hv_target = cfg.hv_target(problem)
 
     swarm = initial_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity)

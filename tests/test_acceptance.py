@@ -39,7 +39,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"[acceptance] {criterion}: {status}{suffix}")
 
 
-def batch(problem_id: str, variant: str, indicators=("hv",), scheme=None, seeds=SEEDS):
+def batch(problem_id: str, variant: str, indicators=("hv",), seeds=SEEDS):
     cfg = RunConfig(
         dynamics=DynamicsConfig(variant=variant, swarm_size=100),
         mutation=MutationConfig(),
@@ -47,7 +47,7 @@ def batch(problem_id: str, variant: str, indicators=("hv",), scheme=None, seeds=
         archive_capacity=100,
         hv_target_fraction=0.95 if "fe" in indicators else None,
     )
-    tasks = [_Task(problem_id, variant, scheme, s, cfg, tuple(indicators)) for s in seeds]
+    tasks = [_Task(problem_id, s, cfg, tuple(indicators)) for s in seeds]
     t0 = time.perf_counter()
     metrics = _run_tasks(tasks, WORKERS)
     return metrics, time.perf_counter() - t0

@@ -340,6 +340,12 @@ class TestFairnessCmd:
     def test_nothing_to_do(self, capsys):
         assert run_cli("fairness") == 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_monte_carlo_count_below_1_exits_1_before_output(self, capsys, count):
+        assert run_cli("fairness", "--scheme", "3,5,0,1", "--monte-carlo", count) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: --monte-carlo must be >= 1, got {count}" in err
+
 
 class TestIndicatorsCmd:
     def test_front_equals_reference(self, tmp_path, capsys):
@@ -370,6 +376,13 @@ class TestIndicatorsCmd:
         r.write_text("0.0,1.0,2.0\n")
         assert run_cli("indicators", "--front", str(f), "--reference", str(r)) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def test_non_finite_front_row_is_rejected(self, tmp_path, capsys):
+        f = tmp_path / "f.csv"
+        f.write_text("f1,f2\n0.0,1.0\n0.1,nan\n1.0,0.0\n")
+        assert run_cli("indicators", "--front", str(f), "--ref-point", "2,2") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {f}: non-finite field in row 3" in err
 
     def test_round_trip_of_emitted_front(self, tmp_path, capsys):
         assert run_cli(
@@ -412,6 +425,30 @@ class TestProfileCmd:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: zdt1:") and "baseline" in err
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv, config, named", [
+        (["solve", "--problem", "zdt1", "--seed", "-1"], None, "--seed"),
+        (["solve", "--problem", "zdt1", "--config"], "[run]\nseed = -1\n", "[run] seed"),
+        (["profile", "--mu-grid=0.1", "--base-seed", "-1", "--workers", "1"], None, "--base-seed"),
+        (["benchmark"], "[experiment]\nproblems = zdt1\nbase_seed = -1\n", "[experiment] base_seed"),
+        (["fairness", "--scheme", "3,5,0,1", "--monte-carlo", "100", "--seed", "-1"], None, "--seed"),
+    ])
+    def test_exits_1_naming_its_input(self, tmp_path, capsys, monkeypatch, argv, config, named):
+        for started in ("run", "run_experiment", "unfairness_profile"):
+            monkeypatch.setattr(f"fcpso.cli.{started}", _capture)
+        if config is not None:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(config)
+            argv = [*argv, str(cfg)]
+            named = f"{cfg}: {named}"
+        if argv[0] != "fairness":
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {named}: a seed must be >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

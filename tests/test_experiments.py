@@ -135,6 +135,10 @@ class TestExperimentSpec:
             ExperimentSpec(problems=("zdt1",), archive_capacity=0)
         with pytest.raises(ValueError, match="hv_target_fraction"):
             ExperimentSpec(problems=("zdt1",), hv_target_fraction=1.5)
+        with pytest.raises(ValueError, match="base_seed"):
+            ExperimentSpec(problems=("zdt1",), base_seed=-1)
+        with pytest.raises(ValueError, match="fe indicator needs an hv_target_fraction"):
+            ExperimentSpec(problems=("zdt1",), indicators=("fe",), hv_target_fraction=None)
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +212,15 @@ class TestRunExperiment:
 
 
 class TestOneRunPerTask:
-    CFG = RunConfig(
-        dynamics=DynamicsConfig(swarm_size=20),
-        max_evaluations=4000,
-        archive_capacity=20,
-        hv_target_fraction=0.5,
-    )
+    @staticmethod
+    def task(problem_id, indicators, variant="fcpso", **changes):
+        cfg = RunConfig(
+            dynamics=DynamicsConfig(variant=variant, swarm_size=20),
+            max_evaluations=4000,
+            archive_capacity=20,
+            hv_target_fraction=0.5,
+        )
+        return _Task(problem_id, 1, replace(cfg, **changes), indicators)
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -229,23 +236,22 @@ class TestOneRunPerTask:
 
     @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
     def test_fe_alone_and_with_other_indicators_agree(self, runs, variant):
-        alone = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("fe",)))
+        alone = _execute(self.task("zdt1", ("fe",), variant))
         assert len(runs) == 1 and runs[0].hv_target_fraction == 0.5
-        full = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("hv", "igd", "fe")))
+        full = _execute(self.task("zdt1", ("hv", "igd", "fe"), variant))
         assert len(runs) == 2 and runs[1].hv_target_fraction is None
         assert full["fe"] == alone["fe"] < 4000
-        hv_only = _execute(_Task("zdt1", variant, None, 1, self.CFG, ("hv",)))
+        hv_only = _execute(self.task("zdt1", ("hv",), variant))
         assert len(runs) == 3 and runs[2].hv_target_fraction is None
         assert hv_only["hv"] == full["hv"]
 
     def test_unreached_target_reports_the_whole_budget(self, runs):
-        cfg = replace(self.CFG, hv_target_fraction=1.0, max_evaluations=400)
-        metrics = _execute(_Task("zdt1", "fcpso", None, 1, cfg, ("hv", "fe")))
+        metrics = _execute(self.task("zdt1", ("hv", "fe"), hv_target_fraction=1.0, max_evaluations=400))
         assert len(runs) == 1 and metrics["fe"] == 400.0
 
     def test_missing_reference_hv_is_an_error_value(self, runs):
-        metrics = _execute(_Task("dtlz2:3", "fcpso", None, 1, self.CFG, ("fe",)))
-        assert runs == [] and metrics["fe"].startswith("error: no reference hypervolume")
+        metrics = _execute(self.task("dtlz2:3", ("fe",)))
+        assert runs == [] and metrics["fe"] == "error: no reference hypervolume for dtlz2"
 
 
 class TestUnfairnessProfile:

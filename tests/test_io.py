@@ -50,6 +50,21 @@ class TestFrontCsv:
         np.testing.assert_array_equal(back, F)
         assert path.read_text().splitlines()[0] == "f1,f2,f3"
 
+    @pytest.mark.parametrize("text, message", [
+        ("f1,f2\n0.0,1.0\n0.5,abc\n", "non-numeric field in row 3"),
+        ("f1,f2\n0.0,1.0\n0.5,0.5,0.5\n", "row 3 has 3 columns, expected 2"),
+        ("f1,f2\n0.0,1.0\n0.1,nan\n", "non-finite field in row 3"),
+        ("f1,f2\n0.0,1.0\ninf,0.1\n", "non-finite field in row 3"),
+        ("0.0,-inf\n", "non-finite field in row 1"),
+        ("f1,f2\n", "no data rows"),
+    ])
+    def test_malformed_row_is_named(self, tmp_path, text, message):
+        path = tmp_path / "front.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_front_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):

@@ -5,9 +5,14 @@ import pytest
 from wfg_oracle import wfg_oracle
 
 from fcpso.problems import get_problem
-from fcpso.problems.wfg import wfg, wfg_bounds, wfg_dimension
+from fcpso.problems.wfg import wfg_bounds, wfg_dimension
 
 B_PARAM_A = 0.98 / 49.98
+
+
+def evaluate_wfg(index, m, z):
+    """WFG<index> with m objectives at z, through the checked instance."""
+    return get_problem(f"wfg{index}", m).evaluate(z)
 
 
 def optimal_distance_plain(m, pos_y, l=20):
@@ -45,14 +50,14 @@ class TestAgainstOracle:
         lo, up = wfg_bounds(m)
         for _ in range(100):
             z = rng.uniform(lo, up)
-            mine = wfg(index, m, z)
+            mine = evaluate_wfg(index, m, z)
             ref = np.array(wfg_oracle(index, m, list(z)))
             np.testing.assert_allclose(mine, ref, rtol=1e-10, atol=1e-10)
 
     def test_deterministic(self, rng):
         lo, up = wfg_bounds(5)
         z = rng.uniform(lo, up)
-        np.testing.assert_array_equal(wfg(4, 5, z), wfg(4, 5, z))
+        np.testing.assert_array_equal(evaluate_wfg(4, 5, z), evaluate_wfg(4, 5, z))
 
 
 class TestFrontIdentities:
@@ -62,7 +67,7 @@ class TestFrontIdentities:
         s = 2.0 * np.arange(1, m + 1)
         for _ in range(40):
             z = optimal_distance_plain(m, rng.random(2 * (m - 1)))
-            f = wfg(index, m, z)
+            f = evaluate_wfg(index, m, z)
             assert np.sum((f / s) ** 2) == pytest.approx(1.0, abs=1e-9)
             assert np.all(f >= 0.0) and np.all(f <= s + 1e-12)
 
@@ -71,21 +76,21 @@ class TestFrontIdentities:
         s = 2.0 * np.arange(1, m + 1)
         for _ in range(40):
             z = optimal_distance_plain(m, rng.random(2 * (m - 1)))
-            f = wfg(3, m, z)
+            f = evaluate_wfg(3, m, z)
             assert np.sum(f / s) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_wfg8_front(self, m, rng):
         s = 2.0 * np.arange(1, m + 1)
         for _ in range(40):
-            f = wfg(8, m, optimal_distance_wfg8(m, rng.random(2 * (m - 1))))
+            f = evaluate_wfg(8, m, optimal_distance_wfg8(m, rng.random(2 * (m - 1))))
             assert np.sum((f / s) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_wfg9_front(self, m, rng):
         s = 2.0 * np.arange(1, m + 1)
         for _ in range(40):
-            f = wfg(9, m, optimal_distance_wfg9(m, rng.random(2 * (m - 1))))
+            f = evaluate_wfg(9, m, optimal_distance_wfg9(m, rng.random(2 * (m - 1))))
             assert np.sum((f / s) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -98,7 +103,7 @@ class TestRanges:
         lo, up = wfg_bounds(m)
         cap = 2.0 * np.arange(1, m + 1) + 1.0
         for _ in range(2000):
-            f = wfg(index, m, rng.uniform(lo, up))
+            f = evaluate_wfg(index, m, rng.uniform(lo, up))
             assert np.all(f >= 0.0)
             assert np.all(f <= cap + 1e-12)
 
@@ -121,5 +126,5 @@ class TestInstances:
             p.evaluate(np.full(p.n_var, -0.1))
 
     def test_odd_distance_vars_rejected_for_wfg2(self):
-        with pytest.raises(ValueError):
-            wfg(2, 3, np.zeros(4 + 7), l=7)
+        with pytest.raises(ValueError, match="even number of distance variables"):
+            get_problem("wfg2", 3, 4 + 7)

@@ -11,7 +11,7 @@ import pytest
 
 import fcpso
 from fcpso.problems import get_problem
-from fcpso.problems.dtlz import dtlz, dtlz_dimension
+from fcpso.problems.dtlz import dtlz_dimension
 from fcpso.problems.zdt import zdt1, zdt2, zdt3, zdt4, zdt6
 
 # --- independent scalar references (plain math, no shared code) -------------
@@ -170,39 +170,44 @@ class TestZdtInstances:
 # --- DTLZ ---------------------------------------------------------------------
 
 
+def evaluate_dtlz(index, m, x):
+    """DTLZ<index> with m objectives at x, through the checked instance."""
+    return get_problem(f"dtlz{index}", m).evaluate(x)
+
+
 class TestDtlzValues:
     def test_dtlz1_plateau_point(self):
         x = np.full(7, 0.5)
-        np.testing.assert_allclose(dtlz(1, 3, x), [0.125, 0.125, 0.25], atol=1e-12)
+        np.testing.assert_allclose(evaluate_dtlz(1, 3, x), [0.125, 0.125, 0.25], atol=1e-12)
 
     def test_dtlz1_simplex_identity(self, rng):
         for _ in range(50):
             x = np.concatenate([rng.random(2), np.full(5, 0.5)])
-            assert dtlz(1, 3, x).sum() == pytest.approx(0.5, abs=1e-9)
+            assert evaluate_dtlz(1, 3, x).sum() == pytest.approx(0.5, abs=1e-9)
 
     def test_dtlz2_sphere_identity(self, rng):
         for m in (3, 5, 10):
             for _ in range(30):
                 x = np.concatenate([rng.random(m - 1), np.full(10, 0.5)])
-                f = dtlz(2, m, x)
+                f = evaluate_dtlz(2, m, x)
                 assert np.sum(f**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_dtlz2_corner(self):
         x = np.concatenate([np.zeros(2), np.full(10, 0.5)])
-        np.testing.assert_allclose(dtlz(2, 3, x), [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(evaluate_dtlz(2, 3, x), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_dtlz4_sphere_identity(self, rng):
         for _ in range(30):
             x = np.concatenate([rng.random(2), np.full(10, 0.5)])
-            f = dtlz(4, 3, x)
+            f = evaluate_dtlz(4, 3, x)
             assert np.sum(f**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_dtlz7_hand_points(self):
         # position 0, distance 0: g = 1, h = m, f_m = 2m
-        f = dtlz(7, 3, np.zeros(22))
+        f = evaluate_dtlz(7, 3, np.zeros(22))
         np.testing.assert_allclose(f, [0.0, 0.0, 6.0], atol=1e-12)
         x = np.concatenate([np.ones(2), np.zeros(20)])
-        np.testing.assert_allclose(dtlz(7, 3, x), [1.0, 1.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(evaluate_dtlz(7, 3, x), [1.0, 1.0, 4.0], atol=1e-12)
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("m", [2, 3, 5, 10])
@@ -211,16 +216,16 @@ class TestDtlzValues:
         for _ in range(50):
             x = rng.random(n)
             np.testing.assert_allclose(
-                dtlz(index, m, x), ref_dtlz(index, m, x), rtol=1e-11, atol=1e-11
+                evaluate_dtlz(index, m, x), ref_dtlz(index, m, x), rtol=1e-11, atol=1e-11
             )
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            dtlz(8, 3, np.zeros(10))
+            get_problem("dtlz8", 3)
 
     def test_too_few_variables(self):
         with pytest.raises(ValueError, match="at least 3 variables"):
-            dtlz(7, 3, np.zeros(2))
+            get_problem("dtlz7", 3, 2)
 
 
 class TestDtlzInstances:

@@ -20,6 +20,7 @@ def load(name):
 @pytest.mark.parametrize("script, args", [
     ("front_digest", ("zdt1", "fcpso", 1)),
     ("eval_digest", ("dtlz2:3",)),
+    ("experiment_digest", ("fe-only",)),
 ])
 def test_a_digest_is_a_stable_sha256(script, args):
     digest = load(script).digest

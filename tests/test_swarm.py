@@ -20,6 +20,7 @@ from fcpso.swarm import (
     update_position,
     velocity_constriction,
 )
+from fcpso.tape import RandomTape
 
 
 def block(x, v=0.0, pbest_objectives=(0.0, 0.0)):
@@ -233,12 +234,14 @@ class TestInitializeSwarm:
     def test_one_block_is_the_per_particle_stream(self, problem_id, velocity_init):
         problem = get_problem(problem_id)
         cfg = DynamicsConfig(swarm_size=7, velocity_init=velocity_init)
-        batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
-        s = initialize_swarm(problem, cfg, batched)
-        particles = initial_swarm(problem, cfg, scalar)
-        assert s.positions.tobytes() == np.stack([p.position for p in particles]).tobytes()
-        assert s.velocities.tobytes() == np.stack([p.velocity for p in particles]).tobytes()
-        assert batched.bit_generator.state == scalar.bit_generator.state
+        for batched in (np.random.default_rng(11), RandomTape(11)):
+            scalar = np.random.default_rng(11)
+            s = initialize_swarm(problem, cfg, batched)
+            particles = initial_swarm(problem, cfg, scalar)
+            assert s.positions.tobytes() == np.stack([p.position for p in particles]).tobytes()
+            assert s.velocities.tobytes() == np.stack([p.velocity for p in particles]).tobytes()
+            # the next draws follow on from the same stream position
+            assert batched.random(3).tobytes() == scalar.random(3).tobytes()
 
 
 class TestUpdatePbest:

@@ -25,9 +25,9 @@ def generator(seed):
 class CountingTape(RandomTape):
     """A tape that counts the blocks it reads."""
 
-    def __init__(self, rng):
+    def __init__(self, seed):
         self.blocks_read = 0
-        super().__init__(rng)
+        super().__init__(seed)
 
     def _refill(self):
         self.blocks_read += 1
@@ -57,7 +57,7 @@ calls = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(calls, max_size=40))
 def test_a_random_script_is_bitwise_the_generator(seed, script):
-    tape, reference = RandomTape(generator(seed)), generator(seed)
+    tape, reference = RandomTape(seed), generator(seed)
     for op, arg in script:
         assert_bitwise(call(tape, op, arg), call(reference, op, arg))
 
@@ -67,7 +67,7 @@ def test_a_straddling_draw_and_a_half_carried_over_a_refill():
     # the first block, leave a half-word over with words still left in it
     n = 3 * 10**9
     for seed in range(100):
-        tape, reference = CountingTape(generator(seed)), generator(seed)
+        tape, reference = CountingTape(seed), generator(seed)
         assert_bitwise(tape.random(BLOCK - 8), reference.random(BLOCK - 8))
         while tape._half is None and tape._pos < BLOCK:
             assert_bitwise(tape.integers(0, n, size=2), reference.integers(0, n, size=2))
@@ -84,18 +84,9 @@ def test_a_straddling_draw_and_a_half_carried_over_a_refill():
 
 
 def test_a_range_of_one_draws_nothing():
-    tape, reference = RandomTape(generator(3)), generator(3)
+    tape, reference = RandomTape(3), generator(3)
     assert tape.integers(7, 8, size=2) == (7, 7)
     assert_bitwise(tape.random(3), reference.random(3))
-
-
-def test_only_a_fresh_pcg64_generator_is_accepted():
-    with pytest.raises(TypeError, match="PCG64"):
-        RandomTape(np.random.Generator(np.random.Philox(1)))
-    rng = generator(1)
-    rng.integers(0, 10)  # draws the low half of a word and buffers the high one
-    with pytest.raises(ValueError, match="half-word"):
-        RandomTape(rng)
 
 
 @pytest.mark.parametrize("draw", [
@@ -109,7 +100,7 @@ def test_only_a_fresh_pcg64_generator_is_accepted():
 ])
 def test_any_other_call_raises(draw):
     with pytest.raises((ValueError, TypeError, AttributeError)):
-        draw(RandomTape(generator(1)))
+        draw(RandomTape(1))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -118,8 +109,8 @@ def test_a_run_across_refills_is_bitwise_the_per_particle_loop(monkeypatch, vari
     tapes = []
 
     class RecordedTape(CountingTape):
-        def __init__(self, rng):
-            super().__init__(rng)
+        def __init__(self, seed):
+            super().__init__(seed)
             tapes.append(self)
 
     monkeypatch.setattr(fcpso.tape, "RandomTape", RecordedTape)
