@@ -6,14 +6,16 @@ checkout this script sits in:
 
     python scripts/experiment_digest.py > experiment_digests.txt
 
-It writes three files and prints ``<case> <sha256>`` for each:
+It writes four files and prints ``<case> <sha256>`` for each:
 
 * ``comparison``: ``comparison.csv`` of smpso, em-smpso and fcpso on the
   five ZDT problems and dtlz2:3 with hv, igd and fe (dtlz2 has no
   reference hypervolume, so its fe row is an error row);
 * ``fe-only``: ``comparison.csv`` of the same variants with fe alone, on
   zdt1, zdt4 and dtlz2:3, where each task runs to the hv target;
-* ``profile``: ``profile.csv`` of zdt1 and zdt3 over a two-point mu grid.
+* ``profile``: ``profile.csv`` of zdt1 and zdt3 over a two-point mu grid;
+* ``profile-grid``: the same over a grid with a repeated mu, an
+  unreachable mu and both signed zeros.
 
 Two checkouts whose outputs ``diff`` clean produce byte-identical
 experiment files, so a change to how tasks are built, run or paired can
@@ -51,15 +53,16 @@ SPECS = {
         **RUN,
     ),
 }
-PROFILE = dict(problems=("zdt1", "zdt3"), mu_grid=(-0.2, 0.2), repetitions=3, **RUN)
-CASES = (*SPECS, "profile")
+PROFILE = dict(problems=("zdt1", "zdt3"), repetitions=3, **RUN)
+GRIDS = {"profile": (-0.2, 0.2), "profile-grid": (0.2, -0.2, 0.2, 0.49, -0.0, 0.0)}
+CASES = (*SPECS, *GRIDS)
 
 
 def digest(case: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        if case == "profile":
+        if case in GRIDS:
             path = Path(tmp) / "profile.csv"
-            points, _ = unfairness_profile(**PROFILE, workers=1)
+            points, _ = unfairness_profile(**PROFILE, mu_grid=GRIDS[case], workers=1)
             io.write_profile_csv(path, points)
         else:
             path = Path(tmp) / "comparison.csv"

@@ -318,8 +318,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    front = io.read_front_csv(args.front)
-    reference = io.read_front_csv(args.reference) if args.reference else None
+    front = _convert(io.read_front_csv, args.front, "--front")
+    reference = _convert(io.read_front_csv, args.reference, "--reference") if args.reference else None
     if args.indicators:
         wanted = _items(args.indicators)
         bad = [i for i in wanted if i not in ("hv", "igd", "eps", "sp")]

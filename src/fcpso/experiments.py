@@ -4,7 +4,8 @@ Runs are paired across variants (seed_i = base_seed + i) so every
 comparison sees the same random starts.  Each (problem, indicator) cell
 gets the per-variant medians and a two-sided Mann-Whitney p-value.
 
-Every task makes one run.  The "fe" indicator, the evaluations until the
+Each distinct (problem, configuration) cell runs once per seed, and every
+task makes one run.  The "fe" indicator, the evaluations until the
 archive hv first reaches hv_target_fraction of the reference hv, is read
 from the budget run's per-generation hv trace, or, when fe is the only
 indicator, from a run that stops at that target.
@@ -16,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -57,15 +59,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.problems or not self.indicators or len(self.variants) < 2:
             raise ValueError("an experiment needs a problem, an indicator and two variants to pair")
-        for pid in self.problems:
-            get_problem(*parse_problem_id(pid))  # cached; raises on an unknown or mis-sized id
-        if self.repetitions < 2:
-            raise ValueError("repetitions must be >= 2 for statistics")
+        _check_plan(self.problems, self.repetitions, 2, self.base_seed)
         bad = [i for i in self.indicators if i not in INDICATORS]
         if bad:
             raise ValueError(f"unknown indicators {bad}; choose from {INDICATORS}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if "fe" in self.indicators and self.hv_target_fraction is None:
             raise ValueError("the fe indicator needs an hv_target_fraction")
         for v in self.variants:
@@ -136,31 +133,52 @@ def _fe(result: RunResult, hv_target: float) -> float:
 
 def _execute(task: _Task) -> dict:
     problem = get_problem(*parse_problem_id(task.problem_id))
-    cfg = replace(task.cfg, hv_target_fraction=None)
     wanted = tuple(i for i in task.indicators if i != "fe")
+    fe = "fe" in task.indicators and problem.reference_hv is not None
     metrics: dict = {}
-    hv_target = None
-    if "fe" in task.indicators:
-        try:
-            hv_target = task.cfg.hv_target(problem)
-        except ValueError:
-            metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
-        else:
-            # the traced budget run's trace starts with the target run's trace
-            cfg = replace(cfg, record_interval=1) if wanted else task.cfg
-    if wanted or hv_target is not None:
-        result = run(problem, cfg, task.seed)
-        metrics.update(_metrics_for(result, problem, wanted))
-        if hv_target is not None:
-            metrics["fe"] = _fe(result, hv_target)
+    if "fe" in task.indicators and not fe:
+        metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
+    if not (wanted or fe):
+        return metrics
+    # a budget run traced every generation starts with the target run's
+    # trace; an fe-only run stops at the target
+    cfg = replace(task.cfg, hv_target_fraction=None, record_interval=int(fe)) if wanted else task.cfg
+    result = run(problem, cfg, task.seed)
+    metrics.update(_metrics_for(result, problem, wanted))
+    if fe:
+        metrics["fe"] = _fe(result, task.cfg.hv_target(problem))
     return metrics
 
 
-def _run_tasks(tasks: list[_Task], workers: int) -> list[dict]:
+def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> None:
+    """Reject a batch's problems, repetitions or seeds before any run starts."""
+    if not problems:
+        raise ValueError("no problems to run")
+    for pid in problems:
+        get_problem(*parse_problem_id(pid))  # cached; raises on an unknown or mis-sized id
+    if repetitions < minimum:
+        raise ValueError(f"repetitions must be >= {minimum}" + (" for statistics" if minimum > 1 else ""))
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed!r}")
+
+
+def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers) -> dict:
+    """Run each distinct (problem, config key) cell once per seed.
+
+    Returns {(problem id, key): metrics of seeds base_seed, base_seed + 1, ...};
+    ``workers`` defaults to one process per core.
+    """
+    seeds = range(base_seed, base_seed + repetitions)
+    cells = [(pid, key) for pid in dict.fromkeys(problems) for key in configs]
+    tasks = [_Task(pid, seed, configs[key], indicators) for pid, key in cells for seed in seeds]
+    workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers <= 1 or len(tasks) <= 1:
-        return [_execute(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute, tasks, chunksize=1))
+        metrics = [_execute(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            metrics = list(pool.map(_execute, tasks, chunksize=1))
+    in_order = iter(metrics)
+    return {cell: [next(in_order) for _ in seeds] for cell in cells}
 
 
 def median(values) -> float:
@@ -168,29 +186,15 @@ def median(values) -> float:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ComparisonRow]:
-    """Run every (problem, variant, seed) cell and pair the variants."""
-    workers = workers if workers is not None else (os.cpu_count() or 1)
+    """Run every (problem, variant, seed) cell once and pair the variants."""
     configs = {variant: spec.run_config(variant) for variant in spec.variants}
-    tasks = [
-        _Task(pid, spec.base_seed + i, configs[variant], spec.indicators)
+    by_cell = _run_cells(spec.problems, configs, spec.repetitions, spec.base_seed, spec.indicators, workers)
+    return [
+        _compare_cell(pid, ind, va, vb, by_cell[(pid, va)], by_cell[(pid, vb)])
         for pid in spec.problems
-        for variant in spec.variants
-        for i in range(spec.repetitions)
+        for ind in spec.indicators
+        for va, vb in combinations(spec.variants, 2)
     ]
-    metrics = _run_tasks(tasks, workers)
-
-    by_cell: dict[tuple[str, str], list[dict]] = {}
-    for task, m in zip(tasks, metrics):
-        by_cell.setdefault((task.problem_id, task.cfg.dynamics.variant), []).append(m)
-
-    rows: list[ComparisonRow] = []
-    for pid in spec.problems:
-        for ind in spec.indicators:
-            for ia in range(len(spec.variants)):
-                for ib in range(ia + 1, len(spec.variants)):
-                    va, vb = spec.variants[ia], spec.variants[ib]
-                    rows.append(_compare_cell(pid, ind, va, vb, by_cell[(pid, va)], by_cell[(pid, vb)]))
-    return rows
 
 
 def _compare_cell(pid, ind, va, vb, ma, mb) -> ComparisonRow:
@@ -224,9 +228,10 @@ def unfairness_profile(
     grid, normalized per problem by the inertial baseline's median.
 
     Returns (points, notices); a mu outside the coverage of the known
-    scheme families is skipped with a notice.
+    scheme families is skipped with a notice, and a grid with no mu left
+    runs nothing.  Bad problems, repetitions or seeds raise before any run.
     """
-    workers = workers if workers is not None else (os.cpu_count() or 1)
+    _check_plan(problems, repetitions, 1, base_seed)
 
     def config(variant: str, scheme: ParameterScheme | None = None) -> RunConfig:
         return RunConfig(
@@ -237,7 +242,7 @@ def unfairness_profile(
 
     notices: list[str] = []
     grid: list[float] = []
-    configs = [config("smpso")]  # the inertial baseline, then one momentum swarm per mu
+    configs = {"baseline": config("smpso")}  # the inertial baseline, then one momentum swarm per mu
     for mu in mu_grid:
         try:
             scheme = scheme_for_unfairness(float(mu))
@@ -245,26 +250,18 @@ def unfairness_profile(
             notices.append(f"mu={mu}: skipped ({exc})")
             continue
         grid.append(float(mu))
-        configs.append(config("em-smpso", scheme))
+        configs[float(mu)] = config("em-smpso", scheme)  # a repeated mu (or -0.0 and 0.0) is one cell
+    if not grid:
+        return [], notices
 
-    tasks = [
-        _Task(pid, base_seed + i, cfg, ("hv",))
-        for pid in problems
-        for cfg in configs
-        for i in range(repetitions)
-    ]
-    metrics = _run_tasks(tasks, workers)
-
+    by_cell = _run_cells(problems, configs, repetitions, base_seed, ("hv",), workers)
     points: list[ProfilePoint] = []
-    cursor = 0
     for pid in problems:
-        baseline = median([m["hv"] for m in metrics[cursor : cursor + repetitions]])
-        cursor += repetitions
+        baseline = median([m["hv"] for m in by_cell[(pid, "baseline")]])
         if baseline == 0.0:
             raise ValueError(f"{pid}: the smpso baseline's median hv is 0, so no hv can be normalized by it")
         for mu in grid:
-            hvs = [m["hv"] for m in metrics[cursor : cursor + repetitions]]
-            cursor += repetitions
+            hvs = [m["hv"] for m in by_cell[(pid, mu)]]
             points.append(ProfilePoint(mu=mu, problem=pid, normalized_hv=median(hvs) / baseline))
     return points, notices
 

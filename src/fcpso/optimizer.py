@@ -46,7 +46,6 @@ class RunConfig:
     max_evaluations: int = 25_000
     archive_capacity: int = 100
     hv_target_fraction: float | None = None  # None -> pure budget termination
-    reference_hv: float | None = None  # None -> problem.reference_hv
     record_interval: int = 0  # generations between hv-trace samples (0 = off)
 
     def __post_init__(self) -> None:
@@ -64,16 +63,13 @@ class RunConfig:
 
     def hv_target(self, problem: ProblemInstance) -> float | None:
         """The hypervolume that stops a run on ``problem``; None under pure
-        budget termination."""
+        budget termination.  ``problem.reference_hv`` is the only reference;
+        ``dataclasses.replace(problem, reference_hv=...)`` sets another."""
         if self.hv_target_fraction is None:
             return None
-        reference_hv = self.reference_hv if self.reference_hv is not None else problem.reference_hv
-        if reference_hv is None:
-            raise ValueError(
-                f"hv-target termination needs a reference hypervolume, and {problem.name} "
-                "has none; set RunConfig.reference_hv"
-            )
-        return self.hv_target_fraction * reference_hv
+        if problem.reference_hv is None:
+            raise ValueError(f"hv-target termination needs a reference hypervolume, and {problem.name} has none")
+        return self.hv_target_fraction * problem.reference_hv
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 import scipy.stats as st
 
 from fcpso.constriction import activation_event, chi_momentum, chi_vanilla, lambda_max
-from fcpso.experiments import _run_tasks, _Task, mann_whitney_p, median, run_experiment, unfairness_profile
+from fcpso.experiments import _run_cells, mann_whitney_p, median, run_experiment, unfairness_profile
 from fcpso.fairness import (
     ParameterScheme,
     monte_carlo_activation,
@@ -39,7 +39,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"[acceptance] {criterion}: {status}{suffix}")
 
 
-def batch(problem_id: str, variant: str, indicators=("hv",), seeds=SEEDS):
+def batch(problem_id: str, variant: str, indicators=("hv",)):
     cfg = RunConfig(
         dynamics=DynamicsConfig(variant=variant, swarm_size=100),
         mutation=MutationConfig(),
@@ -47,10 +47,9 @@ def batch(problem_id: str, variant: str, indicators=("hv",), seeds=SEEDS):
         archive_capacity=100,
         hv_target_fraction=0.95 if "fe" in indicators else None,
     )
-    tasks = [_Task(problem_id, s, cfg, tuple(indicators)) for s in seeds]
     t0 = time.perf_counter()
-    metrics = _run_tasks(tasks, WORKERS)
-    return metrics, time.perf_counter() - t0
+    cells = _run_cells([problem_id], {variant: cfg}, len(SEEDS), SEEDS[0], tuple(indicators), WORKERS)
+    return cells[(problem_id, variant)], time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

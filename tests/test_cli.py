@@ -380,9 +380,18 @@ class TestIndicatorsCmd:
     def test_non_finite_front_row_is_rejected(self, tmp_path, capsys):
         f = tmp_path / "f.csv"
         f.write_text("f1,f2\n0.0,1.0\n0.1,nan\n1.0,0.0\n")
-        assert run_cli("indicators", "--front", str(f), "--ref-point", "2,2") == 2
+        assert run_cli("indicators", "--front", str(f), "--ref-point", "2,2") == 1
         out, err = capsys.readouterr()
-        assert out == "" and f"error: {f}: non-finite field in row 3" in err
+        assert out == "" and f"error: --front: {f}: non-finite field in row 3" in err
+
+    def test_malformed_reference_exits_1_naming_flag(self, tmp_path, capsys):
+        f = tmp_path / "f.csv"
+        f.write_text("0.0,1.0\n1.0,0.0\n")
+        r = tmp_path / "r.csv"
+        r.write_text("0.0,1.0\n0.5,abc\n")
+        assert run_cli("indicators", "--front", str(f), "--reference", str(r)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: --reference: {r}: non-numeric field in row 2" in err
 
     def test_round_trip_of_emitted_front(self, tmp_path, capsys):
         assert run_cli(

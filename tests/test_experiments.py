@@ -181,6 +181,27 @@ class TestRunExperiment:
         assert rows[0].p_value == 1.0  # paired seeds give identical samples
         assert rows[0].winner == "tie"
 
+    def test_repeated_variant_or_problem_is_run_once(self, monkeypatch):
+        spec = ExperimentSpec(
+            problems=("zdt1",), repetitions=4, max_evaluations=1000, swarm_size=20, archive_capacity=20,
+        )
+        (pair,) = run_experiment(spec, workers=1)
+        assert pair.p_value == pytest.approx(24 / 70)  # 0.343
+        runs = []
+        real_run = experiments.run
+        monkeypatch.setattr(experiments, "run", lambda *args: runs.append(args) or real_run(*args))
+        rows = run_experiment(replace(spec, variants=("smpso", "fcpso", "smpso")), workers=1)
+        assert len(runs) == 8  # 2 distinct variants x 4 seeds; pooling the copies would give p = 0.200
+        assert [(r.variant_a, r.variant_b) for r in rows] == [
+            ("smpso", "fcpso"), ("smpso", "smpso"), ("fcpso", "smpso"),
+        ]
+        assert rows[0] == pair
+        assert rows[1].p_value == 1.0 and rows[1].winner == "tie"
+        assert rows[2].p_value == pair.p_value
+        runs.clear()
+        assert run_experiment(replace(spec, problems=("zdt1", "zdt1")), workers=1) == [pair, pair]
+        assert len(runs) == 8
+
     def test_missing_reference_front_becomes_error_row(self):
         spec = ExperimentSpec(
             problems=("wfg1:5",),
@@ -265,6 +286,41 @@ class TestUnfairnessProfile:
         for p in points:
             assert p.problem == "zdt1"
             assert p.normalized_hv > 0.0
+
+    def test_repeated_mu_and_signed_zeros_share_one_cell(self, monkeypatch):
+        kwargs = dict(repetitions=2, base_seed=1, max_evaluations=400, swarm_size=20, workers=1)
+        single = {mu: unfairness_profile(["zdt1"], [mu], **kwargs)[0][0] for mu in (0.2, -0.0)}
+        runs = []
+        real_run = experiments.run
+        monkeypatch.setattr(experiments, "run", lambda *args: runs.append(args) or real_run(*args))
+        points, notices = unfairness_profile(["zdt1"], [0.2, -0.0, 0.2, 0.49, 0.0], **kwargs)
+        assert len(runs) == 2 * 3  # the baseline, 0.2 and 0.0, two seeds each
+        assert len(notices) == 1 and "0.49" in notices[0]
+        assert [str(p.mu) for p in points] == ["0.2", "-0.0", "0.2", "0.0"]
+        assert points[:3] == [single[0.2], single[-0.0], single[0.2]]
+        assert points[3].normalized_hv == single[-0.0].normalized_hv
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(repetitions=0), "repetitions must be >= 1"),
+        (dict(base_seed=-1, workers=2), "base_seed must be >= 0, got -1"),
+        (dict(problems=["zdt1", "zdt99"]), "zdt99"),
+        (dict(problems=[]), "no problems to run"),
+    ])
+    def test_bad_input_raises_before_any_run(self, monkeypatch, changes, match):
+        started = []
+        monkeypatch.setattr(experiments, "run", lambda *args: started.append("run"))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: started.append("pool"))
+        kwargs = dict(problems=["zdt1"], mu_grid=[0.1], repetitions=2, max_evaluations=400, swarm_size=20, workers=1)
+        with pytest.raises(ValueError, match=match) as exc:
+            unfairness_profile(**{**kwargs, **changes})
+        assert started == [] and "variant" not in str(exc.value)
+
+    def test_grid_without_a_reachable_mu_runs_nothing(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(experiments, "run", lambda *args: runs.append(args))
+        points, notices = unfairness_profile(["zdt1"], [0.49, 0.6], repetitions=2, workers=1)
+        assert points == [] and runs == []
+        assert [n.split(":")[0] for n in notices] == ["mu=0.49", "mu=0.6"]
 
     def test_profile_deterministic(self):
         kwargs = dict(repetitions=2, base_seed=5, max_evaluations=400, swarm_size=20, workers=1)

@@ -108,10 +108,10 @@ class TestHvTarget:
             run(problem, replace(quick_cfg(), hv_target_fraction=0.95), seed=1)
 
     def test_explicit_reference_hv_override(self):
-        problem = get_problem("dtlz2", 3)
-        cfg = quick_cfg(reference_hv=7.0, evals=400)
-        result = run(problem, replace(cfg, hv_target_fraction=0.01), seed=1)
-        assert result.evaluations_used <= 400
+        problem = replace(get_problem("dtlz2", 3), reference_hv=7.0)
+        result = run(problem, replace(quick_cfg(evals=400), hv_target_fraction=0.01), seed=1)
+        assert result.evaluations_used == 20  # the initial swarm already meets 0.01 x 7
+        assert get_problem("dtlz2", 3).reference_hv is None  # the cached instance is untouched
 
     def test_trace_recorded_and_tolerably_monotone(self):
         problem = get_problem("zdt1")

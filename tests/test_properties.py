@@ -7,6 +7,7 @@ every hypervolume is an exact sum of integer boxes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hv_oracle import hv_oracle
@@ -249,16 +250,14 @@ def run_cases(draw):
         particle_fraction=draw(st.sampled_from([0.0, 0.15, 1.0])),
     )
     target = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
-    reference_hv = None
     if (target is not None and problem.reference_hv is None) or draw(st.booleans()):
-        reference_hv = draw(st.floats(0.5, 8.0))
+        problem = replace(problem, reference_hv=draw(st.floats(0.5, 8.0)))
     cfg = RunConfig(
         dynamics=dynamics,
         mutation=mutation,
         max_evaluations=swarm * draw(st.integers(1, 8)) + draw(st.integers(0, swarm - 1)),
         archive_capacity=draw(st.integers(1, 30)),
         hv_target_fraction=target,
-        reference_hv=reference_hv,
         record_interval=draw(st.integers(0, 3)),
     )
     return problem, cfg
