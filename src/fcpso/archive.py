@@ -5,10 +5,24 @@ far, evicting by crowding distance when full.  Entries live in row order
 in preallocated objective and position arrays.  Swarm leaders (the gbest
 of the velocity update) are drawn from it with a binary tournament that
 favours isolated entries.
+
+The first candidate's objective count picks how the archive keeps its
+entries in order.  With two objectives, a mutually non-dominated set
+sorted by f1 has strictly falling f2, a staircase (Kung, Luccio and
+Preparata, JACM 1975).  The archive keeps that order in plain lists:
+one bisect decides dominance, the entries a candidate beats are one run
+of the staircase, and an insertion or an eviction changes the crowding
+of its neighbours only, unless it moves an extreme.  With three or more
+objectives, dominance is one vectorized test against every row, and the
+crowding is recomputed over all rows when a leader or an eviction next
+needs it.  Both ways give bitwise the same crowding, outcomes, entry
+order and leader draws.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from math import isfinite
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,7 +108,13 @@ class ExternalArchive:
 
     Row ``i < len(self)`` of the objective and position buffers is entry
     ``i``; entries keep the order they were inserted in.  The buffers have
-    one spare row for the candidate that overflows the capacity.
+    one spare row for the candidate that overflows the capacity, and
+    ``_crowding`` has each row's crowding distance.
+
+    With two objectives the entries are also a staircase: ``_f1``,
+    ``_f2`` and ``_ids`` list them by rising f1, and so by falling f2.
+    An entry's id counts the insertions before it, so ``_rows``, the ids
+    in row order, is sorted and a bisect finds an id's row.
     """
 
     def __init__(self, capacity: int = 100):
@@ -107,6 +127,13 @@ class ExternalArchive:
         self._positions: np.ndarray | None = None
         self._crowding = np.zeros(capacity + 1)
         self._crowding_fresh = False
+        # the staircase; _f1 stays None unless the first candidate has
+        # two objectives
+        self._f1: list[float] | None = None
+        self._f2: list[float] = []
+        self._ids: list[int] = []
+        self._rows: list[int] = []
+        self._next_id = 0
 
     def __len__(self) -> int:
         return self._n
@@ -128,23 +155,32 @@ class ExternalArchive:
 
         Returns "dominated" if some entry weakly dominates the candidate
         (duplicates count), "replaced-crowded" if insertion forced a
-        crowding eviction, "inserted" otherwise.
+        crowding eviction, "inserted" otherwise.  A non-finite objective
+        raises ValueError; with three or more objectives only a candidate
+        that is not dominated is checked.
         """
         c = np.asarray(objectives, dtype=float)
         x = np.asarray(position, dtype=float)
         if self._objectives is None:
             self._objectives = np.empty((self.capacity + 1, *c.shape))
             self._positions = np.empty((self.capacity + 1, *x.shape))
+            if c.shape == (2,):
+                self._f1 = []
+                self._crowding_fresh = True  # every change keeps it current
         elif c.shape != self._objectives.shape[1:] or x.shape != self._positions.shape[1:]:
             raise ValueError(
                 f"candidate has objectives {c.shape} and position {x.shape}; the archive holds "
                 f"{self._objectives.shape[1:]} and {self._positions.shape[1:]}"
             )
+        if self._f1 is not None:
+            return self._insert_on_staircase(x, c)
         n = self._n
         F = self._objectives[:n]
         # weakly dominated (or duplicate) -> reject
         if (F <= c).all(axis=1).any():
             return DOMINATED
+        if not np.isfinite(c).all():
+            raise ValueError(f"objectives must be finite, got {c.tolist()}")
         # no entry is <= c, so an entry c is <= everywhere is strictly dominated
         beaten = (c <= F).all(axis=1)
         if beaten.any():
@@ -155,22 +191,91 @@ class ExternalArchive:
         self._crowding_fresh = False
         if self._n <= self.capacity:
             return INSERTED
-        self._refresh_crowding()
+        self._evict()
+        return REPLACED_CROWDED
+
+    def _insert_on_staircase(self, x: np.ndarray, c: np.ndarray) -> str:
+        """``try_insert`` with two objectives: a bisect finds the one entry
+        that could dominate the candidate, and the crowding of the
+        entries next to it on the staircase is all that changes."""
+        a, b = c.tolist()
+        # a NaN would break the staircase's order
+        if not (isfinite(a) and isfinite(b)):
+            raise ValueError(f"objectives must be finite, got {[a, b]}")
+        f1, f2, ids = self._f1, self._f2, self._ids
+        p = bisect_right(f1, a)
+        # of the entries with f1 <= a, the last has the least f2
+        if p and f2[p - 1] <= b:
+            return DOMINATED
+        # the entries with f1 >= a have falling f2, so those the candidate
+        # beats (f2 >= b) are one run from q
+        q = end = bisect_left(f1, a)
+        while end < len(f2) and f2[end] >= b:
+            end += 1
+        if end > q:
+            gone = set(ids[q:end])
+            self._keep(np.array([i not in gone for i in self._rows]))
+            self._rows = [i for i in self._rows if i not in gone]
+            del f1[q:end], f2[q:end], ids[q:end]
         n = self._n
-        e = int(np.argmin(self._crowding[:n]))  # first of the least crowded
-        self._objectives[e : n - 1] = self._objectives[e + 1 : n]
-        self._positions[e : n - 1] = self._positions[e + 1 : n]
-        self._n = n - 1
-        self._crowding_fresh = False
+        self._objectives[n] = c
+        self._positions[n] = x
+        self._n = n + 1
+        f1.insert(q, a)
+        f2.insert(q, b)
+        ids.insert(q, self._next_id)
+        self._rows.append(self._next_id)
+        self._next_id += 1
+        self._recrowd(q)
+        if self._n <= self.capacity:
+            return INSERTED
+        self._evict()
         return REPLACED_CROWDED
 
     def _keep(self, mask: np.ndarray) -> int:
         """Compact the entries to those where ``mask`` holds, in order."""
         m = int(np.count_nonzero(mask))
-        self._objectives[:m] = self._objectives[: self._n][mask]
-        self._positions[:m] = self._positions[: self._n][mask]
+        n = self._n
+        self._objectives[:m] = self._objectives[:n][mask]
+        self._positions[:m] = self._positions[:n][mask]
+        self._crowding[:m] = self._crowding[:n][mask]
         self._n = m
         return m
+
+    def _evict(self) -> None:
+        """Drop the first of the least crowded entries; later rows shift down."""
+        self._refresh_crowding()
+        n = self._n
+        e = int(np.argmin(self._crowding[:n]))
+        if self._f1 is not None:
+            q = bisect_left(self._f1, float(self._objectives[e, 0]))
+            del self._f1[q], self._f2[q], self._ids[q], self._rows[e]
+            self._crowding[e : n - 1] = self._crowding[e + 1 : n]
+        self._objectives[e : n - 1] = self._objectives[e + 1 : n]
+        self._positions[e : n - 1] = self._positions[e + 1 : n]
+        self._n = n - 1
+        if self._f1 is None:
+            self._crowding_fresh = False
+        else:
+            self._recrowd(min(q, n - 2))
+
+    def _recrowd(self, q: int) -> None:
+        """Bring the crowding up to date after a change at staircase entry q.
+
+        An interior change moves only the gaps of entries q - 1, q and
+        q + 1.  A change at either end moves a span, and so every gap.
+        The gaps are ``crowding_distance``'s float operations in its
+        order, so the values are bitwise its own.
+        """
+        f1, f2 = self._f1, self._f2
+        last = len(f1) - 1
+        if q <= 0 or q >= last:
+            self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
+            return
+        # the ends keep their inf
+        for i in range(max(q - 1, 1), min(q + 2, last)):
+            d = (f1[i + 1] - f1[i - 1]) / (f1[-1] - f1[0]) + (f2[i - 1] - f2[i + 1]) / (f2[0] - f2[-1])
+            self._crowding[bisect_left(self._rows, self._ids[i])] = d
 
     def _refresh_crowding(self) -> None:
         if self._crowding_fresh or not self._n:

@@ -3,7 +3,8 @@
 Each particle is an object with its own position, velocity, momentum and
 personal best, and every step (initial draw, velocity, position and
 bounce, turbulence, evaluation, archive insertion, personal best) runs
-once per particle in swarm order.  The array swarm in ``fcpso.swarm``
+once per particle in swarm order, and the archive is the list-based
+``archive_oracle.ListArchive``.  The array swarm in ``fcpso.swarm``
 batches the steps whose random draws keep this order, so a run must
 reproduce this loop bitwise: same fronts, positions, hv trace and
 evaluation count.
@@ -12,18 +13,13 @@ evaluation count.
 from dataclasses import dataclass
 
 import numpy as np
+from archive_oracle import ListArchive, dominates
 
-from fcpso.archive import ExternalArchive
 from fcpso.constriction import chi_momentum, chi_vanilla
 from fcpso.indicators import hypervolume
 from fcpso.mutation import polynomial_mutate
 from fcpso.optimizer import RunResult
 from fcpso.swarm import draw_coefficients
-
-
-def dominates(a, b) -> bool:
-    """Minimization dominance: a <= b everywhere and a < b somewhere."""
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 @dataclass
@@ -101,7 +97,7 @@ def run_oracle(problem, cfg, seed) -> RunResult:
     hv_target = cfg.hv_target(problem)
 
     swarm = initial_swarm(problem, dyn, rng)
-    archive = ExternalArchive(cfg.archive_capacity)
+    archive = ListArchive(cfg.archive_capacity)
     for p in swarm:
         archive.try_insert(p.position, p.pbest_objectives)
     evaluations = dyn.swarm_size

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,29 @@ class TestTryInsert:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ExternalArchive(capacity=0)
+
+
+class TestNonFiniteObjectives:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("held", [0, 2])
+    def test_rejected_naming_the_values(self, k, bad, held):
+        # the candidate beats the (0, 1) and (1, 0) corners in the last
+        # objective, so at k = 3 neither entry dominates it
+        a = ExternalArchive(capacity=2)
+        corners = [entry(0.0, 1.0, *[0.5] * (k - 2)), entry(1.0, 0.0, *[0.5] * (k - 2))]
+        for x, y in corners[:held]:
+            a.try_insert(x, y)
+        before = a.objectives_array().tolist()
+        candidate = [bad, 0.1, *[0.1] * (k - 2)]
+        with pytest.raises(ValueError, match=re.escape(str(candidate))):
+            a.try_insert(*entry(*candidate))
+        assert a.objectives_array().tolist() == before
+
+    def test_three_objective_check_follows_dominance(self):
+        a = ExternalArchive(capacity=2)
+        a.try_insert(*entry(0.0, 0.0, 0.0))
+        assert a.try_insert(*entry(np.inf, 1.0, 1.0)) == DOMINATED
 
 
 class TestArchiveInvariants:

@@ -2,28 +2,23 @@
 coefficient-draw invariants, and for the array swarm's generation loop
 against the per-particle loop in ``loop_oracle``.
 
-Objectives are small integers, so duplicates and ties are common, and
-every hypervolume is an exact sum of integer boxes.
+Objectives are mostly small integers, so duplicates and ties are common,
+and every hypervolume is an exact sum of integer boxes; the 2-objective
+crowding property draws floats, whose gaps round.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from archive_oracle import ListArchive, crowding_loop, dominates
 from hv_oracle import hv_oracle
 from hv_oracle import non_dominated_mask as non_dominated_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loop_oracle import dominates, run_oracle
+from loop_oracle import run_oracle
 
-from fcpso.archive import (
-    DOMINATED,
-    INSERTED,
-    REPLACED_CROWDED,
-    ExternalArchive,
-    crowding_distance,
-    non_dominated_mask,
-)
+from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import hypervolume
 from fcpso.mutation import MutationConfig
@@ -54,57 +49,6 @@ def _mutually_non_dominated(F: np.ndarray) -> bool:
     )
 
 
-def crowding_loop(F: np.ndarray) -> np.ndarray:
-    """Crowding distance one objective at a time."""
-    m, k = F.shape
-    if m <= 2:
-        return np.full(m, np.inf)
-    d = np.zeros(m)
-    for j in range(k):
-        order = np.argsort(F[:, j], kind="stable")
-        fj = F[order, j]
-        span = fj[-1] - fj[0]
-        if span == 0.0:
-            continue
-        d[order[0]] = np.inf
-        d[order[-1]] = np.inf
-        d[order[1:-1]] += (fj[2:] - fj[:-2]) / span
-    return d
-
-
-class ListArchive:
-    """The archive as a list of (position, objectives) pairs: the
-    sequential semantics the array-backed archive must keep, entry order
-    and random draws included."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.entries = []
-
-    def try_insert(self, x, y):
-        if any(np.all(f <= y) for _, f in self.entries):
-            return DOMINATED
-        self.entries = [(p, f) for p, f in self.entries if not dominates(y, f)]
-        self.entries.append((x.copy(), y.copy()))
-        if len(self.entries) <= self.capacity:
-            return INSERTED
-        d = self.crowding()
-        del self.entries[min(range(len(d)), key=lambda i: d[i])]
-        return REPLACED_CROWDED
-
-    def crowding(self):
-        return crowding_loop(np.array([f for _, f in self.entries]))
-
-    def select_leader(self, rng):
-        d = self.crowding()
-        i, j = rng.integers(0, len(self.entries), size=2)
-        if d[i] > d[j]:
-            return self.entries[i][0]
-        if d[j] > d[i]:
-            return self.entries[j][0]
-        return self.entries[i][0] if rng.random() < 0.5 else self.entries[j][0]
-
-
 @PROPERTY_SETTINGS
 @given(objective_stream())
 def test_archive_stays_non_dominated_and_within_capacity(stream):
@@ -132,16 +76,38 @@ def test_archive_keeps_each_objective_minimum(stream):
 def test_archive_matches_the_sequential_list_archive(stream, seed):
     capacity, points = stream
     archive, reference = ExternalArchive(capacity), ListArchive(capacity)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     for i, y in enumerate(points):
         x = np.array([float(i), -float(i)])  # names the candidate
         assert archive.try_insert(x, y) == reference.try_insert(x, y)
         np.testing.assert_array_equal(archive.positions_array(), [p for p, _ in reference.entries])
         np.testing.assert_array_equal(archive.objectives_array(), [f for _, f in reference.entries])
+        # a draw after every step sees crowding gone stale mid-stream
+        np.testing.assert_array_equal(archive.select_leader(a), reference.select_leader(b))
     if points:
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
             np.testing.assert_array_equal(archive.select_leader(a), reference.select_leader(b))
 
+
+
+@st.composite
+def two_objective_stream(draw):
+    capacity = draw(st.integers(1, 8))
+    # f2 near 1 - f1, so most points are mutually non-dominated
+    points = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.1)), max_size=60))
+    return capacity, [np.array([f1, 1.0 - f1 + noise]) for f1, noise in points]
+
+
+@PROPERTY_SETTINGS
+@given(two_objective_stream())
+def test_two_objective_crowding_stays_bitwise_the_full_recompute(stream):
+    # the staircase updates only the neighbours of each change
+    capacity, points = stream
+    archive = ExternalArchive(capacity)
+    for y in points:
+        archive.try_insert(np.zeros(1), y)
+        expected = crowding_distance(archive.objectives_array())
+        assert archive._crowding[: len(archive)].tobytes() == expected.tobytes()
 
 @st.composite
 def integer_points(draw, k_min=2, k_max=3, min_size=1, max_size=12):
