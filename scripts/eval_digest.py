@@ -6,6 +6,10 @@ checkout this script sits in:
 
     python scripts/eval_digest.py > eval_digests.txt
 
+``scripts/baselines/eval_digest.txt`` holds its 53 lines as last recorded
+(numpy 2.4.6); ``python scripts/eval_digest.py | diff - scripts/baselines/eval_digest.txt``
+checks a change against them.
+
 Each ZDT problem is evaluated at its default size, and each DTLZ and WFG
 problem at 2, 3 and 5 objectives.  The inputs are both box corners plus
 500 uniform points from a fixed seed, and the line printed is
@@ -23,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fcpso.problems import available_problems, get_problem  # noqa: E402
+from fcpso.problems import available_problems, get_problem, parse_problem_id  # noqa: E402
 
 POINTS = 500
 SEED = 20240607
@@ -41,8 +45,7 @@ def problem_ids() -> list[str]:
 
 
 def digest(problem_id: str) -> str:
-    name, _, m = problem_id.partition(":")
-    problem = get_problem(name, int(m) if m else None)
+    problem = get_problem(*parse_problem_id(problem_id))
     lower, upper = problem.bounds.lower, problem.bounds.upper
     rng = np.random.default_rng(SEED)
     points = [lower, upper] + [rng.uniform(lower, upper) for _ in range(POINTS)]

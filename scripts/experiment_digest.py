@@ -6,6 +6,10 @@ checkout this script sits in:
 
     python scripts/experiment_digest.py > experiment_digests.txt
 
+``scripts/baselines/experiment_digest.txt`` holds its 4 lines as last recorded
+(numpy 2.4.6); ``python scripts/experiment_digest.py | diff - scripts/baselines/experiment_digest.txt``
+checks a change against them.
+
 It writes four files and prints ``<case> <sha256>`` for each:
 
 * ``comparison``: ``comparison.csv`` of smpso, em-smpso and fcpso on the

@@ -6,6 +6,10 @@ checkout this script sits in:
 
     python scripts/front_digest.py > digests.txt
 
+``scripts/baselines/front_digest.txt`` holds its 180 lines as last recorded
+(numpy 2.4.6); ``python scripts/front_digest.py | diff - scripts/baselines/front_digest.txt``
+checks a change against them.
+
 It solves zdt1, dtlz2:3 and wfg4:5 with smpso, em-smpso and fcpso on
 seeds 1-20 at 5,000 evaluations (180 runs) and prints
 ``<problem> <variant> <seed> <sha256>`` per run.  Two checkouts whose

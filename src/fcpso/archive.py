@@ -3,8 +3,8 @@
 The archive stores the best mutually non-dominated solutions found so
 far, evicting by crowding distance when full.  Entries live in row order
 in preallocated objective and position arrays.  Swarm leaders (the gbest
-of the velocity update) are drawn from it with a binary tournament that
-favours isolated entries.
+of the velocity update) are drawn from it with binary tournaments that
+favour isolated entries, a generation's tournaments in one call.
 
 The first candidate's objective count picks how the archive keeps its
 entries in order.  With two objectives, a mutually non-dominated set
@@ -23,12 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from math import isfinite
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .tape import RandomTape
 
 __all__ = [
     "ExternalArchive",
@@ -283,22 +279,21 @@ class ExternalArchive:
         self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
         self._crowding_fresh = True
 
-    def select_leader(self, rng: RandomTape) -> np.ndarray:
-        """Binary tournament on crowding distance (larger wins, tie random).
+    def select_leaders(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` binary tournaments on crowding distance (larger wins,
+        a tie random), one per row of the returned copy of the winners'
+        positions.
 
-        The pair and the tie-break come from the run's tape, one
-        ``integers(0, n, size=2)`` and at most one ``random()`` call, each
-        what ``default_rng(seed)`` returns at the same stream position.
-        Returns the winner's position, a view that the next insertion may
-        overwrite.
+        Draws, in order: ``rng.integers(0, n, size=(count, 2))``, the pairs
+        over the n entries, then ``rng.random(count)``; on equal crowding,
+        tournament i takes the first entry of its pair when its draw is
+        below 1/2.  Every tournament draws its tie-break, tie or not.
         """
         if not self._n:
             raise ValueError("cannot select a leader from an empty archive")
         self._refresh_crowding()
-        i, j = rng.integers(0, self._n, size=2)
-        a, b = self._crowding[i], self._crowding[j]
-        if a > b:
-            return self._positions[i]
-        if b > a:
-            return self._positions[j]
-        return self._positions[i] if rng.random() < 0.5 else self._positions[j]
+        pairs = rng.integers(0, self._n, size=(count, 2))
+        ties = rng.random(count)
+        a, b = self._crowding[pairs].T
+        first = np.where(a == b, ties < 0.5, a > b)
+        return self._positions[np.where(first, pairs[:, 0], pairs[:, 1])]

@@ -1,20 +1,16 @@
 """Turbulence operator: polynomial mutation on a random slice of the swarm.
 
-Positions are an (N, n) array mutated in place; each row draws whether
-it mutates, then its mutation, before the next row draws.  The draws come
-from the run's :class:`~fcpso.tape.RandomTape`, built from the run's seed
-and passed in as ``rng``; only its ``random()`` and ``random(k)`` are used.
+Positions are an (N, n) array mutated in place.  The draws come from the
+run's ``np.random.Generator``: one ``rng.random(N)`` block picks the rows,
+then each picked row, in row order, draws its mutation as one
+``rng.random(2 * n)`` block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .tape import RandomTape
 
 __all__ = ["MutationConfig", "polynomial_mutate", "apply_turbulence"]
 
@@ -40,13 +36,16 @@ def polynomial_mutate(
     lower: np.ndarray,
     upper: np.ndarray,
     cfg: MutationConfig,
-    rng: RandomTape,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Polynomial mutation with distribution index eta, clamped to bounds.
 
     Each variable mutates independently with per_variable_probability
     (default 1/n).  The perturbation is symmetric: an internal draw of
-    u = 1/2 leaves the variable unchanged.
+    u = 1/2 leaves the variable unchanged.  One ``rng.random(2 * n)`` block
+    holds the draws: variable i mutates when entry i is below the
+    probability, by the u in entry n + i.  Nothing is drawn when the
+    probability is 0.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -56,12 +55,12 @@ def polynomial_mutate(
         return out
     eta = cfg.distribution_index
     mut_pow = 1.0 / (eta + 1.0)
-    picked = np.flatnonzero(rng.random(n) < prob)
-    for i in picked:
+    draws = rng.random(2 * n)
+    for i in np.flatnonzero(draws[:n] < prob):
         lo, hi = lower[i], upper[i]
         if hi <= lo:
             continue
-        u = rng.random()
+        u = draws[n + i]
         d1 = (x[i] - lo) / (hi - lo)
         d2 = (hi - x[i]) / (hi - lo)
         if u <= 0.5:
@@ -74,11 +73,10 @@ def polynomial_mutate(
     return out
 
 
-def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: RandomTape) -> None:
+def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
     """Mutate a random particle_fraction of the rows of ``positions`` in
     place; velocities and momenta are untouched."""
     if cfg.particle_fraction == 0.0:
         return
-    for x in positions:
-        if rng.random() < cfg.particle_fraction:
-            x[:] = polynomial_mutate(x, bounds.lower, bounds.upper, cfg, rng)
+    for i in np.flatnonzero(rng.random(positions.shape[0]) < cfg.particle_fraction):
+        positions[i] = polynomial_mutate(positions[i], bounds.lower, bounds.upper, cfg, rng)

@@ -1,9 +1,22 @@
 """The generation loop: initialize, move, mutate, evaluate, archive, remember.
 
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
-per row and which once per generation.  A :class:`~fcpso.tape.RandomTape`
-built from the seed is the run's only random source: it draws the initial
-swarm, then every leader, coefficient, turbulence and personal-best draw.
+per row and which once per generation.  ``np.random.default_rng(seed)``
+is the run's only random source, and the order of its draws is part of
+the contract: the initial swarm draws one ``rng.random(N * k)`` block
+(:func:`~fcpso.swarm.initialize_swarm`), then each generation of N
+particles over n variables, with an archive of a entries, draws
+
+1. the leaders: ``rng.integers(0, a, size=(N, 2))``, then ``rng.random(N)``
+   for ties (:meth:`~fcpso.archive.ExternalArchive.select_leaders`);
+2. the coefficients: ``rng.random((N, 4))``, or ``(N, 5)`` with momentum
+   (:func:`~fcpso.swarm.draw_coefficients`);
+3. the turbulence, unless its particle fraction is 0: ``rng.random(N)``
+   picks the rows, then each picked row, in row order, draws
+   ``rng.random(2 * n)``, or nothing at a per-variable probability of 0
+   (:func:`~fcpso.mutation.apply_turbulence`);
+4. ``rng.random(k)`` for the k undecided personal bests
+   (:func:`~fcpso.swarm.update_pbest`).
 
 One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
@@ -19,9 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# a module, not its class: perfbench's layer tracer wraps the classes this
-# module imports by name, and a wrapper on every draw costs more than the draw
-from . import tape
 from .archive import ExternalArchive
 from .indicators import hypervolume
 from .mutation import MutationConfig, apply_turbulence
@@ -96,8 +106,8 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     bounds = problem.bounds
     hv_target = cfg.hv_target(problem)
 
-    draws = tape.RandomTape(seed)
-    swarm = initialize_swarm(problem, dyn, draws)
+    rng = np.random.default_rng(seed)
+    swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity)
     for x, y in zip(swarm.positions, swarm.pbest_objectives):
         archive.try_insert(x, y)
@@ -119,22 +129,21 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     X, V, M, P = swarm.positions, swarm.velocities, swarm.momenta, swarm.pbest_positions
     done = target_reached()
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
-        # the archive is frozen while the swarm moves; each row draws its
-        # leader, then its coefficients, in row order
+        # the archive is frozen while the swarm moves
+        leaders = archive.select_leaders(rng, dyn.swarm_size)
+        coefficients = draw_coefficients(dyn.scheme, rng, em, dyn.swarm_size).tolist()
         for i in range(dyn.swarm_size):
-            leader = archive.select_leader(draws)
-            coefficients = draw_coefficients(dyn.scheme, draws, em)
             if em:
-                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], leader, coefficients, bounds)
+                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], leaders[i], coefficients[i], bounds)
             else:
-                V[i] = compute_speed_smpso(X[i], V[i], P[i], leader, coefficients, dyn.inertia, bounds)
+                V[i] = compute_speed_smpso(X[i], V[i], P[i], leaders[i], coefficients[i], dyn.inertia, bounds)
         update_position(swarm, bounds)
-        apply_turbulence(X, bounds, cfg.mutation, draws)
+        apply_turbulence(X, bounds, cfg.mutation, rng)
         objectives = np.array([problem.evaluate(x) for x in X])
         evaluations += dyn.swarm_size
         for x, y in zip(X, objectives):
             archive.try_insert(x, y)
-        update_pbest(swarm, objectives, draws)
+        update_pbest(swarm, objectives, rng)
         generation += 1
         done = target_reached()
 

@@ -10,27 +10,22 @@ momentum-aware factor.  The variants then differ only in their sampling
 scheme for (c1, c2, beta).
 
 Sampling is split from the dynamics: :func:`draw_coefficients` draws a
-particle's coefficients together, and the ``compute_speed_*`` kernels take
-one particle's rows and its drawn coefficients.  Speeds are computed row
-by row, because each row's leader and coefficient draws interleave in the
-run's random stream; the position/bounce and personal-best steps draw
-nothing or draw in row order, so they run once over the whole block.
-Every draw, the initial swarm's included, comes from the run's
-:class:`~fcpso.tape.RandomTape`.
+generation's coefficients as one block, and the ``compute_speed_*``
+kernels take one particle's rows and its row of coefficients.  The
+position/bounce and personal-best steps run once over the whole block.
+Every draw, the initial swarm's included, comes from the run's one
+``np.random.Generator``; :mod:`fcpso.optimizer` gives the order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constriction import chi_momentum, chi_vanilla
 from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
-
-if TYPE_CHECKING:
-    from .tape import RandomTape
 
 __all__ = [
     "BoxBounds",
@@ -120,20 +115,20 @@ class DynamicsConfig:
             object.__setattr__(self, "scheme", default_scheme(self.variant))
 
 
-def draw_coefficients(scheme: ParameterScheme, rng: RandomTape, momentum: bool) -> tuple:
-    """One particle's (r1, r2, c1, c2), plus beta when ``momentum``, from a
-    single ``rng.random(k)`` call on the run's tape.
+def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentum: bool, count: int) -> np.ndarray:
+    """``count`` rows of (r1, r2, c1, c2), plus beta when ``momentum``,
+    from one ``rng.random((count, k))`` block.
 
-    ``lo + (hi - lo) * u`` in Python floats is what ``uniform(lo, hi)``
-    computes, so the values and the stream's position after the call are
-    bitwise those of one scalar ``Generator.uniform`` draw per coefficient.
+    Each coefficient is ``lo + (hi - lo) * u``, what ``uniform(lo, hi)``
+    computes, so row i is bitwise one scalar ``Generator.uniform`` draw per
+    coefficient by the i-th particle in turn.
     """
-    u = rng.random(5 if momentum else 4).tolist()
+    u = rng.random((count, 5 if momentum else 4))
     lo, hi = scheme.phi1 / 2.0, scheme.phi2 / 2.0
-    coefficients = (u[0], u[1], lo + (hi - lo) * u[2], lo + (hi - lo) * u[3])
+    u[:, 2:4] = lo + (hi - lo) * u[:, 2:4]
     if momentum:
-        return coefficients + (scheme.beta1 + (scheme.beta2 - scheme.beta1) * u[4],)
-    return coefficients
+        u[:, 4] = scheme.beta1 + (scheme.beta2 - scheme.beta1) * u[:, 4]
+    return u
 
 
 def compute_speed_smpso(
@@ -141,9 +136,9 @@ def compute_speed_smpso(
     v: np.ndarray,
     pbest: np.ndarray,
     gbest: np.ndarray,
-    coefficients: tuple[float, float, float, float],
+    coefficients: Sequence[float],
     inertia: float,
-    bounds: BoxBounds | None = None,
+    bounds: BoxBounds,
 ) -> np.ndarray:
     """One particle's constricted inertial velocity update from one
     (r1, r2, c1, c2) draw, shared across components."""
@@ -152,9 +147,7 @@ def compute_speed_smpso(
     r1, r2, c1, c2 = coefficients
     chi = chi_vanilla(c1 + c2)
     v = chi * (inertia * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
-    if bounds is not None:
-        v = velocity_constriction(v, bounds)
-    return v
+    return velocity_constriction(v, bounds)
 
 
 def compute_speed_em(
@@ -163,8 +156,8 @@ def compute_speed_em(
     m: np.ndarray,
     pbest: np.ndarray,
     gbest: np.ndarray,
-    coefficients: tuple[float, float, float, float, float],
-    bounds: BoxBounds | None = None,
+    coefficients: Sequence[float],
+    bounds: BoxBounds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One particle's momentum velocity update from one (r1, r2, c1, c2,
     beta) draw: m' = beta m + (1-beta) v, then the constricted attraction
@@ -175,9 +168,7 @@ def compute_speed_em(
     chi = chi_momentum(c1 + c2, beta)
     m = beta * m + (1.0 - beta) * v
     v = chi * (m + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
-    if bounds is not None:
-        v = velocity_constriction(v, bounds)
-    return v, m
+    return velocity_constriction(v, bounds), m
 
 
 def velocity_constriction(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
@@ -197,7 +188,7 @@ def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
     np.negative(v, out=v, where=low | high)
 
 
-def initialize_swarm(problem, cfg: DynamicsConfig, rng: RandomTape) -> Swarm:
+def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> Swarm:
     """Uniform random positions, zero momenta, pbest = evaluated start.
 
     Velocities start at zero by default (coherent with the zero momentum
@@ -218,14 +209,14 @@ def initialize_swarm(problem, cfg: DynamicsConfig, rng: RandomTape) -> Swarm:
     return Swarm(x, v, np.zeros_like(x), x.copy(), objectives)
 
 
-def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: RandomTape) -> None:
+def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator) -> None:
     """Keep each particle's dominating record; a mutually non-dominated
     newcomer (an equal one included) replaces the memory with probability
     1/2.
 
     Objectives are finite (the problems reject anything else), so one
     pair of comparison matrices decides dominance both ways.  Only the
-    undecided rows draw from the run's tape, one draw each in row order.
+    k undecided rows draw: one ``rng.random(k)`` block, in row order.
     """
     objectives = np.asarray(objectives, dtype=float)
     better = (objectives < swarm.pbest_objectives).any(axis=1)

@@ -3,7 +3,7 @@
 ``ListArchive`` keeps (position, objectives) pairs in insertion order and
 recomputes every crowding distance one objective at a time whenever it
 needs one.  ``fcpso.archive.ExternalArchive`` must match it call for
-call: the same outcomes, entries, entry order and leader draws.
+call: the same outcomes, entries, entry order and leaders.
 """
 
 import numpy as np
@@ -66,11 +66,18 @@ class ListArchive:
     def crowding(self):
         return crowding_loop(self.objectives_array())
 
-    def select_leader(self, rng):
+    def select_leaders(self, rng, count):
+        """``ExternalArchive.select_leaders`` one tournament at a time, from
+        the same two blocks of draws."""
         d = self.crowding()
-        i, j = rng.integers(0, len(self.entries), size=2)
-        if d[i] > d[j]:
-            return self.entries[i][0]
-        if d[j] > d[i]:
-            return self.entries[j][0]
-        return self.entries[i][0] if rng.random() < 0.5 else self.entries[j][0]
+        pairs = rng.integers(0, len(self.entries), size=(count, 2))
+        ties = rng.random(count)
+        leaders = []
+        for (i, j), tie in zip(pairs, ties):
+            if d[i] > d[j]:
+                leaders.append(self.entries[i][0])
+            elif d[j] > d[i]:
+                leaders.append(self.entries[j][0])
+            else:
+                leaders.append(self.entries[i][0] if tie < 0.5 else self.entries[j][0])
+        return np.array(leaders)

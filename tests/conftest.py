@@ -13,25 +13,23 @@ def rng():
 
 
 class QueuedRNG:
-    """Stand-in generator returning scripted draws, for forcing the
-    coefficient draws of the velocity updates."""
+    """Stand-in generator returning scripted draws in order, a block of
+    any shape filled row by row, for forcing the draws of a step."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        assert size is None, "scripted rng only supports scalar draws"
-        return self.values.pop(0)
+    def _take(self, size, kind):
+        if size is None:
+            return kind(self.values.pop(0))
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        return np.array([kind(self.values.pop(0)) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
     def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        return np.array([self.values.pop(0) for _ in range(size)])
+        return self._take(size, float)
 
     def integers(self, low, high, size=None):
-        if size is None:
-            return int(self.values.pop(0))
-        return np.array([int(self.values.pop(0)) for _ in range(size)])
+        return self._take(size, int)
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 """The generation loop one particle at a time, for tests only.
 
 Each particle is an object with its own position, velocity, momentum and
-personal best, and every step (initial draw, velocity, position and
-bounce, turbulence, evaluation, archive insertion, personal best) runs
-once per particle in swarm order, and the archive is the list-based
-``archive_oracle.ListArchive``.  The array swarm in ``fcpso.swarm``
-batches the steps whose random draws keep this order, so a run must
+personal best, and every step (initial draw, leader tournament,
+coefficients, velocity, position and bounce, turbulence, evaluation,
+archive insertion, personal best) runs once per particle in swarm order,
+and the archive is the list-based ``archive_oracle.ListArchive``.  The
+draws come in the blocks that ``fcpso.optimizer`` documents, and each
+particle takes its own slice of a block, so ``fcpso.optimizer.run`` must
 reproduce this loop bitwise: same fronts, positions, hv trace and
 evaluation count.
 """
@@ -19,7 +20,6 @@ from fcpso.constriction import chi_momentum, chi_vanilla
 from fcpso.indicators import hypervolume
 from fcpso.mutation import polynomial_mutate
 from fcpso.optimizer import RunResult
-from fcpso.swarm import draw_coefficients
 
 
 @dataclass
@@ -112,20 +112,25 @@ def run_oracle(problem, cfg, seed) -> RunResult:
         trace.append((evaluations, hv))
         return hv_target is not None and hv >= hv_target
 
+    em = dyn.variant != "smpso"
+    lo, hi = dyn.scheme.phi1 / 2.0, dyn.scheme.phi2 / 2.0
+    beta1, beta2 = dyn.scheme.beta1, dyn.scheme.beta2
     done = target_reached()
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
-        em = dyn.variant != "smpso"
-        for p in swarm:
-            leader = archive.select_leader(rng)
-            coefficients = draw_coefficients(dyn.scheme, rng, em)
+        leaders = archive.select_leaders(rng, dyn.swarm_size)
+        u = rng.random((dyn.swarm_size, 5 if em else 4))
+        for p, leader, (r1, r2, u1, u2, *ub) in zip(swarm, leaders, u.tolist()):
+            coefficients = (r1, r2, lo + (hi - lo) * u1, lo + (hi - lo) * u2)
             if em:
+                coefficients += (beta1 + (beta2 - beta1) * ub[0],)
                 p.velocity, p.momentum = speed_em(p, leader, coefficients, bounds)
             else:
                 p.velocity = speed_smpso(p, leader, coefficients, dyn.inertia, bounds)
             move(p, bounds)
         if cfg.mutation.particle_fraction != 0.0:
-            for p in swarm:
-                if rng.random() < cfg.mutation.particle_fraction:
+            picks = rng.random(dyn.swarm_size)
+            for p, pick in zip(swarm, picks):
+                if pick < cfg.mutation.particle_fraction:
                     p.position = polynomial_mutate(p.position, bounds.lower, bounds.upper, cfg.mutation, rng)
         objectives = [problem.evaluate(p.position) for p in swarm]
         evaluations += dyn.swarm_size

@@ -179,7 +179,7 @@ class TestSelectLeader:
     def test_single_entry(self, rng):
         a = ExternalArchive(capacity=4)
         a.try_insert(*entry(0.3, 0.7))
-        np.testing.assert_array_equal(a.select_leader(rng), [0.3, 0.7])
+        np.testing.assert_array_equal(a.select_leaders(rng, 3), [[0.3, 0.7]] * 3)
 
     def test_higher_crowding_wins(self, queued_rng):
         a = ExternalArchive(capacity=8)
@@ -187,13 +187,35 @@ class TestSelectLeader:
         a.try_insert(*entry(0.45, 0.55))
         a.try_insert(*entry(0.5, 0.5))
         a.try_insert(*entry(1.0, 0.0))
-        # force a tournament between a boundary (inf crowding) and an interior entry
-        leader = a.select_leader(queued_rng([0, 2]))
-        np.testing.assert_array_equal(leader, a.positions_array()[0])
+        X = a.positions_array()
+        # boundary (inf) against interior, twice; then the two boundaries
+        # tie, and a draw below 1/2 takes the first of the pair
+        pairs = [0, 2, 1, 3, 0, 3, 3, 0]
+        stub = queued_rng(pairs + [0.9, 0.0, 0.25, 0.75])
+        leaders = a.select_leaders(stub, 4)
+        np.testing.assert_array_equal(leaders, X[[0, 3, 0, 0]])
+        assert stub.values == []
+
+    def test_leaders_are_a_copy(self, rng):
+        a = ExternalArchive(capacity=4)
+        a.try_insert(*entry(0.3, 0.7))
+        leaders = a.select_leaders(rng, 2)
+        a.try_insert(*entry(0.1, 0.1))
+        np.testing.assert_array_equal(leaders, [[0.3, 0.7]] * 2)
+
+    def test_draws_two_blocks(self):
+        a = ExternalArchive(capacity=8)
+        for x in np.linspace(0.0, 1.0, 5):
+            a.try_insert(*entry(float(x), float(1.0 - x)))
+        got, expected = np.random.default_rng(7), np.random.default_rng(7)
+        a.select_leaders(got, 6)
+        expected.integers(0, 5, size=(6, 2))
+        expected.random(6)
+        assert got.bit_generator.state == expected.bit_generator.state
 
     def test_empty_archive_rejected(self, rng):
         with pytest.raises(ValueError):
-            ExternalArchive(capacity=2).select_leader(rng)
+            ExternalArchive(capacity=2).select_leaders(rng, 1)
 
     def test_boundary_bias(self, rng):
         a = ExternalArchive(capacity=20)
@@ -202,8 +224,8 @@ class TestSelectLeader:
         # positions are distinct, so a leader's position names its entry
         ids = {tuple(x): i for i, x in enumerate(a.positions_array())}
         counts = {i: 0 for i in range(len(a))}
-        for _ in range(10_000):
-            counts[ids[tuple(a.select_leader(rng))]] += 1
+        for x in a.select_leaders(rng, 10_000):
+            counts[ids[tuple(x)]] += 1
         boundary = counts[0] + counts[len(a) - 1]
         interior = sum(counts.values()) - boundary
         assert boundary / 2 > interior / (len(a) - 2)

@@ -406,7 +406,7 @@ class TestProfileCmd:
     def test_profile_csv(self, tmp_path, capsys):
         code = run_cli(
             "profile", "--problems", "zdt1", "--mu-grid=-0.2,0.2",
-            "--repetitions", "2", "--evaluations", "400", "--workers", "1",
+            "--repetitions", "2", "--evaluations", "1000", "--workers", "1",
             "--out", str(tmp_path),
         )
         assert code == 0

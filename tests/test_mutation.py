@@ -36,6 +36,21 @@ class TestPolynomialMutate:
         out = polynomial_mutate(np.array([0.3]), np.zeros(1), np.ones(1), cfg, stub)
         assert out[0] == pytest.approx(0.3, abs=1e-15)
 
+    def test_one_block_picks_and_holds_each_u(self, queued_rng):
+        # only variable 1 is picked, and its u is entry 3 + 1; the u = 0
+        # beside it would move any variable that read it
+        cfg = MutationConfig(per_variable_probability=0.5)
+        stub = queued_rng([0.9, 0.1, 0.9, 0.0, 0.5, 0.0])
+        x = np.array([0.3, 0.6, 0.2])
+        np.testing.assert_array_equal(polynomial_mutate(x, np.zeros(3), np.ones(3), cfg, stub), x)
+        assert stub.values == []
+
+    def test_zero_probability_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        polynomial_mutate(np.full(4, 0.5), np.zeros(4), np.ones(4), MutationConfig(per_variable_probability=0.0), rng)
+        assert rng.bit_generator.state == state
+
     def test_symmetry_and_bounds(self, rng):
         cfg = MutationConfig(distribution_index=20.0, per_variable_probability=1.0)
         lo, hi = np.zeros(1), np.ones(1)
@@ -97,6 +112,17 @@ class TestApplyTurbulence:
         mean = 0.15 * n
         sigma = np.sqrt(n * 0.15 * 0.85)
         assert abs(total - mean) <= 3.5 * sigma
+
+    def test_row_picks_then_one_block_per_picked_row(self):
+        bounds = BoxBounds(np.zeros(4), np.ones(4))
+        cfg = MutationConfig(particle_fraction=0.5)
+        got, expected = np.random.default_rng(21), np.random.default_rng(21)
+        apply_turbulence(np.full((9, 4), 0.4), bounds, cfg, got)
+        picked = np.count_nonzero(expected.random(9) < 0.5)
+        assert 0 < picked < 9
+        for _ in range(picked):
+            expected.random(8)
+        assert got.bit_generator.state == expected.bit_generator.state
 
     def test_deterministic_under_seed(self):
         bounds = BoxBounds(np.zeros(4), np.ones(4))

@@ -83,10 +83,9 @@ def test_archive_matches_the_sequential_list_archive(stream, seed):
         np.testing.assert_array_equal(archive.positions_array(), [p for p, _ in reference.entries])
         np.testing.assert_array_equal(archive.objectives_array(), [f for _, f in reference.entries])
         # a draw after every step sees crowding gone stale mid-stream
-        np.testing.assert_array_equal(archive.select_leader(a), reference.select_leader(b))
+        np.testing.assert_array_equal(archive.select_leaders(a, 3), reference.select_leaders(b, 3))
     if points:
-        for _ in range(20):
-            np.testing.assert_array_equal(archive.select_leader(a), reference.select_leader(b))
+        np.testing.assert_array_equal(archive.select_leaders(a, 40), reference.select_leaders(b, 40))
 
 
 
@@ -186,16 +185,19 @@ def test_activation_probability_matches_monte_carlo(scheme):
 @PROPERTY_SETTINGS
 @given(uniform_schemes(), st.integers(0, 2**64 - 1), st.booleans(), st.integers(1, 5))
 def test_one_draw_call_is_the_scalar_uniform_stream(scheme, seed, momentum, particles):
-    # one uniform(lo, hi) per coefficient, in (r1, r2, c1, c2[, beta]) order
+    # row by row, one uniform(lo, hi) per coefficient, in (r1, r2, c1,
+    # c2[, beta]) order
     scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = []
     for _ in range(particles):
         c = (scheme.phi1 / 2.0, scheme.phi2 / 2.0)
-        expected = [scalar.uniform(0.0, 1.0), scalar.uniform(0.0, 1.0)]
-        expected += [scalar.uniform(*c), scalar.uniform(*c)]
+        row = [scalar.uniform(0.0, 1.0), scalar.uniform(0.0, 1.0)]
+        row += [scalar.uniform(*c), scalar.uniform(*c)]
         if momentum:
-            expected.append(scalar.uniform(scheme.beta1, scheme.beta2))
-        drawn = draw_coefficients(scheme, batched, momentum)
-        assert np.array(drawn).tobytes() == np.array(expected).tobytes()
+            row.append(scalar.uniform(scheme.beta1, scheme.beta2))
+        expected.append(row)
+    drawn = draw_coefficients(scheme, batched, momentum, particles)
+    assert drawn.tobytes() == np.array(expected).tobytes()
     assert batched.bit_generator.state == scalar.bit_generator.state
 
 

@@ -20,7 +20,6 @@ from fcpso.swarm import (
     update_position,
     velocity_constriction,
 )
-from fcpso.tape import RandomTape
 
 
 def block(x, v=0.0, pbest_objectives=(0.0, 0.0)):
@@ -101,8 +100,9 @@ class TestComputeSpeedSmpso:
 
     def test_dimension_mismatch(self):
         x = np.zeros(2)
+        bounds = BoxBounds(np.full(2, -1.0), np.ones(2))
         with pytest.raises(ValueError):
-            compute_speed_smpso(x, x, x, np.array([1.0]), (0.5, 0.5, 2.0, 2.0), 0.1)
+            compute_speed_smpso(x, x, x, np.array([1.0]), (0.5, 0.5, 2.0, 2.0), 0.1, bounds)
 
 
 class TestComputeSpeedEm:
@@ -147,10 +147,13 @@ class TestDrawCoefficients:
     @pytest.mark.parametrize("momentum", [False, True])
     def test_scripted_draws_map_onto_the_scheme(self, queued_rng, momentum):
         scheme = ParameterScheme(2.0, 3.0, 0.1, 0.4)
-        draws = [0.25, 0.5, 0.0, 1.0, 0.5]
-        coefficients = draw_coefficients(scheme, queued_rng(draws), momentum)
-        expected = (0.25, 0.5, 1.0, 1.5, 0.25)
-        assert coefficients == pytest.approx(expected[: 5 if momentum else 4], abs=1e-15)
+        rows = [[0.25, 0.5, 0.0, 1.0, 0.5], [0.0, 1.0, 0.5, 0.5, 1.0]]
+        k = 5 if momentum else 4
+        stub = queued_rng([u for row in rows for u in row[:k]])
+        coefficients = draw_coefficients(scheme, stub, momentum, 2)
+        expected = [[0.25, 0.5, 1.0, 1.5, 0.25], [0.0, 1.0, 1.25, 1.25, 0.4]]
+        np.testing.assert_allclose(coefficients, [row[:k] for row in expected], rtol=0, atol=1e-15)
+        assert stub.values == []
 
 
 class TestUpdatePosition:
@@ -234,14 +237,12 @@ class TestInitializeSwarm:
     def test_one_block_is_the_per_particle_stream(self, problem_id, velocity_init):
         problem = get_problem(problem_id)
         cfg = DynamicsConfig(swarm_size=7, velocity_init=velocity_init)
-        for batched in (np.random.default_rng(11), RandomTape(11)):
-            scalar = np.random.default_rng(11)
-            s = initialize_swarm(problem, cfg, batched)
-            particles = initial_swarm(problem, cfg, scalar)
-            assert s.positions.tobytes() == np.stack([p.position for p in particles]).tobytes()
-            assert s.velocities.tobytes() == np.stack([p.velocity for p in particles]).tobytes()
-            # the next draws follow on from the same stream position
-            assert batched.random(3).tobytes() == scalar.random(3).tobytes()
+        batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        s = initialize_swarm(problem, cfg, batched)
+        particles = initial_swarm(problem, cfg, scalar)
+        assert s.positions.tobytes() == np.stack([p.position for p in particles]).tobytes()
+        assert s.velocities.tobytes() == np.stack([p.velocity for p in particles]).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestUpdatePbest:
@@ -341,9 +342,9 @@ class TestIterationInvariants:
         X, V, M, P = s.positions, s.velocities, s.momenta, s.pbest_positions
         for _ in range(40):
             gbest = P[int(rng.integers(cfg.swarm_size))].copy()
+            coefficients = draw_coefficients(cfg.scheme, rng, True, cfg.swarm_size)
             for i in range(cfg.swarm_size):
-                coefficients = draw_coefficients(cfg.scheme, rng, True)
-                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], gbest, coefficients, bounds)
+                V[i], M[i] = compute_speed_em(X[i], V[i], M[i], P[i], gbest, coefficients[i], bounds)
             update_position(s, bounds)
             assert np.all(np.abs(V) <= bounds.delta + 1e-12)
             assert np.all(X >= bounds.lower - 1e-12)
@@ -356,7 +357,6 @@ def test_custom_scheme_drives_em_update(rng):
     scheme = ParameterScheme(2.0, 3.0, 0.1, 0.4)
     cfg = DynamicsConfig(variant="em-smpso", scheme=scheme)
     x, v, m, pbest, gbest = one(0.0), one(0.0), one(0.0), one(1.0), one(1.0)
-    for _ in range(500):
-        coefficients = draw_coefficients(cfg.scheme, rng, True)
+    for coefficients in draw_coefficients(cfg.scheme, rng, True, 500):
         v, m = compute_speed_em(x, v, m, pbest, gbest, coefficients, WIDE)
         assert np.isfinite(v).all() and np.isfinite(m).all()
