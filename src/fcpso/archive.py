@@ -6,17 +6,19 @@ in preallocated objective and position arrays.  Swarm leaders (the gbest
 of the velocity update) are drawn from it with binary tournaments that
 favour isolated entries, a generation's tournaments in one call.
 
-The first candidate's objective count picks how the archive keeps its
-entries in order.  With two objectives, a mutually non-dominated set
-sorted by f1 has strictly falling f2, a staircase (Kung, Luccio and
-Preparata, JACM 1975).  The archive keeps that order in plain lists:
-one bisect decides dominance, the entries a candidate beats are one run
-of the staircase, and an insertion or an eviction changes the crowding
-of its neighbours only, unless it moves an extreme.  With three or more
-objectives, dominance is one vectorized test against every row, and the
-crowding is recomputed over all rows when a leader or an eviction next
-needs it.  Both ways give bitwise the same crowding, outcomes, entry
-order and leader draws.
+Only the dominance test depends on the objective count, fixed by the
+first candidate; it yields the rows a candidate beats, and dropping them,
+writing the candidate at the next row and evicting on overflow are the
+same code for any count.  With two objectives, a mutually non-dominated
+set sorted by f1 has strictly falling f2, a staircase (Kung, Luccio and
+Preparata, JACM 1975).  The archive keeps that order in plain lists with
+the row of each entry: one bisect decides dominance, the entries a
+candidate beats are one run of the staircase, and an insertion or an
+eviction changes the crowding of its neighbours only, unless it moves an
+extreme.  With three or more objectives, dominance is one vectorized
+test against every row, and an eviction or a leader draw computes the
+crowding of the live rows when it reads it.  Both ways give bitwise the
+same crowding, outcomes, entry order and leader draws.
 """
 
 from __future__ import annotations
@@ -104,13 +106,14 @@ class ExternalArchive:
 
     Row ``i < len(self)`` of the objective and position buffers is entry
     ``i``; entries keep the order they were inserted in.  The buffers have
-    one spare row for the candidate that overflows the capacity, and
-    ``_crowding`` has each row's crowding distance.
+    one spare row for the candidate that overflows the capacity.
 
-    With two objectives the entries are also a staircase: ``_f1``,
-    ``_f2`` and ``_ids`` list them by rising f1, and so by falling f2.
-    An entry's id counts the insertions before it, so ``_rows``, the ids
-    in row order, is sorted and a bisect finds an id's row.
+    With two objectives the entries are also a staircase: ``_f1`` and
+    ``_f2`` list them by rising f1, and so by falling f2, and ``_stair``
+    gives the row of each.  ``_crowding`` then has each row's crowding
+    distance, kept current by every change.  With three or more
+    objectives nothing is cached: an eviction or a leader draw computes
+    the crowding of the live rows.
     """
 
     def __init__(self, capacity: int = 100):
@@ -122,14 +125,11 @@ class ExternalArchive:
         self._objectives: np.ndarray | None = None
         self._positions: np.ndarray | None = None
         self._crowding = np.zeros(capacity + 1)
-        self._crowding_fresh = False
         # the staircase; _f1 stays None unless the first candidate has
         # two objectives
         self._f1: list[float] | None = None
         self._f2: list[float] = []
-        self._ids: list[int] = []
-        self._rows: list[int] = []
-        self._next_id = 0
+        self._stair: list[int] = []
 
     def __len__(self) -> int:
         return self._n
@@ -162,98 +162,84 @@ class ExternalArchive:
             self._positions = np.empty((self.capacity + 1, *x.shape))
             if c.shape == (2,):
                 self._f1 = []
-                self._crowding_fresh = True  # every change keeps it current
         elif c.shape != self._objectives.shape[1:] or x.shape != self._positions.shape[1:]:
             raise ValueError(
                 f"candidate has objectives {c.shape} and position {x.shape}; the archive holds "
                 f"{self._objectives.shape[1:]} and {self._positions.shape[1:]}"
             )
-        if self._f1 is not None:
-            return self._insert_on_staircase(x, c)
+        f1, f2, stair = self._f1, self._f2, self._stair
+        if f1 is None:
+            F = self._objectives[: self._n]
+            # weakly dominated (or duplicate) -> reject
+            if (F <= c).all(axis=1).any():
+                return DOMINATED
+            if not np.isfinite(c).all():
+                raise ValueError(f"objectives must be finite, got {c.tolist()}")
+            # no entry is <= c, so an entry c is <= everywhere is strictly dominated
+            beaten = np.flatnonzero((c <= F).all(axis=1))
+        else:
+            a, b = c.tolist()
+            # a NaN would break the staircase's order
+            if not (isfinite(a) and isfinite(b)):
+                raise ValueError(f"objectives must be finite, got {[a, b]}")
+            p = bisect_right(f1, a)
+            # of the entries with f1 <= a, the last has the least f2
+            if p and f2[p - 1] <= b:
+                return DOMINATED
+            # the entries with f1 >= a have falling f2, so those the
+            # candidate beats (f2 >= b) are one run from q
+            q = end = bisect_left(f1, a)
+            while end < len(f2) and f2[end] >= b:
+                end += 1
+            beaten = stair[q:end]
+            del f1[q:end], f2[q:end], stair[q:end]
+        if len(beaten):
+            self._drop(beaten)
         n = self._n
-        F = self._objectives[:n]
-        # weakly dominated (or duplicate) -> reject
-        if (F <= c).all(axis=1).any():
-            return DOMINATED
-        if not np.isfinite(c).all():
-            raise ValueError(f"objectives must be finite, got {c.tolist()}")
-        # no entry is <= c, so an entry c is <= everywhere is strictly dominated
-        beaten = (c <= F).all(axis=1)
-        if beaten.any():
-            n = self._keep(~beaten)
         self._objectives[n] = c
         self._positions[n] = x
         self._n = n + 1
-        self._crowding_fresh = False
+        if f1 is not None:
+            f1.insert(q, a)
+            f2.insert(q, b)
+            stair.insert(q, n)
+            self._recrowd(q)
         if self._n <= self.capacity:
             return INSERTED
         self._evict()
         return REPLACED_CROWDED
 
-    def _insert_on_staircase(self, x: np.ndarray, c: np.ndarray) -> str:
-        """``try_insert`` with two objectives: a bisect finds the one entry
-        that could dominate the candidate, and the crowding of the
-        entries next to it on the staircase is all that changes."""
-        a, b = c.tolist()
-        # a NaN would break the staircase's order
-        if not (isfinite(a) and isfinite(b)):
-            raise ValueError(f"objectives must be finite, got {[a, b]}")
-        f1, f2, ids = self._f1, self._f2, self._ids
-        p = bisect_right(f1, a)
-        # of the entries with f1 <= a, the last has the least f2
-        if p and f2[p - 1] <= b:
-            return DOMINATED
-        # the entries with f1 >= a have falling f2, so those the candidate
-        # beats (f2 >= b) are one run from q
-        q = end = bisect_left(f1, a)
-        while end < len(f2) and f2[end] >= b:
-            end += 1
-        if end > q:
-            gone = set(ids[q:end])
-            self._keep(np.array([i not in gone for i in self._rows]))
-            self._rows = [i for i in self._rows if i not in gone]
-            del f1[q:end], f2[q:end], ids[q:end]
+    def _drop(self, rows: list[int] | np.ndarray) -> None:
+        """Drop the entries in ``rows``, already off the staircase; the
+        other rows close up in order and the staircase is renumbered."""
         n = self._n
-        self._objectives[n] = c
-        self._positions[n] = x
-        self._n = n + 1
-        f1.insert(q, a)
-        f2.insert(q, b)
-        ids.insert(q, self._next_id)
-        self._rows.append(self._next_id)
-        self._next_id += 1
-        self._recrowd(q)
-        if self._n <= self.capacity:
-            return INSERTED
-        self._evict()
-        return REPLACED_CROWDED
-
-    def _keep(self, mask: np.ndarray) -> int:
-        """Compact the entries to those where ``mask`` holds, in order."""
-        m = int(np.count_nonzero(mask))
-        n = self._n
-        self._objectives[:m] = self._objectives[:n][mask]
-        self._positions[:m] = self._positions[:n][mask]
-        self._crowding[:m] = self._crowding[:n][mask]
+        keep = np.ones(n, dtype=bool)
+        keep[rows] = False
+        m = n - len(rows)
+        self._objectives[:m] = self._objectives[:n][keep]
+        self._positions[:m] = self._positions[:n][keep]
         self._n = m
-        return m
+        if self._f1 is not None:
+            self._crowding[:m] = self._crowding[:n][keep]
+            # in place, as try_insert holds the list
+            self._stair[:] = (np.cumsum(keep) - 1)[self._stair].tolist()
 
     def _evict(self) -> None:
         """Drop the first of the least crowded entries; later rows shift down."""
-        self._refresh_crowding()
         n = self._n
-        e = int(np.argmin(self._crowding[:n]))
-        if self._f1 is not None:
+        if self._f1 is None:
+            e = int(np.argmin(crowding_distance(self._objectives[:n])))
+        else:
+            e = int(np.argmin(self._crowding[:n]))
             q = bisect_left(self._f1, float(self._objectives[e, 0]))
-            del self._f1[q], self._f2[q], self._ids[q], self._rows[e]
+            del self._f1[q], self._f2[q], self._stair[q]
+            self._stair[:] = [r if r < e else r - 1 for r in self._stair]
             self._crowding[e : n - 1] = self._crowding[e + 1 : n]
         self._objectives[e : n - 1] = self._objectives[e + 1 : n]
         self._positions[e : n - 1] = self._positions[e + 1 : n]
         self._n = n - 1
-        if self._f1 is None:
-            self._crowding_fresh = False
-        else:
-            self._recrowd(min(q, n - 2))
+        if self._f1 is not None:
+            self._recrowd(q)
 
     def _recrowd(self, q: int) -> None:
         """Bring the crowding up to date after a change at staircase entry q.
@@ -271,13 +257,7 @@ class ExternalArchive:
         # the ends keep their inf
         for i in range(max(q - 1, 1), min(q + 2, last)):
             d = (f1[i + 1] - f1[i - 1]) / (f1[-1] - f1[0]) + (f2[i - 1] - f2[i + 1]) / (f2[0] - f2[-1])
-            self._crowding[bisect_left(self._rows, self._ids[i])] = d
-
-    def _refresh_crowding(self) -> None:
-        if self._crowding_fresh or not self._n:
-            return
-        self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
-        self._crowding_fresh = True
+            self._crowding[self._stair[i]] = d
 
     def select_leaders(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` binary tournaments on crowding distance (larger wins,
@@ -289,11 +269,15 @@ class ExternalArchive:
         tournament i takes the first entry of its pair when its draw is
         below 1/2.  Every tournament draws its tie-break, tie or not.
         """
-        if not self._n:
+        n = self._n
+        if not n:
             raise ValueError("cannot select a leader from an empty archive")
-        self._refresh_crowding()
-        pairs = rng.integers(0, self._n, size=(count, 2))
+        if self._f1 is None:
+            crowding = crowding_distance(self._objectives[:n])
+        else:
+            crowding = self._crowding[:n]
+        pairs = rng.integers(0, n, size=(count, 2))
         ties = rng.random(count)
-        a, b = self._crowding[pairs].T
+        a, b = crowding[pairs].T
         first = np.where(a == b, ties < 0.5, a > b)
         return self._positions[np.where(first, pairs[:, 0], pairs[:, 1])]

@@ -64,10 +64,11 @@ def read_front_csv(path) -> np.ndarray:
 
     Malformed rows (a non-numeric or non-finite field, or a column count
     unlike the first row's) are rejected with their 1-based row number.
+    A UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -156,28 +157,33 @@ def write_comparison_csv(path, rows: list[ComparisonRow]) -> None:
 
 
 def read_comparison_csv(path) -> list[ComparisonRow]:
+    """Read a comparison CSV.  A malformed row is rejected with its 1-based
+    row number, the header being row 1."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("problem,indicator"):
             raise ValueError(f"{path}: not a comparison csv")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
             if len(cells) != 9:
-                raise ValueError(f"{path}: malformed row {line!r}")
-            rows.append(
-                ComparisonRow(
-                    problem=cells[0],
-                    indicator=cells[1],
-                    variant_a=cells[2],
-                    median_a=float(cells[3]) if cells[3] else None,
-                    variant_b=cells[4],
-                    median_b=float(cells[5]) if cells[5] else None,
-                    p_value=float(cells[6]) if cells[6] else None,
-                    winner=cells[7],
-                    error=cells[8] or None,
+                raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 9")
+            try:
+                rows.append(
+                    ComparisonRow(
+                        problem=cells[0],
+                        indicator=cells[1],
+                        variant_a=cells[2],
+                        median_a=float(cells[3]) if cells[3] else None,
+                        variant_b=cells[4],
+                        median_b=float(cells[5]) if cells[5] else None,
+                        p_value=float(cells[6]) if cells[6] else None,
+                        winner=cells[7],
+                        error=cells[8] or None,
+                    )
                 )
-            )
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
     return rows
 
 
@@ -189,12 +195,20 @@ def write_profile_csv(path, points: list[ProfilePoint]) -> None:
 
 
 def read_profile_csv(path) -> list[ProfilePoint]:
+    """Read a profile CSV.  A malformed row is rejected with its 1-based
+    row number, the header being row 1."""
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("mu,problem"):
             raise ValueError(f"{path}: not a profile csv")
-        for line in fh:
-            mu, problem, hv = line.rstrip("\n").split(",")
-            points.append(ProfilePoint(mu=float(mu), problem=problem, normalized_hv=float(hv)))
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != 3:
+                raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 3")
+            mu, problem, hv = cells
+            try:
+                points.append(ProfilePoint(mu=float(mu), problem=problem, normalized_hv=float(hv)))
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
     return points

@@ -45,9 +45,16 @@ def polynomial_mutate(
     u = 1/2 leaves the variable unchanged.  One ``rng.random(2 * n)`` block
     holds the draws: variable i mutates when entry i is below the
     probability, by the u in entry n + i.  Nothing is drawn when the
-    probability is 0.
+    probability is 0.  Bounds of another shape than ``x``, or with
+    ``lower >= upper`` anywhere, raise ValueError before any draw.
     """
     x = np.asarray(x, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != x.shape or upper.shape != x.shape:
+        raise ValueError(f"x has shape {x.shape}, but lower has {lower.shape} and upper {upper.shape}")
+    if not (lower < upper).all():
+        raise ValueError(f"lower must be < upper everywhere, got lower {lower.tolist()} and upper {upper.tolist()}")
     n = x.shape[0]
     prob = cfg.per_variable_probability if cfg.per_variable_probability is not None else 1.0 / n
     out = x.copy()
@@ -58,8 +65,6 @@ def polynomial_mutate(
     draws = rng.random(2 * n)
     for i in np.flatnonzero(draws[:n] < prob):
         lo, hi = lower[i], upper[i]
-        if hi <= lo:
-            continue
         u = draws[n + i]
         d1 = (x[i] - lo) / (hi - lo)
         d2 = (hi - x[i]) / (hi - lo)

@@ -65,6 +65,13 @@ class TestFrontCsv:
             read_front_csv(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("text", ["0.1,0.9\n0.5,0.5\n0.9,0.1\n", "f1,f2\n0.1,0.9\n0.5,0.5\n0.9,0.1\n"])
+    def test_byte_order_mark_keeps_every_point(self, tmp_path, text):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "front.csv"
+        path.write_bytes(text.encode("utf-8-sig"))
+        np.testing.assert_array_equal(read_front_csv(path), [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+
 
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):
@@ -105,6 +112,19 @@ class TestComparisonCsv:
         with pytest.raises(ValueError):
             read_comparison_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("zdt1,hv,smpso,3.6,fcpso,3.5,0.04,a", "row 3 has 8 columns, expected 9"),
+        ("zdt1,hv,smpso,x,fcpso,3.5,0.04,a,", "non-numeric field in row 3"),
+    ])
+    def test_malformed_row_is_named(self, tmp_path, row, message):
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(path, [ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 3.65, 0.04, "a")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_comparison_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
@@ -112,6 +132,17 @@ class TestProfileCsv:
         path = tmp_path / "profile.csv"
         write_profile_csv(path, points)
         assert read_profile_csv(path) == points
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,zdt1", "row 3 has 2 columns, expected 3"),
+        ("0.1,zdt1,x", "non-numeric field in row 3"),
+    ])
+    def test_malformed_row_is_named(self, tmp_path, row, message):
+        path = tmp_path / "profile.csv"
+        path.write_text(f"mu,problem,normalized_hv\n0.1,zdt1,0.998\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            read_profile_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 class TestPaths:

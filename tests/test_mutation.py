@@ -67,6 +67,24 @@ class TestPolynomialMutate:
         assert np.all(out >= -5.0) and np.all(out <= 5.0)
         assert out.shape == x.shape
 
+    @pytest.mark.parametrize(
+        "lower, upper, match",
+        [
+            ([0.0, 1.0, 0.0], [1.0, 1.0, 1.0], "lower must be < upper"),
+            ([0.0, 2.0, 0.0], [1.0, 1.0, 1.0], "lower must be < upper"),
+            ([0.0, 0.0], [1.0, 1.0, 1.0], r"lower has \(2,\)"),
+            ([0.0, 0.0, 0.0], [1.0, 1.0], r"upper \(2,\)"),
+        ],
+    )
+    def test_bad_bounds_raise_before_any_draw(self, lower, upper, match):
+        # probability 1 would mutate every variable, the degenerate one too
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        cfg = MutationConfig(per_variable_probability=1.0)
+        with pytest.raises(ValueError, match=match):
+            polynomial_mutate(np.full(3, 0.5), np.array(lower), np.array(upper), cfg, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestApplyTurbulence:
     def test_zero_fraction_identity(self, rng):

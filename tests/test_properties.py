@@ -14,7 +14,7 @@ import numpy as np
 from archive_oracle import ListArchive, crowding_loop, dominates
 from hv_oracle import hv_oracle
 from hv_oracle import non_dominated_mask as non_dominated_loop
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loop_oracle import run_oracle
 
@@ -71,8 +71,21 @@ def test_archive_keeps_each_objective_minimum(stream):
         np.testing.assert_array_equal(archive.objectives_array().min(axis=0), np.min(before, axis=0))
 
 
+def _points(*rows):
+    return [np.array(row, dtype=float) for row in rows]
+
+
 @PROPERTY_SETTINGS
 @given(objective_stream(), st.integers(0, 2**32 - 1))
+# two objectives: a candidate beats an interior run of old rows, and a
+# later candidate overflows the capacity and evicts an old row
+@example((6, _points((3, 7), (6, 4), (1, 9), (8, 2), (0, 10), (10, 0), (3, 4), (5, 3.5), (2, 8.5))), 0)
+# two objectives: evictions of old rows next to the left end, then next to
+# the right end (at capacity > 1 an end is never the least crowded)
+@example((4, _points((4, 6), (1, 8.5), (5, 5), (9, 1.5), (0, 10), (10, 0), (7, 2.5))), 0)
+# capacity 1: two-objective evictions take the left end, then the right end
+@example((1, _points((0, 10), (10, 0), (0, 10))), 0)
+@example((1, _points((0, 5, 5), (5, 0, 5), (5, 5, 0))), 0)
 def test_archive_matches_the_sequential_list_archive(stream, seed):
     capacity, points = stream
     archive, reference = ExternalArchive(capacity), ListArchive(capacity)
