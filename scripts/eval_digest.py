@@ -11,8 +11,11 @@ checkout this script sits in:
 checks a change against them.
 
 Each ZDT problem is evaluated at its default size, and each DTLZ and WFG
-problem at 2, 3 and 5 objectives.  The inputs are both box corners plus
-500 uniform points from a fixed seed, and the line printed is
+problem at 2, 3 and 5 objectives.  The inputs are both box corners, 500
+uniform points from a fixed seed, then 500 wall points from the same
+generator, whose components are each, at random, the lower bound, the
+upper bound or uniform in between (a solver puts many components on a
+wall, and an evaluator must agree there too).  The line printed is
 ``<problem id> <sha256 of the float64 output bytes>``.  Two checkouts
 whose outputs ``diff`` clean evaluate every problem bitwise alike, so an
 evaluator rewrite can be checked against an older checkout without
@@ -49,6 +52,9 @@ def digest(problem_id: str) -> str:
     lower, upper = problem.bounds.lower, problem.bounds.upper
     rng = np.random.default_rng(SEED)
     points = [lower, upper] + [rng.uniform(lower, upper) for _ in range(POINTS)]
+    for _ in range(POINTS):
+        side = rng.integers(0, 3, size=lower.shape[0])
+        points.append(np.where(side == 0, lower, np.where(side == 1, upper, rng.uniform(lower, upper))))
     sha = hashlib.sha256()
     for x in points:
         sha.update(np.ascontiguousarray(problem.evaluate(x), dtype=np.float64).tobytes())

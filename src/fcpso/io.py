@@ -158,13 +158,16 @@ def write_comparison_csv(path, rows: list[ComparisonRow]) -> None:
 
 def read_comparison_csv(path) -> list[ComparisonRow]:
     """Read a comparison CSV.  A malformed row is rejected with its 1-based
-    row number, the header being row 1."""
+    row number, the header being row 1.  Blank lines and a UTF-8
+    byte-order mark, as spreadsheet exports write, are skipped."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline()
         if not header.startswith("problem,indicator"):
             raise ValueError(f"{path}: not a comparison csv")
         for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             cells = line.rstrip("\n").split(",")
             if len(cells) != 9:
                 raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 9")
@@ -196,13 +199,16 @@ def write_profile_csv(path, points: list[ProfilePoint]) -> None:
 
 def read_profile_csv(path) -> list[ProfilePoint]:
     """Read a profile CSV.  A malformed row is rejected with its 1-based
-    row number, the header being row 1."""
+    row number, the header being row 1.  Blank lines and a UTF-8
+    byte-order mark, as spreadsheet exports write, are skipped."""
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline()
         if not header.startswith("mu,problem"):
             raise ValueError(f"{path}: not a profile csv")
         for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             cells = line.rstrip("\n").split(",")
             if len(cells) != 3:
                 raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 3")

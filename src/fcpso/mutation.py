@@ -1,9 +1,10 @@
 """Turbulence operator: polynomial mutation on a random slice of the swarm.
 
 Positions are an (N, n) array mutated in place.  The draws come from the
-run's ``np.random.Generator``: one ``rng.random(N)`` block picks the rows,
-then each picked row, in row order, draws its mutation as one
-``rng.random(2 * n)`` block.
+run's ``np.random.Generator``: one ``rng.random(N)`` block picks the P
+rows, then one ``rng.random((P, 2 * n))`` block holds their mutations,
+row by row in row order.  It is bitwise P ``rng.random(2 * n)`` blocks,
+one per picked row.
 """
 
 from __future__ import annotations
@@ -40,48 +41,59 @@ def polynomial_mutate(
 ) -> np.ndarray:
     """Polynomial mutation with distribution index eta, clamped to bounds.
 
-    Each variable mutates independently with per_variable_probability
-    (default 1/n).  The perturbation is symmetric: an internal draw of
-    u = 1/2 leaves the variable unchanged.  One ``rng.random(2 * n)`` block
-    holds the draws: variable i mutates when entry i is below the
-    probability, by the u in entry n + i.  Nothing is drawn when the
-    probability is 0.  Bounds of another shape than ``x``, or with
-    ``lower >= upper`` anywhere, raise ValueError before any draw.
+    ``x`` is one point of n variables, or a (P, n) block of P points, all
+    in the box; the result has the shape of ``x``.  Each variable mutates
+    independently with per_variable_probability (default 1/n).  The
+    perturbation is symmetric: an internal draw of u = 1/2 leaves the
+    variable unchanged.  One ``rng.random((P, 2 * n))`` block holds the
+    draws, a single point taking P = 1 (the stream of ``rng.random(2 * n)``):
+    variable i of point r mutates when entry (r, i) is below the
+    probability, by the u in entry (r, n + i).  Nothing is drawn when the
+    probability is 0.  Bounds of another length than a point, with
+    ``lower >= upper`` anywhere, or a point outside them raise ValueError
+    before any draw.  Each mutated variable is computed in Python floats,
+    the scalar ``**`` included.
     """
     x = np.asarray(x, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != x.shape or upper.shape != x.shape:
+    if x.ndim not in (1, 2) or lower.shape != x.shape[-1:] or upper.shape != x.shape[-1:]:
         raise ValueError(f"x has shape {x.shape}, but lower has {lower.shape} and upper {upper.shape}")
     if not (lower < upper).all():
         raise ValueError(f"lower must be < upper everywhere, got lower {lower.tolist()} and upper {upper.tolist()}")
-    n = x.shape[0]
+    # written so that a NaN, which compares False, fails it
+    if not ((lower <= x) & (x <= upper)).all():
+        raise ValueError("x must lie within [lower, upper]")
+    n = lower.shape[0]
     prob = cfg.per_variable_probability if cfg.per_variable_probability is not None else 1.0 / n
-    out = x.copy()
+    out = x.reshape(-1, n).copy()
     if prob == 0.0:
-        return out
+        return out.reshape(x.shape)
     eta = cfg.distribution_index
     mut_pow = 1.0 / (eta + 1.0)
-    draws = rng.random(2 * n)
-    for i in np.flatnonzero(draws[:n] < prob):
-        lo, hi = lower[i], upper[i]
-        u = draws[n + i]
-        d1 = (x[i] - lo) / (hi - lo)
-        d2 = (hi - x[i]) / (hi - lo)
+    draws = rng.random((out.shape[0], 2 * n))
+    rows, cols = np.nonzero(draws[:, :n] < prob)
+    hits = zip(out[rows, cols].tolist(), lower[cols].tolist(), upper[cols].tolist(), draws[rows, cols + n].tolist())
+    mutated = []
+    for xi, lo, hi, u in hits:
+        d1 = (xi - lo) / (hi - lo)
+        d2 = (hi - xi) / (hi - lo)
         if u <= 0.5:
             val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
             dq = val**mut_pow - 1.0
         else:
             val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
             dq = 1.0 - val**mut_pow
-        out[i] = min(max(x[i] + dq * (hi - lo), lo), hi)
-    return out
+        mutated.append(min(max(xi + dq * (hi - lo), lo), hi))
+    out[rows, cols] = mutated
+    return out.reshape(x.shape)
 
 
 def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
     """Mutate a random particle_fraction of the rows of ``positions`` in
-    place; velocities and momenta are untouched."""
+    place, with one :func:`polynomial_mutate` call over the picked rows;
+    velocities and momenta are untouched."""
     if cfg.particle_fraction == 0.0:
         return
-    for i in np.flatnonzero(rng.random(positions.shape[0]) < cfg.particle_fraction):
-        positions[i] = polynomial_mutate(positions[i], bounds.lower, bounds.upper, cfg, rng)
+    rows = np.flatnonzero(rng.random(positions.shape[0]) < cfg.particle_fraction)
+    positions[rows] = polynomial_mutate(positions[rows], bounds.lower, bounds.upper, cfg, rng)

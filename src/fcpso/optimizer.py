@@ -12,9 +12,10 @@ particles over n variables, with an archive of a entries, draws
 2. the coefficients: ``rng.random((N, 4))``, or ``(N, 5)`` with momentum
    (:func:`~fcpso.swarm.draw_coefficients`);
 3. the turbulence, unless its particle fraction is 0: ``rng.random(N)``
-   picks the rows, then each picked row, in row order, draws
-   ``rng.random(2 * n)``, or nothing at a per-variable probability of 0
-   (:func:`~fcpso.mutation.apply_turbulence`);
+   picks the P rows, then ``rng.random((P, 2 * n))`` holds their
+   mutations, row by row in row order, or nothing is drawn at a
+   per-variable probability of 0 (:func:`~fcpso.mutation.apply_turbulence`).
+   The block is bitwise one ``rng.random(2 * n)`` per picked row in turn;
 4. ``rng.random(k)`` for the k undecided personal bests
    (:func:`~fcpso.swarm.update_pbest`).
 

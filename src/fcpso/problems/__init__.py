@@ -10,6 +10,7 @@ bounds and finiteness check per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -63,24 +64,25 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         # get_problem's cache shares each instance with every later caller
         b = self.bounds
-        for a in (b.lower, b.upper, b.delta, self.hv_reference_point, self.reference_front):
+        for a in (b.lower, b.upper, b.delta, b.neg_delta, self.hv_reference_point, self.reference_front):
             if a is not None:
                 a.setflags(write=False)
 
 
 def _checked(name: str, bounds: BoxBounds, fn: Callable) -> Callable:
     lower, upper = bounds.lower, bounds.upper
+    n = lower.shape[0]
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != lower.shape:
-            raise ValueError(f"{name} expects {lower.shape[0]} variables, got {x.shape}")
-        # written so that a NaN, which compares False, fails it
-        if not ((lower <= x) & (x <= upper)).all():
+            raise ValueError(f"{name} expects {n} variables, got {x.shape}")
+        # counts the components inside, so a NaN, which compares False, fails it
+        if np.count_nonzero((lower <= x) & (x <= upper)) != n:
             raise ValueError(f"{name}: input outside box bounds")
         y = fn(x)
         # a NaN compares False with everything, so the archive would take it
-        if not np.isfinite(y).all():
+        if not all(map(math.isfinite, y.tolist())):
             raise ValueError(f"{name}: non-finite objectives {y}")
         return y
 

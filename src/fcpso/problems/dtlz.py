@@ -6,7 +6,8 @@ p = 5 (DTLZ1), 10 (DTLZ2-6) or 20 (DTLZ7) distance variables.
 :func:`dtlz_evaluator` builds one evaluator per (index, m) and caches it.
 The products over the position variables come from one ``np.cumprod``,
 multiplied in the order of the textbook loop, so every output is bitwise
-that loop's.
+that loop's.  Sums are ``np.add.reduce``, the pairwise reduction
+``np.sum`` runs, without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def dtlz_dimension(index: int, m: int) -> int:
 
 def _g_rastrigin(xm: np.ndarray) -> float:
     z = xm - 0.5
-    return 100.0 * (xm.shape[0] + np.sum(z * z - np.cos(_TWENTY_PI * z)))
+    return 100.0 * (xm.shape[0] + np.add.reduce(z * z - np.cos(_TWENTY_PI * z)))
 
 
 def _g_sphere(xm: np.ndarray) -> float:
-    return float(np.sum((xm - 0.5) ** 2))
+    return float(np.add.reduce((xm - 0.5) ** 2))
 
 
 def _objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
 
         def evaluate(x):
             pos, xm = x[: m - 1], x[m - 1 :]
-            g = _g_sphere(xm) if index == 5 else float(np.sum(xm**0.1))
+            g = _g_sphere(xm) if index == 5 else float(np.add.reduce(xm**0.1))
             theta = np.empty(m - 1)
             theta[0] = pos[0] * (np.pi / 2.0)
             theta[1:] = (np.pi / (4.0 * (1.0 + g))) * (1.0 + 2.0 * g * pos[1:])
@@ -87,10 +88,10 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
 
     def evaluate(x):  # DTLZ7
         pos, xm = x[: m - 1], x[m - 1 :]
-        g = 1.0 + 9.0 * np.sum(xm) / xm.shape[0]
+        g = 1.0 + 9.0 * np.add.reduce(xm) / xm.shape[0]
         f = np.empty(m)
         f[: m - 1] = pos
-        f[m - 1] = (1.0 + g) * (m - np.sum((pos / (1.0 + g)) * (1.0 + np.sin(3.0 * np.pi * pos))))
+        f[m - 1] = (1.0 + g) * (m - np.add.reduce((pos / (1.0 + g)) * (1.0 + np.sin(3.0 * np.pi * pos))))
         return f
 
     return evaluate

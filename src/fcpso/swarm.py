@@ -60,7 +60,8 @@ def default_scheme(variant: str) -> ParameterScheme:
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Per-variable box constraints; delta caps each velocity component."""
+    """Per-variable box constraints; each velocity component lies in
+    [neg_delta, delta], both derived from the box."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -75,8 +76,10 @@ class BoxBounds:
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "delta", (upper - lower) / 2.0)
+        object.__setattr__(self, "neg_delta", -self.delta)
 
     delta: np.ndarray = field(init=False)
+    neg_delta: np.ndarray = field(init=False)
 
     @property
     def n(self) -> int:
@@ -173,7 +176,7 @@ def compute_speed_em(
 
 def velocity_constriction(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     """Clamp each velocity component to [-delta_j, delta_j]."""
-    return np.minimum(np.maximum(v, -bounds.delta), bounds.delta)
+    return np.minimum(np.maximum(v, bounds.neg_delta), bounds.delta)
 
 
 def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
@@ -201,7 +204,7 @@ def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> 
     low, high = bounds.lower, bounds.upper
     uniform_velocity = cfg.velocity_init == "uniform"
     if uniform_velocity:
-        low, high = np.concatenate([low, -bounds.delta]), np.concatenate([high, bounds.delta])
+        low, high = np.concatenate([low, bounds.neg_delta]), np.concatenate([high, bounds.delta])
     u = rng.random(cfg.swarm_size * low.shape[0]).reshape(cfg.swarm_size, -1)
     block = low + (high - low) * u
     x, v = np.hsplit(block, 2) if uniform_velocity else (block, np.zeros_like(block))

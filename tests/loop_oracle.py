@@ -8,7 +8,8 @@ and the archive is the list-based ``archive_oracle.ListArchive``.  The
 draws come in the blocks that ``fcpso.optimizer`` documents, and each
 particle takes its own slice of a block, so ``fcpso.optimizer.run`` must
 reproduce this loop bitwise: same fronts, positions, hv trace and
-evaluation count.
+evaluation count.  The turbulence is ``mutate_row``, this module's own
+per-row polynomial mutation, independent of ``fcpso.mutation``.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from archive_oracle import ListArchive, dominates
 
 from fcpso.constriction import chi_momentum, chi_vanilla
 from fcpso.indicators import hypervolume
-from fcpso.mutation import polynomial_mutate
 from fcpso.optimizer import RunResult
 
 
@@ -64,6 +64,33 @@ def move(p, bounds):
         x = np.where(high, bounds.upper, x)
         p.velocity = np.where(low | high, -p.velocity, p.velocity)
     p.position = x
+
+
+def mutate_row(x, lower, upper, cfg, rng):
+    """Polynomial mutation of one point with numpy scalars: one
+    ``rng.random(2 * n)`` block, variable i mutating when entry i is below
+    the probability, by the u in entry n + i; no draw at probability 0."""
+    n = x.shape[0]
+    prob = cfg.per_variable_probability if cfg.per_variable_probability is not None else 1.0 / n
+    out = x.copy()
+    if prob == 0.0:
+        return out
+    eta = cfg.distribution_index
+    mut_pow = 1.0 / (eta + 1.0)
+    draws = rng.random(2 * n)
+    for i in np.flatnonzero(draws[:n] < prob):
+        lo, hi = lower[i], upper[i]
+        u = draws[n + i]
+        d1 = (x[i] - lo) / (hi - lo)
+        d2 = (hi - x[i]) / (hi - lo)
+        if u <= 0.5:
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
+            dq = val**mut_pow - 1.0
+        else:
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+            dq = 1.0 - val**mut_pow
+        out[i] = min(max(x[i] + dq * (hi - lo), lo), hi)
+    return out
 
 
 def remember(p, y, rng):
@@ -131,7 +158,7 @@ def run_oracle(problem, cfg, seed) -> RunResult:
             picks = rng.random(dyn.swarm_size)
             for p, pick in zip(swarm, picks):
                 if pick < cfg.mutation.particle_fraction:
-                    p.position = polynomial_mutate(p.position, bounds.lower, bounds.upper, cfg.mutation, rng)
+                    p.position = mutate_row(p.position, bounds.lower, bounds.upper, cfg.mutation, rng)
         objectives = [problem.evaluate(p.position) for p in swarm]
         evaluations += dyn.swarm_size
         for p, y in zip(swarm, objectives):

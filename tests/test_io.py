@@ -112,6 +112,17 @@ class TestComparisonCsv:
         with pytest.raises(ValueError):
             read_comparison_csv(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: "\ufeff" + text,  # as spreadsheet "CSV UTF-8" exports write it
+        lambda text: text + "\n",
+    ], ids=["byte-order-mark", "trailing-blank-line"])
+    def test_spreadsheet_edits_keep_every_row(self, tmp_path, edit):
+        rows = [ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 3.65, 0.04, "a")]
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(path, rows)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert read_comparison_csv(path) == rows
+
     @pytest.mark.parametrize("row, message", [
         ("zdt1,hv,smpso,3.6,fcpso,3.5,0.04,a", "row 3 has 8 columns, expected 9"),
         ("zdt1,hv,smpso,x,fcpso,3.5,0.04,a,", "non-numeric field in row 3"),
@@ -131,6 +142,17 @@ class TestProfileCsv:
         points = [ProfilePoint(0.1, "zdt1", 0.998), ProfilePoint(-0.2, "zdt3", 1.001)]
         path = tmp_path / "profile.csv"
         write_profile_csv(path, points)
+        assert read_profile_csv(path) == points
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "\ufeff" + text,  # as spreadsheet "CSV UTF-8" exports write it
+        lambda text: text + "\n",
+    ], ids=["byte-order-mark", "trailing-blank-line"])
+    def test_spreadsheet_edits_keep_every_row(self, tmp_path, edit):
+        points = [ProfilePoint(0.1, "zdt1", 0.998), ProfilePoint(-0.2, "zdt3", 1.001)]
+        path = tmp_path / "profile.csv"
+        write_profile_csv(path, points)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         assert read_profile_csv(path) == points
 
     @pytest.mark.parametrize("row, message", [

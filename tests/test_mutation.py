@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from loop_oracle import mutate_row
 
 from fcpso.mutation import MutationConfig, apply_turbulence, polynomial_mutate
 from fcpso.swarm import BoxBounds
@@ -83,6 +84,56 @@ class TestPolynomialMutate:
         cfg = MutationConfig(per_variable_probability=1.0)
         with pytest.raises(ValueError, match=match):
             polynomial_mutate(np.full(3, 0.5), np.array(lower), np.array(upper), cfg, rng)
+        assert rng.bit_generator.state == state
+
+
+    @pytest.mark.parametrize("prob", [None, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("eta", [5.0, 20.0])
+    def test_one_block_call_is_the_per_row_oracle(self, prob, eta):
+        # unequal boxes; rows near and on both walls, where (1 - d)**(eta + 1)
+        # weighs most
+        lower, upper = np.array([0.0, -5.0, -5.0, 2.0, 0.0]), np.array([1.0, 5.0, 5.0, 3.0, 1e-3])
+        u = np.random.default_rng(8).random((300, 5))
+        u[::2] = u[::2] ** 4
+        u[1::4] = 1.0 - u[1::4] ** 4
+        X = lower + (upper - lower) * u
+        X[::3, 1], X[::4, 2], X[::5, 4] = lower[1], upper[2], upper[4]
+        cfg = MutationConfig(distribution_index=eta, per_variable_probability=prob)
+        got_rng, want_rng = np.random.default_rng(99), np.random.default_rng(99)
+        got = polynomial_mutate(X, lower, upper, cfg, got_rng)
+        want = np.array([mutate_row(x, lower, upper, cfg, want_rng) for x in X])
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert (got != X).any() == (prob != 0.0)
+
+    def test_a_point_is_a_block_of_one(self):
+        lower, upper = np.zeros(6), np.ones(6)
+        x = np.random.default_rng(4).random(6)
+        cfg = MutationConfig(per_variable_probability=0.5)
+        one, block = np.random.default_rng(2), np.random.default_rng(2)
+        out = polynomial_mutate(x, lower, upper, cfg, one)
+        assert out.shape == (6,)
+        assert out.tobytes() == polynomial_mutate(x[None, :], lower, upper, cfg, block).tobytes()
+        assert one.bit_generator.state == block.bit_generator.state
+
+    def test_an_empty_block_draws_nothing(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        out = polynomial_mutate(np.empty((0, 3)), np.zeros(3), np.ones(3), MutationConfig(), rng)
+        assert out.shape == (0, 3)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("x, match", [
+        (np.full((2, 2, 3), 0.5), r"x has shape \(2, 2, 3\)"),
+        (np.array([0.5, 1.5, 0.5]), "within"),
+        (np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]), "within"),
+        (np.array([0.5, np.nextafter(0.0, -1.0), 0.5]), "within"),
+    ])
+    def test_bad_points_raise_before_any_draw(self, x, match):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            polynomial_mutate(x, np.zeros(3), np.ones(3), MutationConfig(per_variable_probability=1.0), rng)
         assert rng.bit_generator.state == state
 
 

@@ -137,12 +137,37 @@ class TestRegistry:
     def test_cached_arrays_are_read_only(self, name, n_obj):
         problem = get_problem(name, n_obj)
         arrays = [problem.hv_reference_point, problem.reference_front,
-                  problem.bounds.lower, problem.bounds.upper, problem.bounds.delta]
+                  problem.bounds.lower, problem.bounds.upper, problem.bounds.delta,
+                  problem.bounds.neg_delta]
         for a in arrays:
             before = a.copy()
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
             np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("name,n_obj", [("zdt4", None), ("dtlz2", 3), ("wfg4", 5)])
+    def test_one_ulp_outside_either_wall_is_rejected(self, name, n_obj):
+        problem = get_problem(name, n_obj)
+        lower, upper = problem.bounds.lower, problem.bounds.upper
+        for i in range(problem.n_var):
+            for wall, away in ((lower, -np.inf), (upper, np.inf)):
+                x = (lower + upper) / 2.0
+                x[i] = np.nextafter(wall[i], away)
+                with pytest.raises(ValueError, match="input outside box bounds"):
+                    problem.evaluate(x)
+
+    @pytest.mark.parametrize("name,n_obj", [("zdt4", None), ("dtlz2", 3), ("wfg4", 5)])
+    def test_a_point_on_the_walls_evaluates(self, name, n_obj):
+        problem = get_problem(name, n_obj)
+        lower, upper = problem.bounds.lower, problem.bounds.upper
+        points = [lower, upper]
+        for i in range(problem.n_var):
+            for wall in (lower, upper):
+                x = (lower + upper) / 2.0
+                x[i] = wall[i]
+                points.append(x)
+        for x in points:
+            assert problem.evaluate(x).shape == (problem.n_obj,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_objectives_are_rejected(self, bad):

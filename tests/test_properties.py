@@ -17,6 +17,7 @@ from hv_oracle import non_dominated_mask as non_dominated_loop
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loop_oracle import run_oracle
+from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
@@ -254,3 +255,30 @@ def test_array_swarm_run_is_bitwise_the_per_particle_loop(case, seed):
     assert got.front_positions.tobytes() == expected.front_positions.tobytes()
     assert got.hv_trace == expected.hv_trace
     assert got.evaluations_used == expected.evaluations_used
+
+
+@st.composite
+def zdt_points(draw):
+    """A ZDT problem and a point of its box whose components lie on a wall,
+    are subnormal (of either sign where the box spans 0) or anywhere inside."""
+    problem = get_problem(draw(st.sampled_from(sorted(ZDT))))
+    x = []
+    for lo, hi in zip(problem.bounds.lower.tolist(), problem.bounds.upper.tolist()):
+        kind = draw(st.sampled_from(["lower", "upper", "subnormal", "inside"]))
+        if kind == "lower":
+            x.append(lo)
+        elif kind == "upper":
+            x.append(hi)
+        elif kind == "subnormal":
+            tiny = draw(st.floats(min_value=5e-324, max_value=np.finfo(float).smallest_normal, exclude_max=True))
+            x.append(-tiny if lo < 0.0 and draw(st.booleans()) else tiny)
+        else:
+            x.append(draw(st.floats(min_value=lo, max_value=hi)))
+    return problem, np.array(x)
+
+
+@PROPERTY_SETTINGS
+@given(zdt_points())
+def test_zdt_evaluation_is_bitwise_the_textbook_expression(case):
+    problem, x = case
+    assert problem.evaluate(x).tobytes() == ZDT[problem.name](x).tobytes()

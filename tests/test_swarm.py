@@ -48,6 +48,7 @@ class TestBoxBounds:
     def test_delta(self):
         b = BoxBounds(np.array([0.0, -5.0]), np.array([10.0, 5.0]))
         np.testing.assert_array_equal(b.delta, [5.0, 5.0])
+        np.testing.assert_array_equal(b.neg_delta, [-5.0, -5.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
