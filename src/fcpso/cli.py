@@ -165,6 +165,8 @@ def cmd_solve(args) -> int:
     try:
         name, n_obj = parse_problem_id(args.problem)
         if args.objectives is not None:
+            if n_obj not in (None, args.objectives):
+                raise ValueError(f"the id gives {n_obj} objectives and --objectives gives {args.objectives}")
             n_obj = args.objectives
         problem = get_problem(name, n_obj)
     except ValueError as exc:

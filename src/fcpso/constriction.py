@@ -20,7 +20,6 @@ __all__ = [
     "chi_vanilla",
     "chi_momentum",
     "activation_event",
-    "activation_threshold",
     "evolution_matrix",
     "step_map",
     "eigenvalues",
@@ -67,12 +66,6 @@ def chi_vanilla(phi: float) -> float:
     if phi <= 4.0:
         return 1.0
     return 2.0 / (2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
-
-
-def activation_threshold(beta: float) -> float:
-    """Smallest phi at which the momentum constriction factor activates."""
-    _check_beta(beta)
-    return 4.0 / (1.0 + beta)
 
 
 def activation_event(phi: float, beta: float) -> bool:

@@ -1,9 +1,11 @@
 """CSV files for fronts, runs, comparisons and profiles.
 
-Front CSVs (an ``f1,...,fk`` header, one point per row) are written by
-``write_front_csv`` and read back by ``read_front_csv``.  Floats are
-written with repr precision so a rerun with the same seed produces
-byte-identical files.
+Every CSV goes through one row writer: a header, then one line per
+record.  Floats are written by ``fmt`` with repr precision, so a rerun
+with the same seed produces byte-identical files; an absent value is an
+empty cell.  Only the front CSV (``f1,...,fk``, one point per row) is
+read back, by ``read_front_csv``.  A run lands in
+``<root>/<problem>-<m>/<variant>/<seed>/``, m being the objective count.
 """
 
 from __future__ import annotations
@@ -27,14 +29,22 @@ __all__ = [
     "write_hv_trace_csv",
     "write_run_result",
     "write_comparison_csv",
-    "read_comparison_csv",
     "write_profile_csv",
-    "read_profile_csv",
 ]
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _cell(x: float | None) -> str:
+    return "" if x is None else fmt(x)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for cells in (header, *rows):
+            fh.write(",".join(cells) + "\n")
 
 
 def results_root(override: str | None = None) -> Path:
@@ -44,15 +54,13 @@ def results_root(override: str | None = None) -> Path:
 
 
 def run_directory(root: Path, result: RunResult) -> Path:
-    return Path(root) / result.problem / result.variant / str(result.seed)
+    n_obj = result.front_objectives.shape[1]
+    return Path(root) / f"{result.problem}-{n_obj}" / result.variant / str(result.seed)
 
 
 def _write_matrix_csv(path, values: np.ndarray, prefix: str) -> None:
     A = np.atleast_2d(np.asarray(values, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"{prefix}{j + 1}" for j in range(A.shape[1])) + "\n")
-        for row in A:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write_csv(path, [f"{prefix}{j + 1}" for j in range(A.shape[1])], [map(fmt, row) for row in A])
 
 
 def write_front_csv(path, objectives: np.ndarray) -> None:
@@ -73,12 +81,11 @@ def read_front_csv(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            if lineno == 1 and any(not _is_number(c) for c in cells):
-                continue  # header row
             try:
-                values = [float(c) for c in cells]
+                values = [float(c) for c in line.split(",")]
             except ValueError:
+                if lineno == 1:
+                    continue  # header row
                 raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}: non-finite field in row {lineno}")
@@ -94,17 +101,10 @@ def read_front_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def write_metadata(path, result: RunResult) -> None:
     lines = [
         f"problem={result.problem}",
+        f"objectives={result.front_objectives.shape[1]}",
         f"variant={result.variant}",
         "scheme=" + ",".join(fmt(v) for v in result.scheme),
         f"seed={result.seed}",
@@ -116,14 +116,12 @@ def write_metadata(path, result: RunResult) -> None:
 
 
 def write_hv_trace_csv(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("evaluations,hv\n")
-        for evals, hv in trace:
-            fh.write(f"{evals},{fmt(hv)}\n")
+    _write_csv(path, ("evaluations", "hv"), [(f"{evals}", fmt(hv)) for evals, hv in trace])
 
 
 def write_run_result(directory, result: RunResult) -> Path:
-    """Write front/positions/metadata (and the hv trace when recorded)."""
+    """Write front/positions/metadata, and the hv trace when recorded
+    (removing one an earlier run left when not)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_front_csv(directory / "front.csv", result.front_objectives)
@@ -131,90 +129,21 @@ def write_run_result(directory, result: RunResult) -> Path:
     write_metadata(directory / "meta.txt", result)
     if result.hv_trace:
         write_hv_trace_csv(directory / "hv_trace.csv", result.hv_trace)
+    else:
+        (directory / "hv_trace.csv").unlink(missing_ok=True)
     return directory
 
 
 def write_comparison_csv(path, rows: list[ComparisonRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("problem,indicator,variant_a,median_a,variant_b,median_b,p_value,winner,error\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.problem,
-                        r.indicator,
-                        r.variant_a,
-                        fmt(r.median_a) if r.median_a is not None else "",
-                        r.variant_b,
-                        fmt(r.median_b) if r.median_b is not None else "",
-                        fmt(r.p_value) if r.p_value is not None else "",
-                        r.winner,
-                        (r.error or "").replace(",", ";"),
-                    ]
-                )
-                + "\n"
-            )
-
-
-def read_comparison_csv(path) -> list[ComparisonRow]:
-    """Read a comparison CSV.  A malformed row is rejected with its 1-based
-    row number, the header being row 1.  Blank lines and a UTF-8
-    byte-order mark, as spreadsheet exports write, are skipped."""
-    rows = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline()
-        if not header.startswith("problem,indicator"):
-            raise ValueError(f"{path}: not a comparison csv")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 9:
-                raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 9")
-            try:
-                rows.append(
-                    ComparisonRow(
-                        problem=cells[0],
-                        indicator=cells[1],
-                        variant_a=cells[2],
-                        median_a=float(cells[3]) if cells[3] else None,
-                        variant_b=cells[4],
-                        median_b=float(cells[5]) if cells[5] else None,
-                        p_value=float(cells[6]) if cells[6] else None,
-                        winner=cells[7],
-                        error=cells[8] or None,
-                    )
-                )
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
-    return rows
+    header = ("problem", "indicator", "variant_a", "median_a", "variant_b", "median_b",
+              "p_value", "winner", "error")
+    _write_csv(path, header, [
+        (r.problem, r.indicator, r.variant_a, _cell(r.median_a), r.variant_b, _cell(r.median_b),
+         _cell(r.p_value), r.winner, (r.error or "").replace(",", ";"))
+        for r in rows
+    ])
 
 
 def write_profile_csv(path, points: list[ProfilePoint]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mu,problem,normalized_hv\n")
-        for p in points:
-            fh.write(f"{fmt(p.mu)},{p.problem},{fmt(p.normalized_hv)}\n")
-
-
-def read_profile_csv(path) -> list[ProfilePoint]:
-    """Read a profile CSV.  A malformed row is rejected with its 1-based
-    row number, the header being row 1.  Blank lines and a UTF-8
-    byte-order mark, as spreadsheet exports write, are skipped."""
-    points = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline()
-        if not header.startswith("mu,problem"):
-            raise ValueError(f"{path}: not a profile csv")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 3:
-                raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected 3")
-            mu, problem, hv = cells
-            try:
-                points.append(ProfilePoint(mu=float(mu), problem=problem, normalized_hv=float(hv)))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
-    return points
+    _write_csv(path, ("mu", "problem", "normalized_hv"),
+               [(fmt(p.mu), p.problem, fmt(p.normalized_hv)) for p in points])

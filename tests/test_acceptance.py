@@ -274,8 +274,8 @@ def test_c11_determinism_byte_identical(tmp_path):
             "solve", "--problem", "zdt1", "--seed", "5", "--evaluations", "2000",
             "--out", str(tmp_path / sub),
         ]) == 0
-    front_a = (tmp_path / "r1" / "zdt1" / "fcpso" / "5" / "front.csv").read_bytes()
-    front_b = (tmp_path / "r2" / "zdt1" / "fcpso" / "5" / "front.csv").read_bytes()
+    front_a = (tmp_path / "r1" / "zdt1-2" / "fcpso" / "5" / "front.csv").read_bytes()
+    front_b = (tmp_path / "r2" / "zdt1-2" / "fcpso" / "5" / "front.csv").read_bytes()
 
     spec = ExperimentSpec(
         problems=("zdt1",), variants=("smpso", "fcpso"), repetitions=3,

@@ -2,8 +2,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from csv_reader import COMPARISON_FLOATS, COMPARISON_HEADER, read_records
 
 from fcpso.cli import _KEYS, build_parser, load_config_file, main
+from fcpso.experiments import ComparisonRow
 from fcpso.fairness import ParameterScheme
 from fcpso.io import read_front_csv
 
@@ -91,7 +93,7 @@ class TestSolve:
         assert code == 0
         out = capsys.readouterr().out
         assert "front_size=" in out and "hv=" in out
-        run_dir = tmp_path / "zdt1" / "fcpso" / "7"
+        run_dir = tmp_path / "zdt1-2" / "fcpso" / "7"
         front = read_front_csv(run_dir / "front.csv")
         assert front.shape[1] == 2
         meta = (run_dir / "meta.txt").read_text()
@@ -116,8 +118,8 @@ class TestSolve:
                 "solve", "--problem", "zdt6", "--seed", "3", "--evaluations", "400",
                 "--swarm", "20", "--out", str(tmp_path / sub),
             ) == 0
-        a = (tmp_path / "a" / "zdt6" / "fcpso" / "3" / "front.csv").read_bytes()
-        b = (tmp_path / "b" / "zdt6" / "fcpso" / "3" / "front.csv").read_bytes()
+        a = (tmp_path / "a" / "zdt6-2" / "fcpso" / "3" / "front.csv").read_bytes()
+        b = (tmp_path / "b" / "zdt6-2" / "fcpso" / "3" / "front.csv").read_bytes()
         assert a == b
 
     def test_em_smpso_front_smaller_than_fcpso(self, tmp_path):
@@ -128,7 +130,7 @@ class TestSolve:
                 "solve", "--problem", "zdt1", "--variant", variant, "--seed", "7",
                 "--out", str(tmp_path),
             ) == 0
-            front = read_front_csv(tmp_path / "zdt1" / variant / "7" / "front.csv")
+            front = read_front_csv(tmp_path / "zdt1-2" / variant / "7" / "front.csv")
             sizes[variant] = front.shape[0]
         assert sizes["em-smpso"] < sizes["fcpso"]
 
@@ -143,12 +145,29 @@ class TestSolve:
         assert f"error: {named}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_objective_counts_land_in_their_own_directories(self, tmp_path):
+        # the same seed and variant at 3, 4 and 5 objectives; an --objectives
+        # equal to the id's count, or given with a bare name, is accepted
+        small = ["--evaluations", "200", "--swarm", "20", "--out", str(tmp_path)]
+        for problem in (["dtlz2:3"], ["dtlz2:5", "--objectives", "5"], ["dtlz2", "--objectives", "4"]):
+            assert run_cli("solve", "--problem", *problem, *small) == 0
+        for m in (3, 4, 5):
+            meta = (tmp_path / f"dtlz2-{m}" / "fcpso" / "1" / "meta.txt").read_text()
+            assert "problem=dtlz2\n" in meta and f"objectives={m}\n" in meta
+
+    def test_conflicting_objective_counts_exit_1_naming_both(self, tmp_path, capsys):
+        code = run_cli("solve", "--problem", "dtlz2:5", "--objectives", "3", "--out", str(tmp_path))
+        assert code == 1
+        named = "--problem dtlz2:5 --objectives 3: the id gives 5 objectives and --objectives gives 3"
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
         code = run_cli("solve", "--problem", "zdt1", flag, "0", "--out", str(tmp_path))
         assert code == 1
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "zdt1").exists()
+        assert not (tmp_path / "zdt1-2").exists()
 
 
 class TestConfigFile:
@@ -173,7 +192,7 @@ class TestConfigFile:
         )
         assert code == 0
         assert "seed=9" in capsys.readouterr().out
-        assert (tmp_path / "zdt1" / "fcpso" / "9").is_dir()
+        assert (tmp_path / "zdt1-2" / "fcpso" / "9").is_dir()
 
     @pytest.mark.parametrize("line", ["swarm_size = abc", "seed = x", "inertia = fast", "hv_target = 2"])
     def test_bad_value_exits_1(self, tmp_path, capsys, line):
@@ -192,7 +211,7 @@ class TestConfigFile:
         cfg.write_text(text)
         assert run_with_config("solve", cfg, tmp_path) == 1
         assert f"error: {named}" in capsys.readouterr().err
-        assert not (tmp_path / "zdt1").exists()
+        assert not (tmp_path / "zdt1-2").exists()
 
     @pytest.mark.parametrize("command, section, key", TABLE_CASES)
     def test_every_key_takes_effect(self, tmp_path, monkeypatch, command, section, key):
@@ -217,7 +236,7 @@ class TestConfigFile:
         cfg.write_text(text)
         assert run_with_config(command, cfg, tmp_path) == 1
         assert f"error: {cfg}: {named}" in capsys.readouterr().err
-        assert not (tmp_path / "zdt1").exists() and not (tmp_path / "comparison.csv").exists()
+        assert not (tmp_path / "zdt1-2").exists() and not (tmp_path / "comparison.csv").exists()
 
     @pytest.mark.parametrize("command, text, section", [
         ("solve", "[run]\nseed = 9\n[experiment]\nproblems = zdt1\n", "[experiment]"),
@@ -296,9 +315,8 @@ class TestBenchmark:
     def test_bundled_zdt_quick_runs_end_to_end(self, tmp_path):
         code = run_cli("benchmark", "zdt-quick", "--workers", "2", "--out", str(tmp_path))
         assert code == 0
-        from fcpso.io import read_comparison_csv
-
-        rows = read_comparison_csv(tmp_path / "comparison.csv")
+        path = tmp_path / "comparison.csv"
+        rows = read_records(path, ComparisonRow, COMPARISON_HEADER, COMPARISON_FLOATS)
         assert len(rows) == 5  # five ZDT problems x hv x one variant pair
         assert {r.problem for r in rows} == {"zdt1", "zdt2", "zdt3", "zdt4", "zdt6"}
         assert all(r.indicator == "hv" and r.winner != "error" for r in rows)
@@ -398,7 +416,7 @@ class TestIndicatorsCmd:
             "solve", "--problem", "zdt2", "--seed", "2", "--evaluations", "400",
             "--swarm", "20", "--out", str(tmp_path),
         ) == 0
-        front_csv = tmp_path / "zdt2" / "fcpso" / "2" / "front.csv"
+        front_csv = tmp_path / "zdt2-2" / "fcpso" / "2" / "front.csv"
         assert run_cli("indicators", "--front", str(front_csv), "--ref-point", "2,2") == 0
 
 

@@ -6,7 +6,6 @@ import pytest
 from fcpso.constriction import (
     MapState,
     activation_event,
-    activation_threshold,
     chi_momentum,
     chi_vanilla,
     eigenvalues,
@@ -68,7 +67,7 @@ class TestActivation:
 
     def test_boundary_is_inactive(self):
         beta = 0.25
-        assert activation_event(activation_threshold(beta), beta) is False
+        assert activation_event(4.0 / (1.0 + beta), beta) is False
 
     def test_active_implies_positive_discriminant(self, rng):
         for _ in range(2000):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from csv_reader import COMPARISON_FLOATS, COMPARISON_HEADER, read_records
 
 from fcpso.experiments import ComparisonRow, ProfilePoint
 from fcpso.io import (
     fmt,
-    read_comparison_csv,
     read_front_csv,
-    read_profile_csv,
     results_root,
     run_directory,
     write_comparison_csv,
@@ -34,6 +33,10 @@ def make_result(**overrides):
     return RunResult(**base)
 
 
+def point(**cells):
+    return tuple(cells.values())
+
+
 class TestFmt:
     def test_round_trip_exact(self, rng):
         for x in rng.random(200) * 1e3:
@@ -49,6 +52,8 @@ class TestFrontCsv:
         back = read_front_csv(path)
         np.testing.assert_array_equal(back, F)
         assert path.read_text().splitlines()[0] == "f1,f2,f3"
+        fs = ("f1", "f2", "f3")
+        np.testing.assert_array_equal(read_records(path, point, fs, floats=fs), F)
 
     @pytest.mark.parametrize("text, message", [
         ("f1,f2\n0.0,1.0\n0.5,abc\n", "non-numeric field in row 3"),
@@ -82,10 +87,25 @@ class TestRunResultFiles:
         assert (out / "hv_trace.csv").is_file()
         meta = (out / "meta.txt").read_text()
         assert "problem=zdt1" in meta
+        assert "objectives=2" in meta
         assert "evaluations=400" in meta
         assert "scheme=2,3.4672000000000001,0,1" in meta
 
+    def test_positions_and_trace_round_trip(self, tmp_path):
+        result = make_result(front_positions=np.array([[0.1, 1 / 3, 0.7], [0.3, 0.4, 1e-300]]))
+        out = write_run_result(tmp_path / "run", result)
+        xs = ("x1", "x2", "x3")
+        positions = read_records(out / "positions.csv", point, xs, floats=xs)
+        np.testing.assert_array_equal(positions, result.front_positions)
+        trace = read_records(out / "hv_trace.csv", point, ("evaluations", "hv"), floats=("hv",))
+        assert trace == [("100", 1.5), ("200", 2.0)]
+
     def test_no_trace_file_without_trace(self, tmp_path):
+        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]))
+        assert not (out / "hv_trace.csv").exists()
+
+    def test_a_rerun_without_trace_removes_the_old_trace(self, tmp_path):
+        write_run_result(tmp_path / "run", make_result())
         out = write_run_result(tmp_path / "run", make_result(hv_trace=[]))
         assert not (out / "hv_trace.csv").exists()
 
@@ -98,79 +118,39 @@ class TestRunResultFiles:
 class TestComparisonCsv:
     def test_round_trip(self, tmp_path):
         rows = [
-            ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 3.65, 0.04, "a"),
+            ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 1 / 3, 0.04, "a"),
             ComparisonRow("wfg1:5", "igd", "smpso", "fcpso", None, None, None, "error",
                           error="no reference front for wfg1"),
         ]
         path = tmp_path / "comparison.csv"
         write_comparison_csv(path, rows)
-        assert read_comparison_csv(path) == rows
+        assert read_records(path, ComparisonRow, COMPARISON_HEADER, COMPARISON_FLOATS) == rows
 
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_comparison_csv(path)
-
-    @pytest.mark.parametrize("edit", [
-        lambda text: "\ufeff" + text,  # as spreadsheet "CSV UTF-8" exports write it
-        lambda text: text + "\n",
-    ], ids=["byte-order-mark", "trailing-blank-line"])
-    def test_spreadsheet_edits_keep_every_row(self, tmp_path, edit):
-        rows = [ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 3.65, 0.04, "a")]
+    def test_a_comma_in_an_error_becomes_a_semicolon(self, tmp_path):
         path = tmp_path / "comparison.csv"
-        write_comparison_csv(path, rows)
-        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
-        assert read_comparison_csv(path) == rows
-
-    @pytest.mark.parametrize("row, message", [
-        ("zdt1,hv,smpso,3.6,fcpso,3.5,0.04,a", "row 3 has 8 columns, expected 9"),
-        ("zdt1,hv,smpso,x,fcpso,3.5,0.04,a,", "non-numeric field in row 3"),
-    ])
-    def test_malformed_row_is_named(self, tmp_path, row, message):
-        path = tmp_path / "comparison.csv"
-        write_comparison_csv(path, [ComparisonRow("zdt1", "hv", "smpso", "fcpso", 3.66, 3.65, 0.04, "a")])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
-        with pytest.raises(ValueError) as exc:
-            read_comparison_csv(path)
-        assert str(exc.value) == f"{path}: {message}"
+        write_comparison_csv(path, [ComparisonRow("zdt1", "fe", "a", "b", None, None, None, "error",
+                                                  error="x, y")])
+        assert path.read_text().splitlines()[1] == "zdt1,fe,a,,b,,,error,x; y"
 
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
-        points = [ProfilePoint(0.1, "zdt1", 0.998), ProfilePoint(-0.2, "zdt3", 1.001)]
+        points = [ProfilePoint(0.1, "zdt1", 0.998), ProfilePoint(-0.2, "zdt3", 1 / 3)]
         path = tmp_path / "profile.csv"
         write_profile_csv(path, points)
-        assert read_profile_csv(path) == points
-
-    @pytest.mark.parametrize("edit", [
-        lambda text: "\ufeff" + text,  # as spreadsheet "CSV UTF-8" exports write it
-        lambda text: text + "\n",
-    ], ids=["byte-order-mark", "trailing-blank-line"])
-    def test_spreadsheet_edits_keep_every_row(self, tmp_path, edit):
-        points = [ProfilePoint(0.1, "zdt1", 0.998), ProfilePoint(-0.2, "zdt3", 1.001)]
-        path = tmp_path / "profile.csv"
-        write_profile_csv(path, points)
-        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
-        assert read_profile_csv(path) == points
-
-    @pytest.mark.parametrize("row, message", [
-        ("0.1,zdt1", "row 3 has 2 columns, expected 3"),
-        ("0.1,zdt1,x", "non-numeric field in row 3"),
-    ])
-    def test_malformed_row_is_named(self, tmp_path, row, message):
-        path = tmp_path / "profile.csv"
-        path.write_text(f"mu,problem,normalized_hv\n0.1,zdt1,0.998\n{row}\n")
-        with pytest.raises(ValueError) as exc:
-            read_profile_csv(path)
-        assert str(exc.value) == f"{path}: {message}"
+        header = ("mu", "problem", "normalized_hv")
+        assert read_records(path, ProfilePoint, header, floats=("mu", "normalized_hv")) == points
 
 
 class TestPaths:
     def test_run_directory_layout(self, tmp_path):
         d = run_directory(tmp_path, make_result())
-        assert d == tmp_path / "zdt1" / "fcpso" / "3"
+        assert d == tmp_path / "zdt1-2" / "fcpso" / "3"
+
+    def test_objective_counts_get_their_own_directories(self, tmp_path):
+        for m in (3, 5):
+            result = make_result(problem="dtlz2", front_objectives=np.ones((2, m)))
+            assert run_directory(tmp_path, result) == tmp_path / f"dtlz2-{m}" / "fcpso" / "3"
 
     def test_results_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FCPSO_RESULTS_DIR", str(tmp_path / "elsewhere"))

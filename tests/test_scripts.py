@@ -1,5 +1,6 @@
 """Smoke tests for the parity scripts in ``scripts/``: each still imports
-and prints a stable sha256 per run, and three front digests are pinned."""
+and prints a stable sha256 per run, three front digests are pinned, and
+two experiment digests match ``scripts/baselines/experiment_digest.txt``."""
 
 import importlib.util
 import re
@@ -20,7 +21,6 @@ def load(name):
 @pytest.mark.parametrize("script, args", [
     ("front_digest", ("zdt1", "fcpso", 1)),
     ("eval_digest", ("dtlz2:3",)),
-    ("experiment_digest", ("fe-only",)),
 ])
 def test_a_digest_is_a_stable_sha256(script, args):
     digest = load(script).digest
@@ -43,3 +43,15 @@ PINNED_FRONTS = {
 @pytest.mark.parametrize("variant", sorted(PINNED_FRONTS))
 def test_the_front_digest_is_pinned(variant):
     assert load("front_digest").digest("zdt1", variant, 1) == PINNED_FRONTS[variant]
+
+
+# comparison.csv of an fe-only experiment and profile.csv of a two-point
+# mu grid: the bytes the comparison and profile writers put out
+EXPERIMENT_BASELINE = dict(
+    line.split() for line in (SCRIPTS / "baselines" / "experiment_digest.txt").read_text().splitlines()
+)
+
+
+@pytest.mark.parametrize("case", ["fe-only", "profile"])
+def test_the_experiment_digest_is_pinned(case):
+    assert load("experiment_digest").digest(case) == EXPERIMENT_BASELINE[case]
