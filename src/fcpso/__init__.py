@@ -34,12 +34,7 @@ from .fairness import (
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig, apply_turbulence, polynomial_mutate
 from .optimizer import RunConfig, RunResult, run
-from .problems import (
-    ProblemInstance,
-    available_problems,
-    get_problem,
-    theoretical_front,
-)
+from .problems import ProblemInstance, available_problems, get_problem
 from .swarm import (
     BoxBounds,
     DynamicsConfig,

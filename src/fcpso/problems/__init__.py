@@ -1,16 +1,21 @@
 """Benchmark problem registry: ZDT, DTLZ and WFG suites.
 
-Every problem is exposed as a :class:`ProblemInstance` bundling the
-evaluator, its box bounds, the canonical hypervolume reference point and
-(where a closed form exists) a sampled theoretical front.  The DTLZ and
-WFG evaluators come from cached builders, so their constants are
-computed once per instance; the instance wraps them in one shape,
-bounds and finiteness check per call.
+:func:`get_problem` is the one place that reads a problem name.  It
+looks the name up in one table and builds a :class:`ProblemInstance`
+bundling the evaluator, its box bounds, the hypervolume reference point
+and, where a closed form exists, a sampled theoretical front from its
+suite's builder in :mod:`.fronts`.  Every problem runs at its suite's
+canonical size: ZDT (Zitzler, Deb & Thiele 2000), DTLZ (Deb et al.
+2005) and WFG (Huband et al., IEEE TEVC 2006).  The DTLZ and WFG
+evaluators come from cached builders, so their constants are computed
+once per instance; the instance wraps them in one shape, bounds and
+finiteness check per call.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -19,9 +24,9 @@ import numpy as np
 
 from ..swarm import BoxBounds
 from . import fronts
-from .dtlz import DTLZ_DISTANCE_VARS, dtlz_dimension, dtlz_evaluator
-from .fronts import ZDT6_F1_MIN, theoretical_front
-from .wfg import WFG_DISTANCE_VARS, wfg_bounds, wfg_dimension, wfg_evaluator
+from .dtlz import dtlz_dimension, dtlz_evaluator
+from .fronts import ZDT6_F1_MIN
+from .wfg import wfg_bounds, wfg_evaluator
 from .zdt import ZDT_DIMENSIONS, zdt1, zdt2, zdt3, zdt4, zdt6
 
 __all__ = [
@@ -29,12 +34,18 @@ __all__ = [
     "get_problem",
     "parse_problem_id",
     "available_problems",
-    "theoretical_front",
     "ZDT6_F1_MIN",
     "ZDT_REFERENCE_HV",
 ]
 
 _ZDT_EVALUATORS = {"zdt1": zdt1, "zdt2": zdt2, "zdt3": zdt3, "zdt4": zdt4, "zdt6": zdt6}
+
+# every registered name -> (suite, index), in available_problems() order
+_REGISTRY = {
+    f"{suite}{index}": (suite, index)
+    for suite, indices in (("zdt", (1, 2, 3, 4, 6)), ("dtlz", range(1, 8)), ("wfg", range(1, 10)))
+    for index in indices
+}
 
 # Hypervolume of the continuum fronts against the canonical (2, 2)
 # reference point.  zdt1/2/4 are analytic (11/3, 10/3); zdt3 and zdt6
@@ -90,108 +101,63 @@ def _checked(name: str, bounds: BoxBounds, fn: Callable) -> Callable:
 
 
 def available_problems() -> list[str]:
-    return (
-        sorted(_ZDT_EVALUATORS)
-        + [f"dtlz{i}" for i in DTLZ_DISTANCE_VARS]
-        + [f"wfg{i}" for i in range(1, 10)]
-    )
+    return list(_REGISTRY)
 
 
 def parse_problem_id(problem_id: str) -> tuple[str, int | None]:
-    """Split "name" or "name:objectives" into (name, n_obj or None)."""
-    if ":" in problem_id:
-        name, _, m = problem_id.partition(":")
-        try:
-            return name.strip().lower(), int(m)
-        except ValueError:
-            raise ValueError(
-                f"problem id {problem_id!r}: the objective count after ':' must be an integer"
-            ) from None
-    return problem_id.strip().lower(), None
-
-
-def _unknown(name: str) -> ValueError:
-    return ValueError(f"unknown problem {name!r}; available: {', '.join(available_problems())}")
-
-
-def _reference_front(name: str, m: int) -> np.ndarray | None:
-    try:
-        return theoretical_front(name, m)
-    except ValueError:
-        return None
+    """Split "name" or "name:objectives" into (name, n_obj or None); the
+    count is ASCII digits, so "1_0", "+3" and non-ASCII digits, which
+    ``int`` reads, are refused."""
+    name, colon, m = problem_id.partition(":")
+    if colon and not re.fullmatch(r"\s*-?[0-9]+\s*", m):
+        raise ValueError(f"problem id {problem_id!r}: the objective count after ':' must be an integer")
+    return name.strip().lower(), int(m) if colon else None
 
 
 @lru_cache(maxsize=None)
-def get_problem(name: str, n_obj: int | None = None, n_var: int | None = None) -> ProblemInstance:
-    """Build a registered problem and its evaluator, once per argument
-    tuple; n_obj/n_var of None fall back to the suite's canonical
-    defaults."""
-    name = name.lower()
-    if name in _ZDT_EVALUATORS:
+def get_problem(name: str, n_obj: int | None = None) -> ProblemInstance:
+    """Build a registered problem (any letter case) and its evaluator,
+    once per argument pair; an n_obj of None means the suite's default
+    (2 for ZDT, 3 for DTLZ, 5 for WFG)."""
+    try:
+        suite, index = _REGISTRY[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}") from None
+    return _build(suite, index, n_obj)
+
+
+def _build(suite: str, index: int, n_obj: int | None) -> ProblemInstance:
+    name = f"{suite}{index}"
+    if suite == "zdt":
         if n_obj not in (None, 2):
             raise ValueError(f"{name} is bi-objective; got n_obj={n_obj!r}")
-        n = ZDT_DIMENSIONS[name] if n_var is None else n_var
-        if n < 2:
-            raise ValueError(f"{name} needs at least 2 variables, got n_var={n_var!r}")
-        if name == "zdt4":
-            lower = np.full(n, -5.0)
-            upper = np.full(n, 5.0)
-            lower[0], upper[0] = 0.0, 1.0
-        else:
-            lower, upper = np.zeros(n), np.ones(n)
-        bounds = BoxBounds(lower, upper)
-        return ProblemInstance(
-            name=name,
-            n_var=n,
-            n_obj=2,
-            bounds=bounds,
-            evaluate=_checked(name, bounds, _ZDT_EVALUATORS[name]),
-            reference_front=_reference_front(name, 2),
-            reference_hv=ZDT_REFERENCE_HV[name],
-            hv_reference_point=np.array([2.0, 2.0]),
-        )
-
-    if name.startswith("dtlz"):
-        index = int(name[4:]) if name[4:].isdigit() else None
-        if index not in DTLZ_DISTANCE_VARS:
-            raise _unknown(name)
+        m, evaluate, n = 2, _ZDT_EVALUATORS[name], ZDT_DIMENSIONS[name]
+        lower, upper = np.zeros(n), np.ones(n)
+        if index == 4:
+            lower[1:], upper[1:] = -5.0, 5.0
+        front = fronts.zdt_front(index)
+    elif suite == "dtlz":
         m = 3 if n_obj is None else n_obj
-        evaluate = dtlz_evaluator(index, m)
-        n = dtlz_dimension(index, m) if n_var is None else n_var
-        if n < m:
-            raise ValueError(f"{name} needs at least {m} variables for {m} objectives, got {n}")
-        bounds = BoxBounds(np.zeros(n), np.ones(n))
-        return ProblemInstance(
-            name=name,
-            n_var=n,
-            n_obj=m,
-            bounds=bounds,
-            evaluate=_checked(name, bounds, evaluate),
-            reference_front=_reference_front(name, m),
-            reference_hv=None,
-            hv_reference_point=np.full(m, 2.0),
-        )
-
-    if name.startswith("wfg"):
-        index = int(name[3:]) if name[3:].isdigit() else 0
-        if not 1 <= index <= 9:
-            raise _unknown(name)
+        evaluate, n = dtlz_evaluator(index, m), dtlz_dimension(index, m)
+        lower, upper = np.zeros(n), np.ones(n)
+        front = fronts.dtlz_front(index, m)
+    else:
         m = 5 if n_obj is None else n_obj
-        if n_var is not None and n_var <= 2 * (m - 1):
-            raise ValueError(f"{name} needs more than {2 * (m - 1)} variables for {m} objectives")
-        l = (n_var - 2 * (m - 1)) if n_var is not None else WFG_DISTANCE_VARS
-        evaluate = wfg_evaluator(index, m, l)
-        lower, upper = wfg_bounds(m, l)
-        bounds = BoxBounds(lower, upper)
-        return ProblemInstance(
-            name=name,
-            n_var=wfg_dimension(m, l),
-            n_obj=m,
-            bounds=bounds,
-            evaluate=_checked(name, bounds, evaluate),
-            reference_front=_reference_front(name, m),
-            reference_hv=None,
-            hv_reference_point=2.0 * np.arange(1, m + 1, dtype=float) + 1.0,
-        )
-
-    raise _unknown(name)
+        evaluate = wfg_evaluator(index, m)
+        lower, upper = wfg_bounds(m)
+        front = fronts.wfg_front(index, m)
+    # nadir + 1: 2 for ZDT/DTLZ, 2j + 1 for WFG, 2m + 1 for DTLZ7's last objective
+    reference_point = 2.0 * np.arange(1, m + 1) + 1.0 if suite == "wfg" else np.full(m, 2.0)
+    if name == "dtlz7":
+        reference_point[-1] = 2.0 * m + 1.0
+    bounds = BoxBounds(lower, upper)
+    return ProblemInstance(
+        name=name,
+        n_var=lower.shape[0],
+        n_obj=m,
+        bounds=bounds,
+        evaluate=_checked(name, bounds, evaluate),
+        reference_front=front,
+        reference_hv=ZDT_REFERENCE_HV.get(name),
+        hv_reference_point=reference_point,
+    )

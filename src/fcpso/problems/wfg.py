@@ -2,13 +2,14 @@
 
 Each problem maps z in [0, 2], [0, 4], ..., [0, 2n] through a chain of
 shift/bias/reduction transformations onto underlying parameters in
-[0, 1], then applies a shape function scaled by S_j = 2j.  Position
-parameters k = 2(m-1) and distance parameters l = 20 by default.
+[0, 1], then applies a shape function scaled by S_j = 2j.  Every problem
+runs at the canonical size of Huband et al. (IEEE TEVC 2006): k = 2(m-1)
+position and l = 20 distance parameters.
 
-:func:`wfg_evaluator` builds one evaluator per (index, m, l) and caches
-it: the 2i input scales, S_j, the group slices with their weight vectors
-and divisors, and the transformation constants are computed once, so a
-call only transforms z.  The outputs are bitwise those of a direct
+:func:`wfg_evaluator` builds one evaluator per (index, m) and caches it:
+the 2i input scales, S_j, the group slices with their weight vectors and
+divisors, and the transformation constants are computed once, so a call
+only transforms z.  The outputs are bitwise those of a direct
 transcription of the suite: reductions keep their ``np.dot`` order, and
 ``sin``/``cos``/``pow`` see the same arrays or scalars (numpy's vector and
 scalar ``pow`` may differ in the last bit).
@@ -31,12 +32,12 @@ def wfg_position_vars(m: int) -> int:
     return 2 * (m - 1)
 
 
-def wfg_dimension(m: int, l: int = WFG_DISTANCE_VARS) -> int:
-    return wfg_position_vars(m) + l
+def wfg_dimension(m: int) -> int:
+    return wfg_position_vars(m) + WFG_DISTANCE_VARS
 
 
-def wfg_bounds(m: int, l: int = WFG_DISTANCE_VARS) -> tuple[np.ndarray, np.ndarray]:
-    n = wfg_dimension(m, l)
+def wfg_bounds(m: int) -> tuple[np.ndarray, np.ndarray]:
+    n = wfg_dimension(m)
     upper = 2.0 * np.arange(1, n + 1, dtype=float)
     return np.zeros(n), upper
 
@@ -171,20 +172,14 @@ def _shape_disconnected(x1, alpha, beta, a):
 
 
 @lru_cache(maxsize=None)
-def wfg_evaluator(
-    index: int, m: int, l: int = WFG_DISTANCE_VARS
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the evaluator of WFG<index> with m objectives and l distance
-    variables.  It takes a float array of length 2(m-1) + l, unchecked."""
+def wfg_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Build the evaluator of WFG<index> with m objectives.  It takes a
+    float array of length wfg_dimension(m), unchecked."""
     if not 1 <= index <= 9:
         raise ValueError(f"WFG index must be 1..9, got {index!r}")
     if m < 2:
         raise ValueError(f"wfg{index} needs at least 2 objectives, got {m!r}")
-    if l < 1:
-        raise ValueError(f"wfg{index} needs at least one distance variable, got {l!r}")
-    if index in (2, 3) and l % 2 != 0:
-        raise ValueError(f"WFG{index} needs an even number of distance variables, got {l}")
-    k = wfg_position_vars(m)
+    k, l = wfg_position_vars(m), WFG_DISTANCE_VARS
     n = k + l
     gap = k // (m - 1)
     scale = 2.0 * np.arange(1, n + 1, dtype=float)

@@ -107,6 +107,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "zdt1" in err and "wfg9" in err
 
+    def test_padded_problem_name_exits_1(self, tmp_path, capsys):
+        # dtlz02 once ran dtlz2 and wrote it under results/dtlz02-3/
+        code = run_cli("solve", "--problem", "dtlz02:3", "--out", str(tmp_path))
+        assert code == 1
+        assert "error: --problem dtlz02:3: unknown problem 'dtlz02'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_variant(self, tmp_path, capsys):
         code = run_cli("solve", "--problem", "zdt1", "--variant", "pso9000", "--out", str(tmp_path))
         assert code == 1

@@ -139,9 +139,9 @@ class TestHypervolumeSlicer:
     def test_simplex_closed_form(self):
         # simplex front sum(f) = 0.5: the non-dominated corner volume is
         # 0.5^k / k!, so hv against (1,1,1) is 1 - 0.5^3/6
-        from fcpso.problems import theoretical_front
+        from fcpso.problems.fronts import dtlz_front
 
-        front = theoretical_front("dtlz1", 3, n_points=3000)
+        front = dtlz_front(1, 3, n_points=3000)
         hv = hypervolume(front, np.array([1.0, 1.0, 1.0]))
         assert hv == pytest.approx(1.0 - 0.5**3 / 6.0, abs=2e-3)
 

@@ -10,9 +10,9 @@ from fcpso.problems import (
     ZDT6_F1_MIN,
     _checked,
     available_problems,
+    fronts,
     get_problem,
     parse_problem_id,
-    theoretical_front,
 )
 
 
@@ -52,7 +52,7 @@ class TestLoader:
 
 
 class TestBundledFronts:
-    """The registry's reference fronts, all generated by theoretical_front."""
+    """The registry's reference fronts, each from its suite's front builder."""
 
     def test_zdt1_identity(self):
         front = get_problem("zdt1").reference_front
@@ -81,7 +81,7 @@ class TestBundledFronts:
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
         h = m - np.sum(grid / 2.0 * (1.0 + np.sin(3.0 * np.pi * grid)), axis=1)
         pts = np.column_stack([grid, 2.0 * h])
-        np.testing.assert_array_equal(theoretical_front("dtlz7", m), pts[non_dominated_mask(pts)])
+        np.testing.assert_array_equal(get_problem("dtlz7", m).reference_front, pts[non_dominated_mask(pts)])
 
     def test_dtlz1_simplex(self):
         front = get_problem("dtlz1", 3).reference_front
@@ -94,26 +94,59 @@ class TestBundledFronts:
 
 class TestGenerators:
     def test_dtlz1_high_objectives(self):
-        front = theoretical_front("dtlz1", 5)
+        front = get_problem("dtlz1", 5).reference_front
         assert front.shape[1] == 5
         np.testing.assert_allclose(front.sum(axis=1), 0.5, atol=1e-12)
         assert front.shape[0] >= 500
 
     def test_wfg_sphere(self):
-        front = theoretical_front("wfg4", 3)
+        front = get_problem("wfg4", 3).reference_front
         s = 2.0 * np.arange(1, 4)
         np.testing.assert_allclose(((front / s) ** 2).sum(axis=1), 1.0, atol=1e-12)
 
     def test_unknown_closed_form(self):
-        with pytest.raises(ValueError):
-            theoretical_front("wfg1", 3)
-        with pytest.raises(ValueError):
-            theoretical_front("dtlz5", 10)
+        assert get_problem("wfg1", 3).reference_front is None
+        assert get_problem("dtlz5", 10).reference_front is None
 
     def test_dtlz5_arc(self):
-        front = theoretical_front("dtlz5", 3)
+        front = get_problem("dtlz5", 3).reference_front
         np.testing.assert_allclose((front**2).sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(front[:, 0], front[:, 1], atol=1e-12)
+
+
+# every registered problem at 2, 3 and 5 objectives (ZDT at its only 2)
+REGISTERED = [
+    (name, m)
+    for name in available_problems()
+    for m in ((None,) if name.startswith("zdt") else (2, 3, 5))
+]
+
+
+def has_no_closed_form(name, m):
+    if name in ("dtlz5", "dtlz6"):
+        return m != 3
+    return name in ("wfg1", "wfg2", "wfg3") or (name == "dtlz7" and m > 4)
+
+
+class TestReferenceData:
+    @pytest.mark.parametrize("name,n_obj", REGISTERED)
+    def test_front_inside_the_reference_point(self, name, n_obj):
+        problem = get_problem(name, n_obj)
+        front = problem.reference_front
+        if has_no_closed_form(name, problem.n_obj):
+            assert front is None
+            return
+        assert front.ndim == 2 and front.shape[1] == problem.n_obj
+        assert non_dominated_mask(front).all()
+        assert (front < problem.hv_reference_point).all()
+
+    def test_a_front_builder_error_propagates(self, monkeypatch):
+        def broken(index, m, n_points=1000):
+            raise ValueError("front builder failed")
+
+        monkeypatch.setattr(fronts, "dtlz_front", broken)
+        with pytest.raises(ValueError, match="front builder failed"):
+            get_problem.__wrapped__("dtlz2", 3)  # past the cache, which may hold it
 
 
 class TestRegistry:
@@ -125,10 +158,27 @@ class TestRegistry:
     def test_parse_problem_id(self):
         assert parse_problem_id("zdt1") == ("zdt1", None)
         assert parse_problem_id("DTLZ1:5") == ("dtlz1", 5)
+        assert parse_problem_id("dtlz2: 3 ") == ("dtlz2", 3)
+
+    @pytest.mark.parametrize("problem_id", ["dtlz2:1_0", "dtlz2:+3", "dtlz2:\u0663", "zdt1:"])
+    def test_count_is_ascii_digits(self, problem_id):
+        # int() reads "1_0" as 10 and the Arabic-Indic "\u0663" as 3
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_problem_id(problem_id)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown problem"):
             get_problem("zdt9")
+
+    @pytest.mark.parametrize("name", ["dtlz02", "wfg004", "dtlz\u0662"])
+    def test_only_registered_names(self, name):
+        # "dtlz\u0662" ends in an Arabic-Indic 2, which int() reads as 2
+        with pytest.raises(ValueError, match="unknown problem .*; available: zdt1"):
+            get_problem(name, 3)
+
+    def test_any_letter_case(self):
+        assert get_problem("DTLZ2", 3).name == "dtlz2"
+        assert get_problem("Wfg4").name == "wfg4"
 
     def test_instances_cached(self):
         assert get_problem("zdt1") is get_problem("zdt1")

@@ -124,7 +124,3 @@ class TestInstances:
         p = get_problem("wfg4", 3)
         with pytest.raises(ValueError):
             p.evaluate(np.full(p.n_var, -0.1))
-
-    def test_odd_distance_vars_rejected_for_wfg2(self):
-        with pytest.raises(ValueError, match="even number of distance variables"):
-            get_problem("wfg2", 3, 4 + 7)

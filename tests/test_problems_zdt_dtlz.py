@@ -223,10 +223,6 @@ class TestDtlzValues:
         with pytest.raises(ValueError):
             get_problem("dtlz8", 3)
 
-    def test_too_few_variables(self):
-        with pytest.raises(ValueError, match="at least 3 variables"):
-            get_problem("dtlz7", 3, 2)
-
 
 class TestDtlzInstances:
     def test_dimension_convention(self):
@@ -237,6 +233,9 @@ class TestDtlzInstances:
 
     def test_reference_points(self):
         np.testing.assert_array_equal(get_problem("dtlz2", 3).hv_reference_point, [2.0, 2.0, 2.0])
+        # DTLZ7's f_m reaches 2m on its front (x = 0), so its point sits at 2m + 1
+        np.testing.assert_array_equal(get_problem("dtlz7", 2).hv_reference_point, [2.0, 5.0])
+        np.testing.assert_array_equal(get_problem("dtlz7", 5).hv_reference_point, [2.0] * 4 + [11.0])
 
     def test_evaluator_purity(self, rng):
         p = get_problem("dtlz3", 3)
@@ -274,9 +273,7 @@ class TestObjectiveAndVariableCounts:
         ('get_problem("wfg4", 1)', "wfg4"),
         ('get_problem("dtlz1", 0)', "dtlz1"),  # 0 is a count, not "the default"
         ('get_problem("wfg4", 0)', "wfg4"),
-        ('get_problem("dtlz1", None, 0)', "dtlz1"),
-        ('get_problem("zdt1", None, 0)', "zdt1"),
-        ('fronts.theoretical_front("dtlz2", 1)', "2 objectives"),
+        ('fronts.dtlz_front(2, 1)', "2 objectives"),
         ('fronts._lattice_h(1, 1000)', "2 objectives"),
     ])
     def test_rejected_with_a_named_error(self, call, named):
