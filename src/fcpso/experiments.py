@@ -5,10 +5,12 @@ comparison sees the same random starts.  Each (problem, indicator) cell
 gets the per-variant medians and a two-sided Mann-Whitney p-value.
 
 Each distinct (problem, configuration) cell runs once per seed, and every
-task makes one run.  The "fe" indicator, the evaluations until the
-archive hv first reaches hv_target_fraction of the reference hv, is read
-from the budget run's per-generation hv trace, or, when fe is the only
-indicator, from a run that stops at that target.
+task makes one run; ids that build one (name, objective count), such as
+"dtlz2" and "DTLZ2:3", share a cell.  The "fe" indicator, the evaluations
+until the archive hv first reaches hv_target_fraction of the reference
+hv, is read from the budget run's per-generation hv trace, or, when fe
+is the only indicator, from a run that stops at that target.  A one-point
+front's sp, like igd or eps without a reference front, is an error row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .fairness import ParameterScheme, scheme_for_unfairness
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
-from .optimizer import RunConfig, RunResult, run
+from .optimizer import RunConfig, run
 from .problems import get_problem, parse_problem_id
 from .swarm import DynamicsConfig
 
@@ -107,31 +109,12 @@ class _Task:
     indicators: tuple[str, ...]
 
 
-def _metrics_for(result: RunResult, problem, wanted: tuple[str, ...]) -> dict:
-    out: dict[str, float | str] = {}
-    front = result.front_objectives
-    for ind in wanted:
-        if ind == "hv":
-            out["hv"] = hypervolume(front, problem.hv_reference_point)
-        elif ind == "sp":
-            out["sp"] = spacing(front) if front.shape[0] >= 2 else 0.0
-        elif ind in ("igd", "eps"):
-            if problem.reference_front is None:
-                out[ind] = f"error: no reference front for {problem.name}"
-            elif ind == "igd":
-                out["igd"] = igd(front, problem.reference_front)
-            else:
-                out["eps"] = additive_epsilon(front, problem.reference_front)
-    out["front_size"] = front.shape[0]
-    return out
-
-
-def _fe(result: RunResult, hv_target: float) -> float:
-    """Evaluations at the first traced hv that meets hv_target, else the whole run."""
-    return float(next((evals for evals, hv in result.hv_trace if hv >= hv_target), result.evaluations_used))
-
-
 def _execute(task: _Task) -> dict:
+    """One run of the task's problem, configuration and seed, and its metrics.
+
+    fe alone stops the run at the hv target; beside another indicator, fe
+    is read from a budget run traced every generation.
+    """
     problem = get_problem(*parse_problem_id(task.problem_id))
     wanted = tuple(i for i in task.indicators if i != "fe")
     fe = "fe" in task.indicators and problem.reference_hv is not None
@@ -140,13 +123,23 @@ def _execute(task: _Task) -> dict:
         metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
     if not (wanted or fe):
         return metrics
-    # a budget run traced every generation starts with the target run's
-    # trace; an fe-only run stops at the target
     cfg = replace(task.cfg, hv_target_fraction=None, record_interval=int(fe)) if wanted else task.cfg
     result = run(problem, cfg, task.seed)
-    metrics.update(_metrics_for(result, problem, wanted))
-    if fe:
-        metrics["fe"] = _fe(result, task.cfg.hv_target(problem))
+    front, reference = result.front_objectives, problem.reference_front
+    for ind in wanted:
+        if ind == "hv":
+            metrics["hv"] = hypervolume(front, problem.hv_reference_point)
+        elif ind == "sp":  # spacing needs two points
+            one_point = f"error: a one-point {problem.name} front has no spacing"
+            metrics["sp"] = spacing(front) if len(front) > 1 else one_point
+        elif reference is None:
+            metrics[ind] = f"error: no reference front for {problem.name}"
+        else:
+            metrics[ind] = (igd if ind == "igd" else additive_epsilon)(front, reference)
+    metrics["front_size"] = front.shape[0]
+    if fe:  # evaluations at the first traced hv that meets the target, else the whole run
+        target = task.cfg.hv_target(problem)
+        metrics["fe"] = float(next((e for e, hv in result.hv_trace if hv >= target), result.evaluations_used))
     return metrics
 
 
@@ -163,13 +156,19 @@ def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> Non
 
 
 def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers) -> dict:
-    """Run each distinct (problem, config key) cell once per seed.
+    """Run each distinct (problem, config key) cell once per seed; ids that
+    build the same problem ("dtlz2", "DTLZ2:3") share one cell.
 
-    Returns {(problem id, key): metrics of seeds base_seed, base_seed + 1, ...};
-    ``workers`` defaults to one process per core.
+    Returns {(problem id, key): metrics of seeds base_seed, base_seed + 1, ...}
+    for every id as written; ``workers`` defaults to one process per core.
     """
     seeds = range(base_seed, base_seed + repetitions)
-    cells = [(pid, key) for pid in dict.fromkeys(problems) for key in configs]
+    first: dict = {}  # (name, n_obj) -> the first id that builds that problem
+    runs_as = {}
+    for pid in problems:
+        problem = get_problem(*parse_problem_id(pid))
+        runs_as[pid] = first.setdefault((problem.name, problem.n_obj), pid)
+    cells = [(pid, key) for pid in first.values() for key in configs]
     tasks = [_Task(pid, seed, configs[key], indicators) for pid, key in cells for seed in seeds]
     workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers <= 1 or len(tasks) <= 1:
@@ -178,7 +177,8 @@ def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indica
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_execute, tasks, chunksize=1))
     in_order = iter(metrics)
-    return {cell: [next(in_order) for _ in seeds] for cell in cells}
+    by_cell = {cell: [next(in_order) for _ in seeds] for cell in cells}
+    return {(pid, key): by_cell[(runs_as[pid], key)] for pid in runs_as for key in configs}
 
 
 def median(values) -> float:
@@ -269,43 +269,23 @@ def unfairness_profile(
 # --- rank-sum test ----------------------------------------------------------
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
     """counts[u] = number of rank arrangements with U statistic u.
 
     Recurrence on the largest rank: held by sample A it beats all n2 B
     values, held by B it adds nothing, giving
-    c(n1, n2, u) = c(n1-1, n2, u-n2) + c(n1, n2-1, u).
+    c(n1, n2, u) = c(n1-1, n2, u-n2) + c(n1, n2-1, u),
+    filled one n1 at a time, each row over n2 = 0, 1, ...
     """
-    table: dict[tuple[int, int], np.ndarray] = {}
-
-    def c(i: int, j: int) -> np.ndarray:
-        if i == 0 or j == 0:
-            return np.ones(1)
-        key = (i, j)
-        if key not in table:
+    row = [np.ones(1)] * (n2 + 1)  # c(0, j)
+    for i in range(1, n1 + 1):
+        above, row = row, [np.ones(1)]
+        for j in range(1, n2 + 1):
             out = np.zeros(i * j + 1)
-            left = c(i - 1, j)
-            out[j : j + left.shape[0]] += left
-            right = c(i, j - 1)
-            out[: right.shape[0]] += right
-            table[key] = out
-        return table[key]
-
-    return c(n1, n2)
+            out[j:] += above[j]
+            out[: row[j - 1].shape[0]] += row[j - 1]
+            row.append(out)
+    return row[n2]
 
 
 def mann_whitney_p(sample_a, sample_b) -> float:
@@ -320,22 +300,17 @@ def mann_whitney_p(sample_a, sample_b) -> float:
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValueError("both samples need at least 2 observations")
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
-    u1 = float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2.0
+    # one sort ranks the pooled values: t tied values ending at rank r share the midrank r - (t - 1) / 2
+    _, value_of, ties = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    midranks = np.cumsum(ties) - (ties - 1) / 2.0
+    u1 = float(np.sum(midranks[value_of[:n1]])) - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
-
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    has_ties = bool(np.any(tie_counts > 1))
-    if not has_ties and n1 + n2 <= 16:
+    if ties.max() == 1 and n1 + n2 <= 16:
         counts = _exact_u_counts(n1, n2)
-        total = counts.sum()
-        u_min = min(u1, u2)
-        p = 2.0 * counts[: int(u_min) + 1].sum() / total
-        return min(1.0, p)
+        return min(1.0, 2.0 * counts[: int(min(u1, u2)) + 1].sum() / counts.sum())
 
     n = n1 + n2
-    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
+    tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1))
     sigma_sq = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if sigma_sq <= 0.0:
         return 1.0

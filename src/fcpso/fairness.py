@@ -191,6 +191,12 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) ->
     return 0.5 * (lo + hi)
 
 
+def _phi2_for(phi1: float, target_mu: float) -> float:
+    """phi2 in (phi1, 4] where (phi1, phi2, 0, 1) has unfairness target_mu,
+    by bisection; raises if mu - target_mu does not change sign there."""
+    return _bisect(lambda p2: unfairness(ParameterScheme(phi1, p2, 0.0, 1.0)) - target_mu, phi1 + 1e-9, 4.0)
+
+
 def solve_fair_phi2(phi1: float = 2.0) -> float:
     """phi2 making (phi1, phi2, 0, 1) fairly constricted, by bisection on
     (phi1, 4].
@@ -201,13 +207,7 @@ def solve_fair_phi2(phi1: float = 2.0) -> float:
     """
     if not (math.isfinite(phi1) and 0.0 < phi1 < 4.0):
         raise ValueError(f"phi1 must lie in (0, 4), got {phi1!r}")
-
-    def mu_of_phi2(phi2: float) -> float:
-        return unfairness(ParameterScheme(phi1, phi2, 0.0, 1.0))
-
-    lo = phi1 + 1e-9
-    root = _bisect(mu_of_phi2, lo, 4.0)
-    return root
+    return _phi2_for(phi1, 0.0)
 
 
 def scheme_for_unfairness(target_mu: float) -> ParameterScheme:
@@ -215,25 +215,18 @@ def scheme_for_unfairness(target_mu: float) -> ParameterScheme:
     families with known mu ranges.
 
     target_mu in (0, ~0.4246]: restricted momentum (3, 5, 0, eps), mu
-    increasing in eps.  target_mu in (-0.5, 0): full momentum
-    (2, phi2, 0, 1), mu increasing in phi2 on (2, 4].  target_mu = 0:
-    the fair scheme (2, 3.4672..., 0, 1); the restricted family proves
-    mu > 0 for every eps, so exact fairness needs the phi2 family.
+    increasing in eps.  target_mu in (-0.5, 0]: full momentum
+    (2, phi2, 0, 1), mu increasing in phi2 on (2, 4]; at 0 (either sign)
+    the fair scheme (2, 3.4672..., 0, 1), since the restricted family
+    has mu > 0 for every eps.
     """
     if not math.isfinite(target_mu):
         raise UnreachableUnfairnessError(f"target must be finite, got {target_mu!r}")
-    if target_mu == 0.0:
-        return ParameterScheme(2.0, solve_fair_phi2(2.0), 0.0, 1.0)
     if 0.0 < target_mu <= _MU_RESTRICTED_SUP:
         eps = _bisect(lambda e: unfairness_restricted(e) - target_mu, 1e-12, 1.0 - 1e-12)
         return ParameterScheme(3.0, 5.0, 0.0, eps)
-    if -0.5 < target_mu < 0.0:
-        phi2 = _bisect(
-            lambda p2: unfairness(ParameterScheme(2.0, p2, 0.0, 1.0)) - target_mu,
-            2.0 + 1e-9,
-            4.0,
-        )
-        return ParameterScheme(2.0, phi2, 0.0, 1.0)
+    if -0.5 < target_mu <= 0.0:
+        return ParameterScheme(2.0, _phi2_for(2.0, target_mu), 0.0, 1.0)
     raise UnreachableUnfairnessError(
         f"no known scheme family reaches mu = {target_mu!r}; coverage is "
         f"(-0.5, {_MU_RESTRICTED_SUP:.4f}]"

@@ -1,15 +1,15 @@
 """Benchmark problem registry: ZDT, DTLZ and WFG suites.
 
 :func:`get_problem` is the one place that reads a problem name.  It
-looks the name up in one table and builds a :class:`ProblemInstance`
-bundling the evaluator, its box bounds, the hypervolume reference point
-and, where a closed form exists, a sampled theoretical front from its
-suite's builder in :mod:`.fronts`.  Every problem runs at its suite's
-canonical size: ZDT (Zitzler, Deb & Thiele 2000), DTLZ (Deb et al.
-2005) and WFG (Huband et al., IEEE TEVC 2006).  The DTLZ and WFG
-evaluators come from cached builders, so their constants are computed
-once per instance; the instance wraps them in one shape, bounds and
-finiteness check per call.
+looks the name up in one table and builds, once per (name, objective
+count), a :class:`ProblemInstance` bundling the evaluator, its box
+bounds, the hypervolume reference point and, where a closed form exists,
+a sampled theoretical front from its suite's builder in :mod:`.fronts`.
+Every problem runs at its suite's canonical size: ZDT (Zitzler, Deb &
+Thiele 2000), DTLZ (Deb et al. 2005) and WFG (Huband et al., IEEE TEVC
+2006).  The DTLZ and WFG evaluators come from cached builders, so their
+constants are computed once per instance; the instance wraps them in
+one shape, bounds and finiteness check per call.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _REGISTRY = {
     for suite, indices in (("zdt", (1, 2, 3, 4, 6)), ("dtlz", range(1, 8)), ("wfg", range(1, 10)))
     for index in indices
 }
+_DEFAULT_OBJECTIVES = {"zdt": 2, "dtlz": 3, "wfg": 5}
 
 # Hypervolume of the continuum fronts against the canonical (2, 2)
 # reference point.  zdt1/2/4 are analytic (11/3, 10/3); zdt3 and zdt6
@@ -114,35 +115,36 @@ def parse_problem_id(problem_id: str) -> tuple[str, int | None]:
     return name.strip().lower(), int(m) if colon else None
 
 
-@lru_cache(maxsize=None)
 def get_problem(name: str, n_obj: int | None = None) -> ProblemInstance:
-    """Build a registered problem (any letter case) and its evaluator,
-    once per argument pair; an n_obj of None means the suite's default
-    (2 for ZDT, 3 for DTLZ, 5 for WFG)."""
+    """Build a registered problem (any letter case) and its evaluator; an
+    n_obj of None means the suite's default (2 for ZDT, 3 for DTLZ, 5 for
+    WFG).  Instances are cached on (registered name, objective count), so
+    every spelling of one problem ("dtlz2", "DTLZ2", n_obj=3) shares one."""
+    registered = name.lower()
     try:
-        suite, index = _REGISTRY[name.lower()]
+        suite, _ = _REGISTRY[registered]
     except KeyError:
         raise ValueError(f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}") from None
-    return _build(suite, index, n_obj)
+    m = _DEFAULT_OBJECTIVES[suite] if n_obj is None else n_obj
+    if suite == "zdt" and m != 2:
+        raise ValueError(f"{registered} is bi-objective; got n_obj={n_obj!r}")
+    return _build(registered, m)
 
 
-def _build(suite: str, index: int, n_obj: int | None) -> ProblemInstance:
-    name = f"{suite}{index}"
+@lru_cache(maxsize=None)
+def _build(name: str, m: int) -> ProblemInstance:
+    suite, index = _REGISTRY[name]
     if suite == "zdt":
-        if n_obj not in (None, 2):
-            raise ValueError(f"{name} is bi-objective; got n_obj={n_obj!r}")
-        m, evaluate, n = 2, _ZDT_EVALUATORS[name], ZDT_DIMENSIONS[name]
+        evaluate, n = _ZDT_EVALUATORS[name], ZDT_DIMENSIONS[name]
         lower, upper = np.zeros(n), np.ones(n)
         if index == 4:
             lower[1:], upper[1:] = -5.0, 5.0
         front = fronts.zdt_front(index)
     elif suite == "dtlz":
-        m = 3 if n_obj is None else n_obj
         evaluate, n = dtlz_evaluator(index, m), dtlz_dimension(index, m)
         lower, upper = np.zeros(n), np.ones(n)
         front = fronts.dtlz_front(index, m)
     else:
-        m = 5 if n_obj is None else n_obj
         evaluate = wfg_evaluator(index, m)
         lower, upper = wfg_bounds(m)
         front = fronts.wfg_front(index, m)

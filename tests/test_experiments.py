@@ -4,6 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fcpso import experiments
 from fcpso.experiments import (
@@ -12,6 +14,7 @@ from fcpso.experiments import (
     ProfilePoint,
     _exact_u_counts,
     _execute,
+    _run_cells,
     _Task,
     mann_whitney_p,
     median,
@@ -94,17 +97,41 @@ class TestMannWhitney:
             assert mann_whitney_p(a, b) == pytest.approx(expected, abs=1e-9)
 
 
+# any size, with repeated values and both signed zeros common
+samples = hst.lists(hst.floats(-1e6, 1e6) | hst.sampled_from([0.0, -0.0, 1.0]), min_size=2, max_size=12)
+
+
+@hst.composite
+def tie_free_pair(draw):
+    n1, n2 = draw(hst.integers(2, 7)), draw(hst.integers(2, 7))
+    values = draw(hst.lists(hst.integers(-100, 100), min_size=n1 + n2, max_size=n1 + n2, unique=True))
+    return [float(v) for v in values[:n1]], [float(v) for v in values[n1:]]
+
+
+class TestMannWhitneyProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(samples, samples)
+    def test_symmetric_and_a_probability(self, a, b):
+        p = mann_whitney_p(a, b)
+        assert np.float64(p).tobytes() == np.float64(mann_whitney_p(b, a)).tobytes()
+        assert 0.0 <= p <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_free_pair())
+    def test_tie_free_matches_enumeration(self, pair):
+        a, b = pair
+        assert mann_whitney_p(a, b) == pytest.approx(enumeration_p(a, b), abs=1e-12)
+
+
 def _approx_p(a, b):
     """The library's normal-approximation branch, forced."""
     import math
-
-    from fcpso.experiments import _midranks
 
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     n1, n2 = len(a), len(b)
     n = n1 + n2
-    ranks = _midranks(np.concatenate([a, b]))
+    ranks = st.rankdata(np.concatenate([a, b]))
     u1 = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2
     sigma_sq = n1 * n2 / 12.0 * (n + 1)
     z = (abs(u1 - n1 * n2 / 2.0) - 0.5) / math.sqrt(sigma_sq)
@@ -159,7 +186,13 @@ class TestRunExperiment:
     def test_rows_complete(self, small_spec):
         rows = run_experiment(small_spec, workers=2)
         assert len(rows) == 4  # 2 problems x 2 indicators x 1 pair
-        for r in rows:
+        *scored, collapsed = rows
+        # every zdt2 fcpso archive of seeds 7-9 is one point, which has no
+        # spacing, so that row is an error row rather than a win at sp = 0
+        assert (collapsed.problem, collapsed.indicator, collapsed.winner) == ("zdt2", "sp", "error")
+        assert collapsed.error == "error: a one-point zdt2 front has no spacing"
+        assert collapsed.p_value is None and collapsed.median_b is None
+        for r in scored:
             assert r.winner in ("a", "b", "tie")
             assert 0.0 <= r.p_value <= 1.0
             assert r.median_a is not None and r.median_b is not None
@@ -201,6 +234,25 @@ class TestRunExperiment:
         runs.clear()
         assert run_experiment(replace(spec, problems=("zdt1", "zdt1")), workers=1) == [pair, pair]
         assert len(runs) == 8
+
+    def test_spellings_of_one_problem_share_a_cell(self, monkeypatch):
+        spec = ExperimentSpec(
+            problems=("dtlz2",), repetitions=2, max_evaluations=400, swarm_size=20, archive_capacity=20,
+        )
+        (single,) = run_experiment(spec, workers=1)
+        tasks = []
+        real_execute = experiments._execute
+        monkeypatch.setattr(experiments, "_execute", lambda task: tasks.append(task) or real_execute(task))
+        spellings = ("dtlz2", "dtlz2:3", "DTLZ2:3")
+        rows = run_experiment(replace(spec, problems=spellings), workers=1)
+        assert len(tasks) == 4  # 2 variants x 2 seeds, not 12
+        assert [r.problem for r in rows] == list(spellings)
+        assert [replace(r, problem="dtlz2") for r in rows] == [single] * 3
+        tasks.clear()
+        configs = {"a": spec.run_config("smpso"), "b": spec.run_config("fcpso")}
+        cells = _run_cells(spellings, configs, 2, 1, ("hv",), 1)
+        assert len(tasks) == 4
+        assert list(cells) == [(pid, key) for pid in spellings for key in "ab"]
 
     def test_missing_reference_front_becomes_error_row(self):
         spec = ExperimentSpec(

@@ -8,6 +8,7 @@ from fcpso.io import read_front_csv
 from fcpso.swarm import BoxBounds
 from fcpso.problems import (
     ZDT6_F1_MIN,
+    _build,
     _checked,
     available_problems,
     fronts,
@@ -146,7 +147,7 @@ class TestReferenceData:
 
         monkeypatch.setattr(fronts, "dtlz_front", broken)
         with pytest.raises(ValueError, match="front builder failed"):
-            get_problem.__wrapped__("dtlz2", 3)  # past the cache, which may hold it
+            _build.__wrapped__("dtlz2", 3)  # past the cache, which may hold it
 
 
 class TestRegistry:
@@ -182,6 +183,14 @@ class TestRegistry:
 
     def test_instances_cached(self):
         assert get_problem("zdt1") is get_problem("zdt1")
+
+    @pytest.mark.parametrize("spellings", [
+        [("dtlz2", None), ("dtlz2", 3), ("DTLZ2", None), ("DTLZ2", 3)],
+        [("ZDT1", None), ("zdt1", 2)],
+    ])
+    def test_every_spelling_builds_one_instance(self, spellings):
+        first, *others = (get_problem(name, n_obj) for name, n_obj in spellings)
+        assert all(problem is first for problem in others)
 
     @pytest.mark.parametrize("name,n_obj", [("zdt4", None), ("dtlz2", 3), ("wfg4", 5)])
     def test_cached_arrays_are_read_only(self, name, n_obj):
