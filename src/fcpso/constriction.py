@@ -82,7 +82,12 @@ def chi_momentum(phi: float, beta: float) -> float:
     Active branch: 2 / (2 - phi - sqrt(phi^2 - 4(1-beta) phi)).  At
     beta = 0 this reduces exactly to :func:`chi_vanilla`.
     """
-    if not activation_event(phi, beta):
+    # one comparison chain admits exactly the finite phi > 0 and the beta
+    # in [0, 1); anything else raises as activation_event does
+    if not (0.0 < phi < math.inf and 0.0 <= beta < 1.0):
+        _check_phi(phi)
+        _check_beta(beta)
+    if not phi > 4.0 / (1.0 + beta):
         return 1.0
     # Active branch implies phi > 4/(1+beta) >= 4(1-beta), so the
     # discriminant is positive; the clamp only absorbs rounding at the

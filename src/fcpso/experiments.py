@@ -307,7 +307,7 @@ def mann_whitney_p(sample_a, sample_b) -> float:
     u2 = n1 * n2 - u1
     if ties.max() == 1 and n1 + n2 <= 16:
         counts = _exact_u_counts(n1, n2)
-        return min(1.0, 2.0 * counts[: int(min(u1, u2)) + 1].sum() / counts.sum())
+        return min(1.0, float(2.0 * counts[: int(min(u1, u2)) + 1].sum() / counts.sum()))
 
     n = n1 + n2
     tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1))

@@ -23,7 +23,10 @@ One run is fully determined by (problem, config, seed).  Termination is
 either an evaluation budget or reaching a fraction of a reference
 hypervolume, whichever comes first.  The archive hypervolume is traced
 from the initial swarm on, every generation under a hypervolume target
-and every ``record_interval`` generations otherwise.
+and every ``record_interval`` generations otherwise.  A trace point
+computes the hypervolume only when the archive changed since the last
+one (:attr:`~fcpso.archive.ExternalArchive.changes`) and repeats the
+last value otherwise, which is bitwise what a fresh computation gives.
 """
 
 from __future__ import annotations
@@ -117,12 +120,16 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     trace: list[tuple[int, float]] = []
     interval = 1 if hv_target is not None else cfg.record_interval
     generation = 0
+    last = (-1, 0.0)  # archive.changes and hypervolume at the last computed trace point
 
     def target_reached() -> bool:
         """Trace the archive hypervolume when due; True once it meets the target."""
+        nonlocal last
         if not interval or generation % interval:
             return False
-        hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
+        if last[0] != archive.changes:
+            last = (archive.changes, hypervolume(archive.objectives_array(), problem.hv_reference_point))
+        hv = last[1]
         trace.append((evaluations, hv))
         return hv_target is not None and hv >= hv_target
 

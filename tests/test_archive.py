@@ -127,6 +127,25 @@ class TestTryInsert:
         with pytest.raises(ValueError):
             ExternalArchive(capacity=0)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_changes_counts_the_candidates_that_change_the_archive(self, k):
+        a = ExternalArchive(capacity=2)
+        pad = (0.0,) * (k - 2)
+        steps = [
+            ((1.0, 1.0), INSERTED),
+            ((2.0, 2.0), DOMINATED),
+            ((1.0, 1.0), DOMINATED),  # a duplicate
+            ((0.0, 2.0), INSERTED),
+            ((0.5, 0.5), INSERTED),  # drops (1, 1)
+            ((2.0, 0.0), REPLACED_CROWDED),
+            ((3.0, 3.0), DOMINATED),
+        ]
+        expected = 0
+        for objs, outcome in steps:
+            assert a.try_insert(*entry(*objs, *pad)) == outcome
+            expected += outcome != DOMINATED
+            assert a.changes == expected
+
 
 class TestNonFiniteObjectives:
     @pytest.mark.parametrize("k", [2, 3])
@@ -212,6 +231,29 @@ class TestSelectLeader:
         expected.integers(0, 5, size=(6, 2))
         expected.random(6)
         assert got.bit_generator.state == expected.bit_generator.state
+
+    def test_three_objectives_reuse_crowding_until_the_archive_changes(self, rng, monkeypatch):
+        from fcpso import archive as module
+
+        calls = []
+        crowding = module.crowding_distance
+        monkeypatch.setattr(module, "crowding_distance", lambda F: calls.append(len(F)) or crowding(F))
+        a = ExternalArchive(capacity=8)
+        for x in np.linspace(0.0, 1.0, 5):
+            a.try_insert(*entry(float(x), float(1.0 - x), 0.5))
+        fresh = ExternalArchive(capacity=8)
+        for y in a.objectives_array():
+            fresh.try_insert(*entry(*y))
+        first = a.select_leaders(np.random.default_rng(3), 6)
+        assert a.select_leaders(np.random.default_rng(3), 6).tobytes() == first.tobytes()
+        assert a.try_insert(*entry(2.0, 2.0, 2.0)) == DOMINATED
+        a.select_leaders(rng, 6)
+        assert calls == [5]
+        a.try_insert(*entry(0.25, 0.25, 0.25))  # drops the three interior entries
+        a.select_leaders(rng, 6)
+        assert calls == [5, 3]
+        # the reused crowding draws what a fresh archive of the same entries draws
+        assert fresh.select_leaders(np.random.default_rng(3), 6).tobytes() == first.tobytes()
 
     def test_empty_archive_rejected(self, rng):
         with pytest.raises(ValueError):

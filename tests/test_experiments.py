@@ -59,6 +59,19 @@ class TestMannWhitney:
         with pytest.raises(ValueError):
             mann_whitney_p([1.0], [2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]),  # exact, p = 0.1
+            ([1.0, 4.0], [2.0, 3.0]),  # exact, clamped to 1
+            ([1.0, 2.0, 2.0], [3.0, 4.0, 5.0]),  # ties: normal
+            (list(range(10)), list(range(5, 15))),  # 20 values: normal
+            ([5.0, 5.0, 5.0], [5.0, 5.0]),  # no spread: 1
+        ],
+    )
+    def test_p_is_a_python_float_on_every_branch(self, a, b):
+        assert type(mann_whitney_p(a, b)) is float
+
     def test_u_counts_total(self):
         from math import comb
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,32 @@ class TestHypervolumeSlicer:
         front = dtlz_front(1, 3, n_points=3000)
         hv = hypervolume(front, np.array([1.0, 1.0, 1.0]))
         assert hv == pytest.approx(1.0 - 0.5**3 / 6.0, abs=2e-3)
+
+
+class TestHypervolumeManyObjectives:
+    @pytest.mark.parametrize("k, n", [(4, 60), (5, 42)])
+    def test_fronts_past_one_table_block_match_the_slicer(self, k, n, rng):
+        # points on a sphere, all non-dominated: at k = 4 the base case
+        # takes its 60 prefixes 2**16 // 60**2 = 18 at a time, at k = 5
+        # the limit-set sweep its 42 points 2**16 // 42**2 = 37 at a time
+        front = rng.random((n, k))
+        front /= np.linalg.norm(front, axis=1, keepdims=True)
+        ref = np.full(k, 1.1)
+        expected = hv_oracle(front, ref)
+        assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
+
+    def test_dense_dtlz2_front_rises_toward_its_closed_form(self):
+        # DTLZ2's front is the unit sphere in the positive orthant, so
+        # against r = 2 its hypervolume is 2^m - V_m / 2^m, with V_m the
+        # volume of the unit m-ball; a sampled front stays below it
+        from fcpso.problems.fronts import dtlz_front
+
+        m = 5
+        closed = 2.0**m - math.pi ** (m / 2) / math.gamma(m / 2 + 1) / 2**m
+        hvs = [hypervolume(dtlz_front(2, m, n_points=n), np.full(m, 2.0)) for n in (30, 60, 120, 250)]
+        assert all(a < b for a, b in zip(hvs, hvs[1:]))
+        assert hvs[-1] < closed
+        assert closed - hvs[-1] < (closed - hvs[0]) / 2
 
 
 class TestIgd:

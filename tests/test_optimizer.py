@@ -141,6 +141,23 @@ class TestHvTarget:
         assert budget.hv_trace[: len(target.hv_trace)] == target.hv_trace
         assert len(budget.hv_trace) == budget.evaluations_used // 20
 
+    def test_a_stalled_archive_repeats_its_traced_value_bitwise(self, monkeypatch):
+        # most dtlz1:5 candidates are dominated, so many generations leave
+        # the archive as it was: their trace points reuse the last value,
+        # which must be the hypervolume the per-particle loop computes afresh
+        from loop_oracle import run_oracle
+
+        from fcpso import optimizer
+
+        problem = get_problem("dtlz1", 5)
+        cfg = quick_cfg(swarm=20, evals=2000, archive_capacity=100, record_interval=1)
+        computed = []
+        hypervolume = optimizer.hypervolume
+        monkeypatch.setattr(optimizer, "hypervolume", lambda *args: computed.append(1) or hypervolume(*args))
+        result = run(problem, cfg, seed=1)
+        assert len(computed) < len(result.hv_trace) == 100
+        assert result.hv_trace == run_oracle(problem, cfg, seed=1).hv_trace
+
 
 class TestMutationInteraction:
     def test_disabling_turbulence_changes_trajectory(self):

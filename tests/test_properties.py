@@ -21,7 +21,7 @@ from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
-from fcpso.indicators import hypervolume
+from fcpso.indicators import _hv_4d, hypervolume
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem, parse_problem_id
@@ -173,6 +173,16 @@ def test_hypervolume_matches_the_slicing_oracle(front):
     ref = np.full(front.shape[1], 10.0)
     expected = hv_oracle(front, ref)
     assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
+
+
+@PROPERTY_SETTINGS
+@given(integer_points(k_min=4, k_max=4, max_size=25))
+def test_the_4d_base_case_takes_any_point_set(front):
+    # dominated points, duplicates and points on the reference's faces
+    # go in unfiltered
+    ref = np.full(4, 10.0)
+    expected = hv_oracle(front, ref)
+    assert abs(_hv_4d(front[None], ref)[0] - expected) <= 1e-12 * expected
 
 
 @st.composite
