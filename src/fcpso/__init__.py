@@ -41,7 +41,6 @@ from .swarm import (
     Swarm,
     compute_speed_em,
     compute_speed_smpso,
-    default_scheme,
     draw_coefficients,
     initialize_swarm,
     update_pbest,

@@ -92,7 +92,6 @@ _KEYS = {
         "swarm_size": int,
         "archive_capacity": int,
         "max_evaluations": int,
-        "velocity_init": str,
         "hv_target": float,
     },
     "mutation": {
@@ -163,27 +162,22 @@ def cmd_solve(args) -> int:
     dynamics = {key: values.pop(key) for key in _DYNAMICS_FIELDS & values.keys()}
 
     try:
-        name, n_obj = parse_problem_id(args.problem)
-        if args.objectives is not None:
-            if n_obj not in (None, args.objectives):
-                raise ValueError(f"the id gives {n_obj} objectives and --objectives gives {args.objectives}")
-            n_obj = args.objectives
-        problem = get_problem(name, n_obj)
+        problem = get_problem(*parse_problem_id(args.problem))
     except ValueError as exc:
-        given = "" if args.objectives is None else f" --objectives {args.objectives}"
-        raise UsageError(f"--problem {args.problem}{given}: {exc}") from None
+        raise UsageError(f"--problem {args.problem}: {exc}") from None
     try:
         cfg = RunConfig(
             dynamics=DynamicsConfig(**dynamics),
             mutation=MutationConfig(**config.get("mutation", {})),
             **values,
         )
-    except ValueError as exc:  # a bad option or config value is a usage error
+        out_dir = io.run_directory(io.results_root(args.out), problem, cfg, seed)
+        io.check_run_directory(out_dir, cfg)
+    except ValueError as exc:  # a bad option or config value, or another run's directory
         raise UsageError(str(exc)) from None
 
     result = run(problem, cfg, seed)
-    out_dir = io.run_directory(io.results_root(args.out), result)
-    io.write_run_result(out_dir, result)
+    io.write_run_result(out_dir, result, cfg)
 
     hv = hypervolume(result.front_objectives, problem.hv_reference_point)
     print(f"problem={problem.name}")
@@ -340,6 +334,8 @@ def cmd_indicators(args) -> int:
         )
 
     ref_point = np.array(_convert(_floats, args.ref_point, "--ref-point")) if args.ref_point else None
+    if ref_point is not None and not np.isfinite(ref_point).all():
+        raise UsageError(f"--ref-point: non-finite entry in {args.ref_point!r}")
     values: dict[str, float] = {}
     if "hv" in wanted:
         if ref_point is None:
@@ -376,7 +372,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run one optimization and write its front")
     p.add_argument("--problem", required=True, help="problem name, e.g. zdt1 or dtlz1:5")
-    p.add_argument("--objectives", type=int, default=None, help="objective count (suite default)")
     p.add_argument("--variant", default=None, help=f"one of {', '.join(VARIANTS)} (default fcpso)")
     p.add_argument("--scheme", default=None, help="phi1,phi2,beta1,beta2 sampling bounds")
     p.add_argument("--seed", type=int, default=None, help="run seed (default 1)")

@@ -86,13 +86,12 @@ FCPSO_SCHEME = ParameterScheme(2.0, FAIR_PHI2, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class FairnessReport:
-    """Activation probability of a scheme plus how it was obtained."""
+    """A Monte Carlo estimate of a scheme's activation probability."""
 
     p_activation: float
     unfairness: float
-    method: str  # "analytic" | "monte-carlo"
-    sample_count: int | None = None
-    std_error: float | None = None
+    sample_count: int
+    std_error: float
 
 
 def activation_probability(scheme: ParameterScheme) -> float:
@@ -153,13 +152,7 @@ def monte_carlo_activation(
     hits = int(np.count_nonzero(phi > 4.0 / (1.0 + beta)))
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
-    return FairnessReport(
-        p_activation=p,
-        unfairness=p - 0.5,
-        method="monte-carlo",
-        sample_count=samples,
-        std_error=se,
-    )
+    return FairnessReport(p_activation=p, unfairness=p - 0.5, sample_count=samples, std_error=se)
 
 
 def psi(x: float) -> float:

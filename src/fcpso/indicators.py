@@ -1,11 +1,12 @@
 """Quality indicators: hypervolume, IGD, additive epsilon, spacing.
 
-All indicators assume minimization.  Hypervolume is exact: a sweep for
-two objectives, a dimension sweep over vectorized 2-D union areas for
-three, the same areas for every f4-prefix and f3 level in one table for
-four, and for five or more a sweep over exclusive contributions of limit
-sets that ends in the four-objective table.  The limit sets of a block of
-sweep points are filtered for non-dominance in one batch.
+All indicators assume minimization and refuse a NaN or infinite entry
+in any input.  Hypervolume is exact: a sweep for two objectives, a
+dimension sweep over vectorized 2-D union areas for three, the same areas
+for every f4-prefix and f3 level in one table for four, and for five or
+more a sweep over exclusive contributions of limit sets that ends in the
+four-objective table.  The limit sets of a block of sweep points are
+filtered for non-dominance in one batch.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ __all__ = [
 def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:
     """Lebesgue measure of the union of boxes [point, reference].
 
-    Points that do not strictly dominate the reference point are
-    discarded first; an empty effective front has volume 0.
+    A NaN or infinite entry raises.  Points that do not strictly dominate
+    the reference point are discarded first; an empty effective front has
+    volume 0.
     """
-    F = np.atleast_2d(np.asarray(front, dtype=float))
-    r = np.asarray(reference_point, dtype=float)
+    F = np.atleast_2d(_finite(front, "front"))
+    r = _finite(reference_point, "reference point")
     if F.shape[1] != r.shape[0]:
         raise ValueError(f"front has {F.shape[1]} objectives, reference point {r.shape[0]}")
     inside = np.all(F < r, axis=1)
@@ -184,25 +186,21 @@ def _hv_limit_sets(F: np.ndarray, r: np.ndarray) -> float:
 
 def igd(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Mean distance from each reference point to its nearest front point."""
-    F = np.atleast_2d(np.asarray(front, dtype=float))
-    R = np.atleast_2d(np.asarray(reference_front, dtype=float))
-    _check_nonempty(F, R)
+    F, R = _fronts(front, reference_front)
     d = np.sqrt(((R[:, None, :] - F[None, :, :]) ** 2).sum(axis=2))
     return float(d.min(axis=1).mean())
 
 
 def additive_epsilon(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Smallest shift c such that front - c weakly dominates the reference."""
-    F = np.atleast_2d(np.asarray(front, dtype=float))
-    R = np.atleast_2d(np.asarray(reference_front, dtype=float))
-    _check_nonempty(F, R)
+    F, R = _fronts(front, reference_front)
     diff = (F[None, :, :] - R[:, None, :]).max(axis=2)  # worst objective per (ref, front) pair
     return float(diff.min(axis=1).max())
 
 
 def spacing(front: np.ndarray) -> float:
     """Standard deviation of nearest-neighbour Manhattan gaps along the front."""
-    F = np.atleast_2d(np.asarray(front, dtype=float))
+    F = np.atleast_2d(_finite(front, "front"))
     n = F.shape[0]
     if n < 2:
         raise ValueError(f"spacing needs at least 2 points, got {n}")
@@ -213,8 +211,20 @@ def spacing(front: np.ndarray) -> float:
     return float(np.sqrt(np.sum((mean - nearest) ** 2) / (n - 1)))
 
 
-def _check_nonempty(F: np.ndarray, R: np.ndarray) -> None:
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry raises."""
+    A = np.asarray(values, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return A
+
+
+def _fronts(front, reference_front) -> tuple[np.ndarray, np.ndarray]:
+    """Both fronts as finite, non-empty point rows of one objective count."""
+    F = np.atleast_2d(_finite(front, "front"))
+    R = np.atleast_2d(_finite(reference_front, "reference front"))
     if F.shape[0] == 0 or R.shape[0] == 0:
         raise ValueError("front and reference front must be non-empty")
     if F.shape[1] != R.shape[1]:
         raise ValueError(f"objective counts differ: front {F.shape[1]}, reference {R.shape[1]}")
+    return F, R

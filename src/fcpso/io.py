@@ -5,7 +5,9 @@ record.  Floats are written by ``fmt`` with repr precision, so a rerun
 with the same seed produces byte-identical files; an absent value is an
 empty cell.  Only the front CSV (``f1,...,fk``, one point per row) is
 read back, by ``read_front_csv``.  A run lands in
-``<root>/<problem>-<m>/<variant>/<seed>/``, m being the objective count.
+``<root>/<problem>-<m>/<variant>/<seed>/``, m being the objective count,
+and its ``meta.txt`` records every other setting that determines it, so
+that a run with other settings is refused that directory.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ComparisonRow, ProfilePoint
-from .optimizer import RunResult
+from .optimizer import RunConfig, RunResult
+from .problems import ProblemInstance
 
 __all__ = [
     "fmt",
     "results_root",
     "run_directory",
+    "check_run_directory",
     "write_front_csv",
     "read_front_csv",
     "write_metadata",
@@ -53,9 +57,44 @@ def results_root(override: str | None = None) -> Path:
     return Path(os.environ.get("FCPSO_RESULTS_DIR", "results"))
 
 
-def run_directory(root: Path, result: RunResult) -> Path:
-    n_obj = result.front_objectives.shape[1]
-    return Path(root) / f"{result.problem}-{n_obj}" / result.variant / str(result.seed)
+def run_directory(root: Path, problem: ProblemInstance, cfg: RunConfig, seed: int) -> Path:
+    """Where ``run(problem, cfg, seed)`` lands under ``root``."""
+    return Path(root) / f"{problem.name}-{problem.n_obj}" / cfg.dynamics.variant / str(seed)
+
+
+def _run_settings(cfg: RunConfig) -> dict[str, str]:
+    """The settings a run's directory does not name, keyed as in a
+    ``solve`` config file: the ``meta.txt`` lines that tell two runs of
+    one directory apart."""
+    dyn, mutation = cfg.dynamics, cfg.mutation
+    inertia = {} if dyn.inertia is None else {"inertia": fmt(dyn.inertia)}
+    return {
+        "scheme": ",".join(fmt(v) for v in dyn.scheme.as_tuple()),
+        **inertia,
+        "swarm_size": str(dyn.swarm_size),
+        "archive_capacity": str(cfg.archive_capacity),
+        "max_evaluations": str(cfg.max_evaluations),
+        "hv_target": _cell(cfg.hv_target_fraction),
+        "distribution_index": fmt(mutation.distribution_index),
+        "per_variable_probability": _cell(mutation.per_variable_probability),
+        "particle_fraction": fmt(mutation.particle_fraction),
+    }
+
+
+def check_run_directory(directory, cfg: RunConfig) -> None:
+    """Raise ValueError, naming the directory and the key, when its
+    ``meta.txt`` records a setting with another value than ``cfg``'s; a
+    key that an older ``meta.txt`` lacks is no conflict."""
+    path = Path(directory) / "meta.txt"
+    if not path.is_file():
+        return
+    settings = _run_settings(cfg)
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, recorded = line.partition("=")
+        if settings.get(key, recorded) != recorded:
+            raise ValueError(
+                f"{directory} holds a run with {key}={recorded}, and this run has {key}={settings[key]}"
+            )
 
 
 def _write_matrix_csv(path, values: np.ndarray, prefix: str) -> None:
@@ -101,13 +140,13 @@ def read_front_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_metadata(path, result: RunResult) -> None:
+def write_metadata(path, result: RunResult, cfg: RunConfig) -> None:
     lines = [
         f"problem={result.problem}",
         f"objectives={result.front_objectives.shape[1]}",
         f"variant={result.variant}",
-        "scheme=" + ",".join(fmt(v) for v in result.scheme),
         f"seed={result.seed}",
+        *(f"{key}={value}" for key, value in _run_settings(cfg).items()),
         f"evaluations={result.evaluations_used}",
         f"front_size={result.front_size}",
     ]
@@ -119,14 +158,14 @@ def write_hv_trace_csv(path, trace) -> None:
     _write_csv(path, ("evaluations", "hv"), [(f"{evals}", fmt(hv)) for evals, hv in trace])
 
 
-def write_run_result(directory, result: RunResult) -> Path:
-    """Write front/positions/metadata, and the hv trace when recorded
-    (removing one an earlier run left when not)."""
+def write_run_result(directory, result: RunResult, cfg: RunConfig) -> Path:
+    """Write front/positions/metadata of the run of ``cfg``, and the hv
+    trace when recorded (removing one an earlier run left when not)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_front_csv(directory / "front.csv", result.front_objectives)
     _write_matrix_csv(directory / "positions.csv", result.front_positions, "x")
-    write_metadata(directory / "meta.txt", result)
+    write_metadata(directory / "meta.txt", result, cfg)
     if result.hv_trace:
         write_hv_trace_csv(directory / "hv_trace.csv", result.hv_trace)
     else:

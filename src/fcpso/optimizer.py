@@ -3,9 +3,10 @@
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
 per row and which once per generation.  ``np.random.default_rng(seed)``
 is the run's only random source, and the order of its draws is part of
-the contract: the initial swarm draws one ``rng.random(N * k)`` block
-(:func:`~fcpso.swarm.initialize_swarm`), then each generation of N
-particles over n variables, with an archive of a entries, draws
+the contract: a swarm of N particles over n variables starts from one
+``rng.random(N * n)`` block of positions
+(:func:`~fcpso.swarm.initialize_swarm`), then each generation, with an
+archive of a entries, draws
 
 1. the leaders: ``rng.integers(0, a, size=(N, 2))``, then ``rng.random(N)``
    for ties (:meth:`~fcpso.archive.ExternalArchive.select_leaders`);

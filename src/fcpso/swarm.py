@@ -7,7 +7,7 @@ particle's speed is computed: "smpso" applies the plain constriction
 factor to an inertia-weighted update, while "em-smpso" and "fcpso"
 replace inertia with exponentially-averaged momentum and use the
 momentum-aware factor.  The variants then differ only in their sampling
-scheme for (c1, c2, beta).
+scheme: (c1, c2) for all three, and beta for the two with momentum.
 
 Sampling is split from the dynamics: :func:`draw_coefficients` draws a
 generation's coefficients as one block, and the ``compute_speed_*``
@@ -32,7 +32,6 @@ __all__ = [
     "Swarm",
     "DynamicsConfig",
     "VARIANTS",
-    "default_scheme",
     "draw_coefficients",
     "compute_speed_smpso",
     "compute_speed_em",
@@ -44,18 +43,7 @@ __all__ = [
 
 VARIANTS = ("smpso", "em-smpso", "fcpso")
 
-_DEFAULT_SCHEMES = {
-    "smpso": SMPSO_SCHEME,
-    "em-smpso": EM_SMPSO_SCHEME,
-    "fcpso": FCPSO_SCHEME,
-}
-
-
-def default_scheme(variant: str) -> ParameterScheme:
-    try:
-        return _DEFAULT_SCHEMES[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}") from None
+_DEFAULT_SCHEMES = {"smpso": SMPSO_SCHEME, "em-smpso": EM_SMPSO_SCHEME, "fcpso": FCPSO_SCHEME}
 
 
 @dataclass(frozen=True)
@@ -101,21 +89,24 @@ class Swarm:
 class DynamicsConfig:
     variant: str = "fcpso"
     scheme: ParameterScheme | None = None  # None -> variant default
-    inertia: float = 0.1  # smpso only
+    inertia: float | None = None  # smpso only; None -> 0.1
     swarm_size: int = 100
-    velocity_init: str = "zero"  # "zero" | "uniform"
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if not np.isfinite(self.inertia):
+        if self.inertia is not None and not np.isfinite(self.inertia):
             raise ValueError(f"inertia must be finite, got {self.inertia!r}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size!r}")
-        if self.velocity_init not in ("zero", "uniform"):
-            raise ValueError(f"velocity_init must be 'zero' or 'uniform', got {self.velocity_init!r}")
+        if self.inertia is None and self.variant == "smpso":
+            object.__setattr__(self, "inertia", 0.1)
+        elif self.inertia is not None and self.variant != "smpso":
+            raise ValueError(f"inertia applies to smpso only, and the variant is {self.variant}")
         if self.scheme is None:
-            object.__setattr__(self, "scheme", default_scheme(self.variant))
+            object.__setattr__(self, "scheme", _DEFAULT_SCHEMES[self.variant])
+        elif self.variant == "smpso" and (self.scheme.beta1, self.scheme.beta2) != (0.0, 1.0):
+            raise ValueError(f"scheme: smpso draws no beta, so its beta bounds must be 0,1, got {self.scheme}")
 
 
 def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentum: bool, count: int) -> np.ndarray:
@@ -192,24 +183,17 @@ def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
 
 
 def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> Swarm:
-    """Uniform random positions, zero momenta, pbest = evaluated start.
+    """Uniform random positions, zero velocities and momenta (a coherent
+    rest state), pbest = evaluated start.
 
-    Velocities start at zero by default (coherent with the zero momentum
-    state); cfg.velocity_init="uniform" draws them in [-delta, delta].
-    One ``rng.random(N * k)`` block, k = n or 2n, is mapped row by row as
-    ``low + (high - low) * u``, which is what ``Generator.uniform`` computes:
-    the stream of one position draw (then one velocity draw) per particle.
+    One ``rng.random(N * n)`` block is mapped row by row as
+    ``low + (high - low) * u``, which is what ``Generator.uniform``
+    computes: the stream of one position draw per particle.
     """
-    bounds = problem.bounds
-    low, high = bounds.lower, bounds.upper
-    uniform_velocity = cfg.velocity_init == "uniform"
-    if uniform_velocity:
-        low, high = np.concatenate([low, bounds.neg_delta]), np.concatenate([high, bounds.delta])
-    u = rng.random(cfg.swarm_size * low.shape[0]).reshape(cfg.swarm_size, -1)
-    block = low + (high - low) * u
-    x, v = np.hsplit(block, 2) if uniform_velocity else (block, np.zeros_like(block))
+    low, high = problem.bounds.lower, problem.bounds.upper
+    x = low + (high - low) * rng.random(cfg.swarm_size * low.shape[0]).reshape(cfg.swarm_size, -1)
     objectives = np.array([problem.evaluate(row) for row in x], dtype=float)
-    return Swarm(x, v, np.zeros_like(x), x.copy(), objectives)
+    return Swarm(x, np.zeros_like(x), np.zeros_like(x), x.copy(), objectives)
 
 
 def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator) -> None:

@@ -108,12 +108,8 @@ def initial_swarm(problem, dyn, rng):
     swarm = []
     for _ in range(dyn.swarm_size):
         x = rng.uniform(bounds.lower, bounds.upper)
-        if dyn.velocity_init == "uniform":
-            v = rng.uniform(-bounds.delta, bounds.delta)
-        else:
-            v = np.zeros(bounds.n)
         y = np.asarray(problem.evaluate(x), dtype=float)
-        swarm.append(Particle(x, v, np.zeros(bounds.n), x.copy(), y))
+        swarm.append(Particle(x, np.zeros(bounds.n), np.zeros(bounds.n), x.copy(), y))
     return swarm
 
 

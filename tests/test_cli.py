@@ -29,7 +29,6 @@ NON_DEFAULT = {
     ("run", "swarm_size"): ("30", 30),
     ("run", "archive_capacity"): ("40", 40),
     ("run", "max_evaluations"): ("700", 700),
-    ("run", "velocity_init"): ("uniform", "uniform"),
     ("run", "hv_target"): ("0.5", 0.5),
     ("mutation", "distribution_index"): ("15", 15.0),
     ("mutation", "per_variable_probability"): ("0.2", 0.2),
@@ -144,7 +143,7 @@ class TestSolve:
     @pytest.mark.parametrize("argv, named", [
         (["--problem", "zdt1:x"], "--problem zdt1:x: problem id 'zdt1:x'"),
         (["--problem", "dtlz2:1"], "--problem dtlz2:1: dtlz2 needs at least 2 objectives"),
-        (["--problem", "wfg4", "--objectives", "0"], "--problem wfg4 --objectives 0: wfg4 needs"),
+        (["--problem", "wfg4:0"], "--problem wfg4:0: wfg4 needs"),
     ])
     def test_bad_problem_id_exits_1_naming_flag(self, tmp_path, capsys, argv, named):
         code = run_cli("solve", *argv, "--out", str(tmp_path))
@@ -153,27 +152,105 @@ class TestSolve:
         assert not any(tmp_path.iterdir())
 
     def test_objective_counts_land_in_their_own_directories(self, tmp_path):
-        # the same seed and variant at 3, 4 and 5 objectives; an --objectives
-        # equal to the id's count, or given with a bare name, is accepted
+        # the same seed and variant at 3, 4 and 5 objectives; a bare name
+        # takes the suite's default count
         small = ["--evaluations", "200", "--swarm", "20", "--out", str(tmp_path)]
-        for problem in (["dtlz2:3"], ["dtlz2:5", "--objectives", "5"], ["dtlz2", "--objectives", "4"]):
-            assert run_cli("solve", "--problem", *problem, *small) == 0
+        for problem in ("dtlz2", "dtlz2:4", "dtlz2:5"):
+            assert run_cli("solve", "--problem", problem, *small) == 0
         for m in (3, 4, 5):
             meta = (tmp_path / f"dtlz2-{m}" / "fcpso" / "1" / "meta.txt").read_text()
             assert "problem=dtlz2\n" in meta and f"objectives={m}\n" in meta
-
-    def test_conflicting_objective_counts_exit_1_naming_both(self, tmp_path, capsys):
-        code = run_cli("solve", "--problem", "dtlz2:5", "--objectives", "3", "--out", str(tmp_path))
-        assert code == 1
-        named = "--problem dtlz2:5 --objectives 3: the id gives 5 objectives and --objectives gives 3"
-        assert f"error: {named}" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
         code = run_cli("solve", "--problem", "zdt1", flag, "0", "--out", str(tmp_path))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "zdt1-2").exists()
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestRunDirectory:
+    SMALL = ("--problem", "zdt1", "--evaluations", "200", "--swarm", "20")
+
+    def solve(self, tmp_path, *argv, config=None):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv += ("--config", str(cfg))
+        return run_cli("solve", *self.SMALL, *argv, "--out", str(tmp_path / "r"))
+
+    def test_meta_records_every_setting(self, tmp_path):
+        config = "[run]\nvariant = smpso\ninertia = 0.3\nhv_target = 0.5\n[mutation]\nparticle_fraction = 0.2\n"
+        assert self.solve(tmp_path, "--archive", "30", config=config) == 0
+        meta = (tmp_path / "r" / "zdt1-2" / "smpso" / "1" / "meta.txt").read_text()
+        assert meta.splitlines()[4:-2] == [
+            "scheme=3,5,0,1", "inertia=0.29999999999999999", "swarm_size=20", "archive_capacity=30",
+            "max_evaluations=200", "hv_target=0.5", "distribution_index=20",
+            "per_variable_probability=", "particle_fraction=0.20000000000000001",
+        ]
+
+    @pytest.mark.parametrize("first, second, key", [
+        (("--scheme", "2,3,0,1"), ("--scheme", "3,5,0,1"), "scheme"),
+        (("--archive", "20"), ("--archive", "30"), "archive_capacity"),
+        ((), ("--hv-target", "0.5"), "hv_target"),
+        ((), ("--evaluations", "400"), "max_evaluations"),
+        ((), ("--swarm", "40"), "swarm_size"),
+    ])
+    def test_another_runs_directory_exits_1_and_writes_nothing(self, tmp_path, capsys, first, second, key):
+        assert self.solve(tmp_path, *first) == 0
+        run_dir = tmp_path / "r" / "zdt1-2" / "fcpso" / "1"
+        before = _files(run_dir)
+        capsys.readouterr()
+        assert self.solve(tmp_path, *second) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {run_dir} holds a run with {key}=" in err
+        assert _files(run_dir) == before
+
+    @pytest.mark.parametrize("config, key", [
+        ("[mutation]\nper_variable_probability = 0.5\n", "per_variable_probability"),
+        ("[run]\nvariant = smpso\ninertia = 0.4\n", "inertia"),
+    ])
+    def test_a_config_setting_is_checked_too(self, tmp_path, capsys, config, key):
+        variant = "smpso" if "smpso" in config else "fcpso"
+        assert self.solve(tmp_path, "--variant", variant) == 0
+        assert self.solve(tmp_path, config=config) == 1
+        assert f"holds a run with {key}=" in capsys.readouterr().err
+
+    def test_a_rerun_with_the_same_settings_is_byte_identical(self, tmp_path):
+        assert self.solve(tmp_path, "--hv-target", "0.5") == 0
+        run_dir = tmp_path / "r" / "zdt1-2" / "fcpso" / "1"
+        before = _files(run_dir)
+        assert self.solve(tmp_path, "--hv-target", "0.5") == 0
+        assert _files(run_dir) == before
+
+    def test_a_key_an_older_meta_lacks_is_no_conflict(self, tmp_path):
+        assert self.solve(tmp_path) == 0
+        meta = tmp_path / "r" / "zdt1-2" / "fcpso" / "1" / "meta.txt"
+        written = meta.read_text()
+        older = [line for line in written.splitlines() if line.split("=")[0] in
+                 ("problem", "objectives", "variant", "scheme", "seed", "evaluations", "front_size")]
+        meta.write_text("\n".join(older) + "\n")
+        assert self.solve(tmp_path, "--evaluations", "400") == 0
+        assert "max_evaluations=400\n" in meta.read_text()
+
+
+class TestIgnoredSettings:
+    @pytest.mark.parametrize("argv, config, named", [
+        (("--variant", "smpso", "--scheme", "3,5,0.2,0.8"), "", "scheme: smpso draws no beta"),
+        ((), "[run]\nvariant = smpso\nscheme = 3,5,0.2,0.8\n", "scheme: smpso draws no beta"),
+        ((), "[run]\ninertia = 0.9\n", "inertia applies to smpso only, and the variant is fcpso"),
+        (("--variant", "em-smpso"), "[run]\ninertia = 0.1\n", "inertia applies to smpso only"),
+    ])
+    def test_a_setting_the_variant_does_not_use_exits_1_naming_it(self, tmp_path, capsys, argv, config, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code = run_cli("solve", "--problem", "zdt1", *argv, "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "zdt1-2").exists()
 
 
@@ -226,6 +303,8 @@ class TestConfigFile:
         monkeypatch.setattr("fcpso.cli.run_experiment", _capture)
         text, expected = NON_DEFAULT[(section, key)]
         base = {"experiment": {"problems": "zdt1"}} if command == "benchmark" else {}
+        if key == "inertia":  # only smpso has an inertia
+            base = {"run": {"variant": "smpso"}}
         default = _settings_reached(tmp_path, command, base)[section][key]
         sections = {**base, section: {**base.get(section, {}), key: text}}
         assert _settings_reached(tmp_path, command, sections)[section][key] == expected != default
@@ -417,6 +496,14 @@ class TestIndicatorsCmd:
         assert run_cli("indicators", "--front", str(f), "--reference", str(r)) == 1
         out, err = capsys.readouterr()
         assert out == "" and f"error: --reference: {r}: non-numeric field in row 2" in err
+
+    @pytest.mark.parametrize("ref_point", ["nan,2", "2,inf"])
+    def test_non_finite_ref_point_exits_1_naming_flag(self, tmp_path, capsys, ref_point):
+        f = tmp_path / "f.csv"
+        f.write_text("0.2,0.8\n0.5,0.5\n")
+        assert run_cli("indicators", "--front", str(f), "--ref-point", ref_point) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: --ref-point: non-finite entry in '{ref_point}'" in err
 
     def test_round_trip_of_emitted_front(self, tmp_path, capsys):
         assert run_cli(

@@ -183,7 +183,6 @@ class TestMonteCarlo:
 
     def test_report_consistency(self):
         r = monte_carlo_activation(ParameterScheme(3, 5, 0, 1), 1000, seed=2)
-        assert r.method == "monte-carlo"
         assert r.sample_count == 1000
         assert r.p_activation == pytest.approx(r.unfairness + 0.5)
 

@@ -239,6 +239,31 @@ class TestSpacing:
             spacing(np.array([[1.0, 1.0]]))
 
 
+class TestNonFiniteInput:
+    FRONT = [[0.2, 0.8], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("ref", [[math.nan, 2.0], [math.inf, 2.0], [2.0, -math.inf]])
+    def test_hypervolume_refuses_a_non_finite_reference_point(self, ref):
+        with pytest.raises(ValueError, match="reference point has a non-finite entry"):
+            hypervolume(self.FRONT, ref)
+
+    @pytest.mark.parametrize("row", [[math.nan, 0.1], [0.1, -math.inf], [math.inf, math.inf]])
+    def test_hypervolume_refuses_a_non_finite_front_entry(self, row):
+        with pytest.raises(ValueError, match="front has a non-finite entry"):
+            hypervolume(self.FRONT + [row], [2.0, 2.0])
+
+    @pytest.mark.parametrize("indicator", [igd, additive_epsilon])
+    def test_reference_indicators_refuse_either_front(self, indicator):
+        with pytest.raises(ValueError, match="^front has a non-finite entry"):
+            indicator([[math.nan, 0.5]], self.FRONT)
+        with pytest.raises(ValueError, match="reference front has a non-finite entry"):
+            indicator(self.FRONT, [[0.5, math.inf]])
+
+    def test_spacing_refuses_a_non_finite_entry(self):
+        with pytest.raises(ValueError, match="front has a non-finite entry"):
+            spacing(self.FRONT + [[0.0, math.nan]])
+
+
 def test_slicer_internal_consistency(rng):
     # the slicing oracle must agree with the public dimension sweeps
     front = rng.random((10, 3))

@@ -14,7 +14,8 @@ from fcpso.io import (
     write_profile_csv,
     write_run_result,
 )
-from fcpso.optimizer import RunResult
+from fcpso.optimizer import RunConfig, RunResult
+from fcpso.problems import get_problem
 
 
 def make_result(**overrides):
@@ -31,6 +32,9 @@ def make_result(**overrides):
     )
     base.update(overrides)
     return RunResult(**base)
+
+
+CFG = RunConfig()  # fcpso, the variant and scheme of make_result()
 
 
 def point(**cells):
@@ -81,7 +85,7 @@ class TestFrontCsv:
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):
         result = make_result()
-        out = write_run_result(tmp_path / "run", result)
+        out = write_run_result(tmp_path / "run", result, CFG)
         assert (out / "front.csv").is_file()
         assert (out / "positions.csv").is_file()
         assert (out / "hv_trace.csv").is_file()
@@ -93,7 +97,7 @@ class TestRunResultFiles:
 
     def test_positions_and_trace_round_trip(self, tmp_path):
         result = make_result(front_positions=np.array([[0.1, 1 / 3, 0.7], [0.3, 0.4, 1e-300]]))
-        out = write_run_result(tmp_path / "run", result)
+        out = write_run_result(tmp_path / "run", result, CFG)
         xs = ("x1", "x2", "x3")
         positions = read_records(out / "positions.csv", point, xs, floats=xs)
         np.testing.assert_array_equal(positions, result.front_positions)
@@ -101,12 +105,12 @@ class TestRunResultFiles:
         assert trace == [("100", 1.5), ("200", 2.0)]
 
     def test_no_trace_file_without_trace(self, tmp_path):
-        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]))
+        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]), CFG)
         assert not (out / "hv_trace.csv").exists()
 
     def test_a_rerun_without_trace_removes_the_old_trace(self, tmp_path):
-        write_run_result(tmp_path / "run", make_result())
-        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]))
+        write_run_result(tmp_path / "run", make_result(), CFG)
+        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]), CFG)
         assert not (out / "hv_trace.csv").exists()
 
     def test_hv_trace_contents(self, tmp_path):
@@ -144,13 +148,12 @@ class TestProfileCsv:
 
 class TestPaths:
     def test_run_directory_layout(self, tmp_path):
-        d = run_directory(tmp_path, make_result())
+        d = run_directory(tmp_path, get_problem("zdt1"), CFG, 3)
         assert d == tmp_path / "zdt1-2" / "fcpso" / "3"
 
     def test_objective_counts_get_their_own_directories(self, tmp_path):
         for m in (3, 5):
-            result = make_result(problem="dtlz2", front_objectives=np.ones((2, m)))
-            assert run_directory(tmp_path, result) == tmp_path / f"dtlz2-{m}" / "fcpso" / "3"
+            assert run_directory(tmp_path, get_problem("dtlz2", m), CFG, 3) == tmp_path / f"dtlz2-{m}" / "fcpso" / "3"
 
     def test_results_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FCPSO_RESULTS_DIR", str(tmp_path / "elsewhere"))

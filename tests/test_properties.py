@@ -227,15 +227,11 @@ def test_one_draw_call_is_the_scalar_uniform_stream(scheme, seed, momentum, part
 
 @st.composite
 def run_cases(draw):
-    """A small run: any problem family, variant, start, swarm size,
-    turbulence setting, budget, archive size and termination mode."""
+    """A small run: any problem family, variant, swarm size, turbulence
+    setting, budget, archive size and termination mode."""
     problem = get_problem(*parse_problem_id(draw(st.sampled_from(["zdt1", "zdt4", "dtlz2:3", "wfg4:5"]))))
     swarm = draw(st.integers(2, 40))
-    dynamics = DynamicsConfig(
-        variant=draw(st.sampled_from(VARIANTS)),
-        swarm_size=swarm,
-        velocity_init=draw(st.sampled_from(["zero", "uniform"])),
-    )
+    dynamics = DynamicsConfig(variant=draw(st.sampled_from(VARIANTS)), swarm_size=swarm)
     mutation = MutationConfig(
         distribution_index=draw(st.sampled_from([5.0, 20.0])),
         per_variable_probability=draw(st.sampled_from([None, 0.0, 0.5, 1.0])),

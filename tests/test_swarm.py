@@ -13,7 +13,6 @@ from fcpso.swarm import (
     Swarm,
     compute_speed_em,
     compute_speed_smpso,
-    default_scheme,
     draw_coefficients,
     initialize_swarm,
     update_pbest,
@@ -59,22 +58,36 @@ class TestBoxBounds:
 
 class TestDefaults:
     def test_variant_schemes(self):
-        assert default_scheme("smpso").as_tuple() == (3.0, 5.0, 0.0, 1.0)
-        assert default_scheme("em-smpso").as_tuple() == (3.0, 5.0, 0.0, 1.0)
-        assert default_scheme("fcpso").as_tuple() == (2.0, 3.4672, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            default_scheme("nope")
+        assert DynamicsConfig(variant="smpso").scheme.as_tuple() == (3.0, 5.0, 0.0, 1.0)
+        assert DynamicsConfig(variant="em-smpso").scheme.as_tuple() == (3.0, 5.0, 0.0, 1.0)
+        assert DynamicsConfig(variant="fcpso").scheme.as_tuple() == (2.0, 3.4672, 0.0, 1.0)
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            DynamicsConfig(variant="nope")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DynamicsConfig(variant="bogus")
         with pytest.raises(ValueError):
             DynamicsConfig(swarm_size=1)
-        with pytest.raises(ValueError):
-            DynamicsConfig(velocity_init="sideways")
         for inertia in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="inertia must be finite"):
                 DynamicsConfig(variant="smpso", inertia=inertia)
+
+    def test_only_smpso_has_an_inertia(self):
+        assert DynamicsConfig(variant="smpso").inertia == 0.1
+        assert DynamicsConfig(variant="smpso", inertia=0.4).inertia == 0.4
+        for variant in ("em-smpso", "fcpso"):
+            assert DynamicsConfig(variant=variant).inertia is None
+            for inertia in (0.1, 0.9):
+                with pytest.raises(ValueError, match=f"inertia applies to smpso only, and the variant is {variant}"):
+                    DynamicsConfig(variant=variant, inertia=inertia)
+
+    def test_smpso_takes_no_beta_bounds(self):
+        assert DynamicsConfig(variant="smpso", scheme=ParameterScheme(2.5, 4.5)).scheme.phi2 == 4.5
+        for betas in ((0.2, 0.8), (0.0, 0.5), (0.5, 1.0)):
+            with pytest.raises(ValueError, match="scheme: smpso draws no beta"):
+                DynamicsConfig(variant="smpso", scheme=ParameterScheme(3.0, 5.0, *betas))
+        assert DynamicsConfig(variant="em-smpso", scheme=ParameterScheme(3.0, 5.0, 0.2, 0.8)).scheme.beta1 == 0.2
 
 
 class TestComputeSpeedSmpso:
@@ -226,18 +239,10 @@ class TestInitializeSwarm:
         b = initialize_swarm(problem, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(a.positions, b.positions)
 
-    def test_uniform_velocity_option(self):
-        problem = get_problem("zdt1")
-        cfg = DynamicsConfig(variant="smpso", swarm_size=20, velocity_init="uniform")
-        s = initialize_swarm(problem, cfg, np.random.default_rng(6))
-        assert np.any(s.velocities != 0.0)
-        assert np.all(np.abs(s.velocities) <= problem.bounds.delta)
-
     @pytest.mark.parametrize("problem_id", ["zdt4", "wfg4"])
-    @pytest.mark.parametrize("velocity_init", ["zero", "uniform"])
-    def test_one_block_is_the_per_particle_stream(self, problem_id, velocity_init):
+    def test_one_block_is_the_per_particle_stream(self, problem_id):
         problem = get_problem(problem_id)
-        cfg = DynamicsConfig(swarm_size=7, velocity_init=velocity_init)
+        cfg = DynamicsConfig(swarm_size=7)
         batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
         s = initialize_swarm(problem, cfg, batched)
         particles = initial_swarm(problem, cfg, scalar)
