@@ -28,7 +28,6 @@ __all__ = [
     "monte_carlo_activation",
     "solve_fair_phi2",
     "scheme_for_unfairness",
-    "psi",
 ]
 
 # Over-constricted limit of the restricted-momentum family: mu at
@@ -155,13 +154,6 @@ def monte_carlo_activation(
     return FairnessReport(p_activation=p, unfairness=p - 0.5, sample_count=samples, std_error=se)
 
 
-def psi(x: float) -> float:
-    """(x - 1)/ln x - 4/3; its root x_bar gives the fair phi2 = 2 x_bar."""
-    if x <= 0.0 or x == 1.0:
-        raise ValueError(f"psi requires x > 0, x != 1, got {x!r}")
-    return (x - 1.0) / math.log(x) - 4.0 / 3.0
-
-
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -194,7 +186,8 @@ def solve_fair_phi2(phi1: float = 2.0) -> float:
     """phi2 making (phi1, phi2, 0, 1) fairly constricted, by bisection on
     (phi1, 4].
 
-    For phi1 = 2 this is the root of psi(phi2/2), approximately 3.4672.
+    For phi1 = 2 this is 2 x, x the root of (x - 1)/ln x = 4/3 (the
+    paper's closed form), approximately 3.4672.
     Raises if mu does not change sign on the bracket (no fair phi2 for
     this phi1).
     """

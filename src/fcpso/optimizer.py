@@ -91,7 +91,6 @@ class RunConfig:
 class RunResult:
     problem: str
     variant: str
-    scheme: tuple[float, float, float, float]
     seed: int
     front_objectives: np.ndarray
     front_positions: np.ndarray
@@ -159,7 +158,6 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     return RunResult(
         problem=problem.name,
         variant=dyn.variant,
-        scheme=dyn.scheme.as_tuple(),
         seed=seed,
         front_objectives=archive.objectives_array(),
         front_positions=archive.positions_array(),

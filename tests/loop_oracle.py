@@ -167,7 +167,6 @@ def run_oracle(problem, cfg, seed) -> RunResult:
     return RunResult(
         problem=problem.name,
         variant=dyn.variant,
-        scheme=dyn.scheme.as_tuple(),
         seed=seed,
         front_objectives=archive.objectives_array(),
         front_positions=archive.positions_array(),

@@ -10,7 +10,6 @@ from fcpso.fairness import (
     UnreachableUnfairnessError,
     activation_probability,
     monte_carlo_activation,
-    psi,
     scheme_for_unfairness,
     solve_fair_phi2,
     unfairness,
@@ -18,6 +17,12 @@ from fcpso.fairness import (
 )
 
 LN43 = math.log(4.0 / 3.0)
+
+
+def psi(x: float) -> float:
+    """(x - 1)/ln x - 4/3, for x > 0, x != 1: the paper's closed form for
+    phi1 = 2, whose root x gives the fair phi2 = 2 x."""
+    return (x - 1.0) / math.log(x) - 4.0 / 3.0
 
 
 def quad_activation_probability(scheme: ParameterScheme) -> float:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import indicator_oracle
 from fcpso.indicators import additive_epsilon, hypervolume, igd, spacing
 from hv_oracle import hv_oracle
 
@@ -237,6 +239,29 @@ class TestSpacing:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             spacing(np.array([[1.0, 1.0]]))
+
+
+class TestPairwiseTables:
+    @pytest.mark.parametrize("indicator", [igd, additive_epsilon])
+    def test_a_large_reference_front_stays_within_bounded_memory(self, indicator, rng):
+        # the (reference, front, objective) tensor would take 400 MB
+        front = rng.random((100, 5))
+        ref = rng.random((100_000, 5))
+        tracemalloc.start()
+        try:
+            indicator(front, ref)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+
+    @pytest.mark.parametrize("k", [127, 128, 129, 300])
+    def test_past_numpy_pairwise_block_still_bitwise(self, k, rng):
+        # above 128 terms numpy's pairwise sum splits the objective axis
+        front = rng.random((12, k)) * 10.0 ** rng.integers(-3, 4, k)
+        ref = rng.random((20, k))
+        assert igd(front, ref).hex() == indicator_oracle.igd(front, ref).hex()
+        assert spacing(front).hex() == indicator_oracle.spacing(front).hex()
 
 
 class TestNonFiniteInput:

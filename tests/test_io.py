@@ -22,7 +22,6 @@ def make_result(**overrides):
     base = dict(
         problem="zdt1",
         variant="fcpso",
-        scheme=(2.0, 3.4672, 0.0, 1.0),
         seed=3,
         front_objectives=np.array([[0.0, 1.0], [1.0, 0.0]]),
         front_positions=np.array([[0.1, 0.2], [0.3, 0.4]]),
@@ -34,7 +33,7 @@ def make_result(**overrides):
     return RunResult(**base)
 
 
-CFG = RunConfig()  # fcpso, the variant and scheme of make_result()
+CFG = RunConfig()  # fcpso, the variant of make_result(); meta.txt takes the scheme from it
 
 
 def point(**cells):

@@ -78,7 +78,6 @@ class TestRunBasics:
         result = run(problem, quick_cfg(variant="em-smpso"), seed=9)
         assert result.problem == "zdt1"
         assert result.variant == "em-smpso"
-        assert result.scheme == (3.0, 5.0, 0.0, 1.0)
         assert result.seed == 9
         assert result.wall_time > 0.0
 

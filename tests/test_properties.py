@@ -1,6 +1,7 @@
 """Property tests for the archive, hypervolume, activation and
-coefficient-draw invariants, and for the array swarm's generation loop
-against the per-particle loop in ``loop_oracle``.
+coefficient-draw invariants, for IGD, additive epsilon and spacing
+against the tensor forms in ``indicator_oracle``, and for the array
+swarm's generation loop against the per-particle loop in ``loop_oracle``.
 
 Objectives are mostly small integers, so duplicates and ties are common,
 and every hypervolume is an exact sum of integer boxes; the 2-objective
@@ -10,6 +11,7 @@ crowding property draws floats, whose gaps round.
 import math
 from dataclasses import replace
 
+import indicator_oracle
 import numpy as np
 from archive_oracle import ListArchive, crowding_loop, dominates
 from hv_oracle import hv_oracle
@@ -21,7 +23,7 @@ from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
-from fcpso.indicators import _hv_4d, hypervolume
+from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem, parse_problem_id
@@ -183,6 +185,51 @@ def test_the_4d_base_case_takes_any_point_set(front):
     ref = np.full(4, 10.0)
     expected = hv_oracle(front, ref)
     assert abs(_hv_4d(front[None], ref)[0] - expected) <= 1e-12 * expected
+
+
+def front_pair(k, n_front, n_ref, seed, grid):
+    """A front and a reference front of k objectives sharing some rows.
+    On a grid of 4 values per objective, ties and duplicates are common;
+    off it, per-objective scales 1e-3 to 1e3 make every sum round."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        F = rng.integers(0, 4, (n_front, k)).astype(float)
+        R = rng.integers(0, 4, (n_ref, k)).astype(float)
+    else:
+        scale = 10.0 ** rng.integers(-3, 4, k)
+        F = rng.random((n_front, k)) * scale
+        R = rng.random((n_ref, k)) * scale
+    shared = rng.integers(0, min(n_front, n_ref) + 1)
+    R[:shared] = F[:shared]
+    return F, R
+
+
+@st.composite
+def front_pairs(draw):
+    # |R| * |F| and |F| ** 2 fall on both sides of the 2**16-cell tables
+    return front_pair(
+        draw(st.integers(1, 10)),
+        draw(st.integers(1, 300)),
+        draw(st.integers(1, 700)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(front_pairs())
+@example(front_pair(3, 256, 256, 0, False))  # 256 rows: one table exactly
+@example(front_pair(5, 257, 257, 1, True))  # 257 rows: a second table
+@example(front_pair(8, 20, 30, 1, False))  # summed in objective order, sp moves
+@example(front_pair(9, 20, 30, 2, False))  # and igd does
+def test_igd_epsilon_and_spacing_are_bitwise_the_tensor_forms(pair):
+    # the per-objective sums follow numpy's pairwise order, so they are
+    # bitwise at 8 and more objectives too
+    F, R = pair
+    assert igd(F, R).hex() == indicator_oracle.igd(F, R).hex()
+    assert additive_epsilon(F, R).hex() == indicator_oracle.additive_epsilon(F, R).hex()
+    if len(F) > 1:
+        assert spacing(F).hex() == indicator_oracle.spacing(F).hex()
 
 
 @st.composite
