@@ -68,6 +68,12 @@ def _problem_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
+def _workers(workers: int | None) -> int | None:
+    if workers is not None and workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {workers}")
+    return workers
+
+
 def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
@@ -212,12 +218,13 @@ def _experiment_from_config(config: dict[str, dict]) -> ExperimentSpec:
 
 
 def cmd_benchmark(args) -> int:
+    workers = _workers(args.workers)
     path = _resolve_spec_path(args.spec)
     try:
         spec = _experiment_from_config(load_config_file(path, ("experiment", "mutation")))
     except ValueError as exc:  # a bad spec value is a usage error
         raise UsageError(str(exc)) from None
-    rows = run_experiment(spec, workers=args.workers)
+    rows = run_experiment(spec, workers=workers)
     out_dir = io.results_root(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "comparison.csv"
@@ -282,9 +289,13 @@ def cmd_fairness(args) -> int:
 def cmd_profile(args) -> int:
     problems = _convert(_problem_ids, args.problems, "--problems")
     mu_grid = _convert(_floats, args.mu_grid, "--mu-grid")
+    for flag, values in (("--problems", problems), ("--mu-grid", mu_grid)):
+        if not values:
+            raise UsageError(f"{flag}: the list is empty")
     if args.repetitions < 1:
         raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     base_seed = _convert(_seed, args.base_seed, "--base-seed")
+    workers = _workers(args.workers)
     # a budget below one swarm evaluation is a usage error, found before any run
     try:
         RunConfig(max_evaluations=args.evaluations)
@@ -296,7 +307,7 @@ def cmd_profile(args) -> int:
         repetitions=args.repetitions,
         base_seed=base_seed,
         max_evaluations=args.evaluations,
-        workers=args.workers,
+        workers=workers,
     )
     for notice in notices:
         print(f"notice: {notice}", file=sys.stderr)
@@ -387,7 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("benchmark", help="run a comparison experiment from a spec file")
     p.add_argument("spec", help="spec file path or bundled name (zdt-quick, paper-zdt-dtlz)")
-    p.add_argument("--workers", type=int, default=None, help="parallel run workers (default: cpu count)")
+    p.add_argument("--workers", type=int, default=None, help="parallel run workers (default: usable CPUs)")
     p.add_argument("--out", default=None, help="results root (default $FCPSO_RESULTS_DIR or ./results)")
     p.set_defaults(func=cmd_benchmark)
 
@@ -407,7 +418,7 @@ def build_parser() -> _Parser:
     p.add_argument("--repetitions", type=int, default=5, help="runs per grid point (default 5)")
     p.add_argument("--evaluations", type=int, default=25_000, help="budget per run (default 25000)")
     p.add_argument("--base-seed", type=int, default=1, help="first seed (default 1)")
-    p.add_argument("--workers", type=int, default=None, help="parallel run workers (default: cpu count)")
+    p.add_argument("--workers", type=int, default=None, help="parallel run workers (default: usable CPUs)")
     p.add_argument("--out", default=None, help="results root (default $FCPSO_RESULTS_DIR or ./results)")
     p.set_defaults(func=cmd_profile)
 

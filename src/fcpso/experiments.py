@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -143,6 +142,15 @@ def _execute(task: _Task) -> dict:
     return metrics
 
 
+def _check_workers(workers) -> int:
+    """``workers`` as a process count; None means one per CPU this process may run on."""
+    if workers is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
+
+
 def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> None:
     """Reject a batch's problems, repetitions or seeds before any run starts."""
     if not problems:
@@ -155,12 +163,13 @@ def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> Non
         raise ValueError(f"base_seed must be >= 0, got {base_seed!r}")
 
 
-def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers) -> dict:
-    """Run each distinct (problem, config key) cell once per seed; ids that
-    build the same problem ("dtlz2", "DTLZ2:3") share one cell.
+def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers: int) -> dict:
+    """Run each distinct (problem, config key) cell once per seed, over
+    ``workers`` processes; ids that build the same problem ("dtlz2",
+    "DTLZ2:3") share one cell.
 
     Returns {(problem id, key): metrics of seeds base_seed, base_seed + 1, ...}
-    for every id as written; ``workers`` defaults to one process per core.
+    for every id as written.
     """
     seeds = range(base_seed, base_seed + repetitions)
     first: dict = {}  # (name, n_obj) -> the first id that builds that problem
@@ -170,10 +179,11 @@ def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indica
         runs_as[pid] = first.setdefault((problem.name, problem.n_obj), pid)
     cells = [(pid, key) for pid in first.values() for key in configs]
     tasks = [_Task(pid, seed, configs[key], indicators) for pid, key in cells for seed in seeds]
-    workers = workers if workers is not None else (os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         metrics = [_execute(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial batch never loads the pool stack
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_execute, tasks, chunksize=1))
     in_order = iter(metrics)
@@ -186,7 +196,9 @@ def median(values) -> float:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[ComparisonRow]:
-    """Run every (problem, variant, seed) cell once and pair the variants."""
+    """Run every (problem, variant, seed) cell once and pair the variants,
+    over ``workers`` processes (default: one per usable CPU)."""
+    workers = _check_workers(workers)
     configs = {variant: spec.run_config(variant) for variant in spec.variants}
     by_cell = _run_cells(spec.problems, configs, spec.repetitions, spec.base_seed, spec.indicators, workers)
     return [
@@ -229,9 +241,11 @@ def unfairness_profile(
 
     Returns (points, notices); a mu outside the coverage of the known
     scheme families is skipped with a notice, and a grid with no mu left
-    runs nothing.  Bad problems, repetitions or seeds raise before any run.
+    runs nothing.  Bad problems, repetitions, seeds or workers raise
+    before any run; ``workers`` defaults to one per usable CPU.
     """
     _check_plan(problems, repetitions, 1, base_seed)
+    workers = _check_workers(workers)
 
     def config(variant: str, scheme: ParameterScheme | None = None) -> RunConfig:
         return RunConfig(

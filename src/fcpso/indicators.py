@@ -18,13 +18,9 @@ order from 8 objectives on, so every result is bitwise the
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .archive import non_dominated_mask
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "hypervolume",
@@ -45,11 +41,7 @@ def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:
     r = _finite(reference_point, "reference point")
     if F.shape[1] != r.shape[0]:
         raise ValueError(f"front has {F.shape[1]} objectives, reference point {r.shape[0]}")
-    inside = np.all(F < r, axis=1)
-    if not inside.all():
-        logger.debug("hypervolume: discarding %d points outside the reference box",
-                     int(np.count_nonzero(~inside)))
-    F = F[inside]
+    F = F[np.all(F < r, axis=1)]
     if F.shape[0] == 0:
         return 0.0
     F = F[non_dominated_mask(F)]

@@ -387,6 +387,13 @@ class TestBenchmark:
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exit_1_before_any_run(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr("fcpso.cli.run_experiment", _capture)
+        assert run_cli("benchmark", "zdt-quick", "--workers", workers, "--out", str(tmp_path)) == 1
+        assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_unknown_spec_name(self, tmp_path, capsys):
         assert run_cli("benchmark", "no-such-spec", "--out", str(tmp_path)) == 1
 
@@ -531,9 +538,14 @@ class TestProfileCmd:
         (["--problems", "zdt1,zdt99", "--mu-grid=0.1"], "--problems"),
         (["--mu-grid=0.1", "--repetitions", "0"], "--repetitions"),
         (["--mu-grid=0.1", "--evaluations", "50"], "--evaluations: max_evaluations must cover"),
+        (["--mu-grid="], "--mu-grid: the list is empty"),
+        (["--mu-grid=,"], "--mu-grid: the list is empty"),
+        (["--problems", "", "--mu-grid=0.1"], "--problems: the list is empty"),
+        (["--mu-grid=0.1", "--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--mu-grid=0.1", "--workers", "-3"], "--workers must be >= 1, got -3"),
     ])
     def test_bad_input_exits_1_naming_flag(self, tmp_path, capsys, argv, named):
-        assert run_cli("profile", *argv, "--workers", "1", "--out", str(tmp_path)) == 1
+        assert run_cli("profile", "--workers", "1", *argv, "--out", str(tmp_path)) == 1
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "profile.csv").exists()
 

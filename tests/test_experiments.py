@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,17 @@ class TestRunExperiment:
     def test_bit_reproducible(self, small_spec):
         assert run_experiment(small_spec, workers=2) == run_experiment(small_spec, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, -3, True])
+    def test_bad_workers_raise_before_any_run(self, monkeypatch, small_spec, workers):
+        started = []
+        monkeypatch.setattr(experiments, "run", lambda *args: started.append("run"))
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}"):
+            run_experiment(small_spec, workers=workers)
+        assert started == []
+
+    def test_default_workers_are_the_usable_cpus(self):
+        assert experiments._check_workers(None) == len(os.sched_getaffinity(0))
+
     def test_self_comparison_is_tie_with_p_one(self):
         spec = ExperimentSpec(
             problems=("zdt1",),
@@ -371,11 +386,14 @@ class TestUnfairnessProfile:
         (dict(base_seed=-1, workers=2), "base_seed must be >= 0, got -1"),
         (dict(problems=["zdt1", "zdt99"]), "zdt99"),
         (dict(problems=[]), "no problems to run"),
+        (dict(workers=0), "workers must be an integer >= 1, got 0"),
+        (dict(workers=-3), "workers must be an integer >= 1, got -3"),
+        (dict(workers=2.0), "workers must be an integer >= 1, got 2.0"),
     ])
     def test_bad_input_raises_before_any_run(self, monkeypatch, changes, match):
         started = []
         monkeypatch.setattr(experiments, "run", lambda *args: started.append("run"))
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: started.append("pool"))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: started.append("pool"))
         kwargs = dict(problems=["zdt1"], mu_grid=[0.1], repetitions=2, max_evaluations=400, swarm_size=20, workers=1)
         with pytest.raises(ValueError, match=match) as exc:
             unfairness_profile(**{**kwargs, **changes})
@@ -397,3 +415,16 @@ class TestUnfairnessProfile:
 
 def test_median_helper():
     assert median([3.0, 1.0, 2.0]) == 2.0
+
+
+def test_import_loads_no_pool_stack_and_no_logging():
+    # only a batch that fans out starts a pool, so only it pays for the import
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    probe = "import sys, fcpso.cli, fcpso.experiments; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"concurrent.futures.process", "multiprocessing", "logging"}.isdisjoint(loaded)

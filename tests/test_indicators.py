@@ -111,6 +111,19 @@ class TestHypervolume2D:
         assert type(hypervolume(np.full((1, k), 2.0), ref)) is float
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_points_on_or_beyond_the_reference_box_are_discarded(k, rng):
+    # each appended point is near the origin in every objective but one,
+    # where it sits on or past the reference
+    front = rng.random((20, k))
+    ref = np.full(k, 1.1)
+    outside = rng.random((2 * k, k)) * 0.05
+    for i, row in enumerate(outside):
+        row[i % k] = ref[i % k] + (0.0 if i < k else 0.5)
+    assert hypervolume(np.vstack([front, outside]), ref) == hypervolume(front, ref)
+    assert hypervolume(outside, ref) == 0.0
+
+
 class TestHypervolumeSlicer:
     def test_sweep_vs_slicer_on_embedded_2d(self, rng):
         # lift 2-objective fronts into 3 objectives with a constant axis:
