@@ -177,6 +177,7 @@ def cmd_solve(args) -> int:
             mutation=MutationConfig(**config.get("mutation", {})),
             **values,
         )
+        cfg.hv_target(problem)  # raises when the problem has no reference hypervolume
         out_dir = io.run_directory(io.results_root(args.out), problem, cfg, seed)
         io.check_run_directory(out_dir, cfg)
     except ValueError as exc:  # a bad option or config value, or another run's directory
@@ -348,6 +349,8 @@ def cmd_indicators(args) -> int:
     if ref_point is not None and not np.isfinite(ref_point).all():
         raise UsageError(f"--ref-point: non-finite entry in {args.ref_point!r}")
     values: dict[str, float] = {}
+    if "sp" in wanted and front.shape[0] < 2:
+        raise UsageError(f"sp needs at least 2 points, the front has {front.shape[0]}")
     if "hv" in wanted:
         if ref_point is None:
             raise UsageError("hv needs --ref-point")

@@ -57,15 +57,12 @@ def _check_beta(beta: float) -> None:
 
 
 def chi_vanilla(phi: float) -> float:
-    """Constriction factor for plain PSO.
+    """Constriction factor for plain PSO: :func:`chi_momentum` at beta = 0.
 
     2 / (2 - phi - sqrt(phi^2 - 4 phi)) for phi > 4, else 1.  Negative on
     the active branch.
     """
-    _check_phi(phi)
-    if phi <= 4.0:
-        return 1.0
-    return 2.0 / (2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
+    return chi_momentum(phi, 0.0)
 
 
 def activation_event(phi: float, beta: float) -> bool:
@@ -137,13 +134,12 @@ def eigenvalues(phi: float, beta: float) -> EigenPair:
 
 
 def lambda_max(phi: float, beta: float) -> float:
-    """max(|lambda+|, |lambda-|) = (|phi - 2| + sqrt(disc)) / 2, real case only."""
-    _check_phi(phi)
-    _check_beta(beta)
-    disc = phi * phi - 4.0 * (1.0 - beta) * phi
-    if disc <= 0.0:
+    """max(|lambda+|, |lambda-|) = (|phi - 2| + sqrt(disc)) / 2, real case
+    only: the larger modulus of the pair :func:`eigenvalues` returns."""
+    pair = eigenvalues(phi, beta)
+    if pair.discriminant <= 0.0:
         raise ValueError(
-            f"lambda_max requires a positive discriminant, got {disc!r} "
+            f"lambda_max requires a positive discriminant, got {pair.discriminant!r} "
             f"(phi={phi!r}, beta={beta!r}); use eigenvalues() for the complex case"
         )
-    return (abs(phi - 2.0) + math.sqrt(disc)) / 2.0
+    return max(abs(pair.lambda_plus), abs(pair.lambda_minus))

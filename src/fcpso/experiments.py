@@ -60,6 +60,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.problems or not self.indicators or len(self.variants) < 2:
             raise ValueError("an experiment needs a problem, an indicator and two variants to pair")
+        for i, v in enumerate(self.variants):
+            if v in self.variants[:i]:
+                raise ValueError(f"variant {v!r} is repeated; an experiment pairs distinct variants")
         _check_plan(self.problems, self.repetitions, 2, self.base_seed)
         bad = [i for i in self.indicators if i not in INDICATORS]
         if bad:

@@ -8,11 +8,12 @@ more a sweep over exclusive contributions of limit sets that ends in the
 four-objective table.  The limit sets of a block of sweep points are
 filtered for non-dominance in one batch.
 
-IGD, additive epsilon and spacing take each point's nearest partner from
-one (point block, partner) table per objective, over blocks of about
-2**16 cells, so memory stays bounded however large the fronts.  The
-per-objective terms are folded in objective order, in numpy's pairwise
-order from 8 objectives on, so every result is bitwise the
+IGD, additive epsilon and spacing take each point's nearest partner over
+blocks of about 2**16 cells, so memory stays bounded however large the
+fronts: below 8 objectives from one (point block, partner) table per
+objective, folded in objective order, and from 8 on from one (point
+block, partner, objective) stack that numpy reduces itself.  numpy adds
+fewer than 8 terms in order, so every result is bitwise the
 (point, partner, objective) tensor form the three used to build.
 """
 
@@ -186,9 +187,9 @@ def _hv_limit_sets(F: np.ndarray, r: np.ndarray) -> float:
 def igd(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Mean distance from each reference point to its nearest front point.
 
-    The squared gaps are summed one objective at a time, in objective
-    order below 8 objectives and in numpy's pairwise order from 8 on,
-    over blocks of about 2**16 (reference, front) pairs, so memory stays
+    The squared gaps are summed one objective at a time in objective
+    order below 8 objectives, and by numpy's own sum over the objective
+    axis from 8 on, over blocks of about 2**16 cells, so memory stays
     bounded for any reference front.  The root of each reference point's
     least sum is its least distance, since sqrt is monotone and correctly
     rounded, so the result is bitwise the (reference, front, objective)
@@ -203,9 +204,9 @@ def additive_epsilon(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Smallest shift c such that front - c weakly dominates the reference.
 
     The worst objective of each (reference, front) pair, f - r, is kept
-    one objective at a time over blocks of about 2**16 pairs, so memory
-    stays bounded; a maximum does not round, so the result is bitwise the
-    (reference, front, objective) tensor form at every objective count.
+    over blocks of about 2**16 cells, so memory stays bounded; a maximum
+    does not round, so the result is bitwise the (reference, front,
+    objective) tensor form at every objective count.
     """
     F, R = _fronts(front, reference_front)
     return float(_nearest(R, F, lambda r, f: f - r, np.maximum).max())
@@ -214,11 +215,11 @@ def additive_epsilon(front: np.ndarray, reference_front: np.ndarray) -> float:
 def spacing(front: np.ndarray) -> float:
     """Standard deviation of nearest-neighbour Manhattan gaps along the front.
 
-    The absolute gaps are summed one objective at a time, in objective
-    order below 8 objectives and in numpy's pairwise order from 8 on,
-    over blocks of about 2**16 point pairs, so memory stays bounded and
-    the result is bitwise the (point, point, objective) tensor form at
-    every objective count.
+    The absolute gaps are summed one objective at a time in objective
+    order below 8 objectives, and by numpy's own sum over the objective
+    axis from 8 on, over blocks of about 2**16 cells, so memory stays
+    bounded and the result is bitwise the (point, point, objective)
+    tensor form at every objective count.
     """
     F = np.atleast_2d(_finite(front, "front"))
     n = F.shape[0]
@@ -233,50 +234,28 @@ def _nearest(A: np.ndarray, B: np.ndarray, term, fold, skip_self: bool = False) 
     """For each row a of A, the least over rows b of B of the pair's
     per-objective terms ``term(a_d, b_d)`` folded by the ufunc ``fold``.
 
-    One (A block, B) table per objective, over blocks of A's rows of
-    about 2**16 cells.  ``skip_self`` leaves out the pair (i, i), for
-    A is B.
+    Over blocks of A's rows of about 2**16 cells: below 8 objectives one
+    (A block, B) table per objective, folded in objective order, and from
+    8 on one (A block, B, objective) stack reduced by ``fold.reduce``.
+    ``skip_self`` leaves out the pair (i, i), for A is B.
     """
+    k = A.shape[1]
+    stack = k >= 8  # numpy's own sum adds fewer than 8 terms in order
     nearest = np.empty(A.shape[0])
-    rows = max(1, (1 << 16) // B.shape[0])  # A rows per table, to bound memory
+    rows = max(1, (1 << 16) // (B.shape[0] * (k if stack else 1)))  # A rows per table, to bound memory
     for start in range(0, A.shape[0], rows):
         block = A[start:start + rows]
-        table = _fold_objectives(lambda d: term(block[:, d, None], B[:, d]), fold, range(A.shape[1]))
+        if stack:
+            table = fold.reduce(term(block[:, None, :], B), axis=-1)
+        else:
+            table = term(block[:, 0, None], B[:, 0])
+            for d in range(1, k):
+                fold(table, term(block[:, d, None], B[:, d]), out=table)
         if skip_self:
             own = np.arange(block.shape[0])
             table[own, start + own] = np.inf
         nearest[start:start + rows] = table.min(axis=1)
     return nearest
-
-
-def _fold_objectives(term, fold, objectives: range) -> np.ndarray:
-    """``term(d)`` for each d in ``objectives``, folded in the order
-    numpy's pairwise sum adds that many values along a contiguous axis,
-    so a sum is bitwise ``.sum(axis=-1)`` of the stacked terms: in order
-    below 8 terms; up to 128, eight running partials a stride of 8
-    apart, joined as a tree, then the rest in order; above 128, the two
-    halves, the first a multiple of 8 long, apart.
-    """
-    n = len(objectives)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        acc = _fold_objectives(term, fold, objectives[:half])
-        return fold(acc, _fold_objectives(term, fold, objectives[half:]), out=acc)
-    if n < 8:
-        acc = term(objectives[0])
-        for d in objectives[1:]:
-            fold(acc, term(d), out=acc)
-        return acc
-    partial = [term(d) for d in objectives[:8]]
-    rest = n - n % 8
-    for i in range(8, rest):
-        fold(partial[i % 8], term(objectives[i]), out=partial[i % 8])
-    for step in (1, 2, 4):
-        for j in range(0, 8, 2 * step):
-            fold(partial[j], partial[j + step], out=partial[j])
-    for d in objectives[rest:]:
-        fold(partial[0], term(d), out=partial[0])
-    return partial[0]
 
 
 def _finite(values, name: str) -> np.ndarray:

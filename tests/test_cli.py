@@ -161,6 +161,19 @@ class TestSolve:
             meta = (tmp_path / f"dtlz2-{m}" / "fcpso" / "1" / "meta.txt").read_text()
             assert "problem=dtlz2\n" in meta and f"objectives={m}\n" in meta
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--hv-target", "0.9"], ""), ([], "[run]\nhv_target = 0.9\n"),
+    ], ids=["flag", "config"])
+    def test_hv_target_without_a_reference_hv_exits_1_before_any_run(self, tmp_path, capsys, argv, config):
+        if config:
+            (tmp_path / "hv.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "hv.cfg")]
+        code = run_cli("solve", "--problem", "dtlz2", *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: hv-target termination needs a reference hypervolume, and dtlz2 has none" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
         code = run_cli("solve", "--problem", "zdt1", flag, "0", "--out", str(tmp_path))
@@ -378,6 +391,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("line, named", [
         ("max_evaluations = 50", "max_evaluations must cover at least one swarm evaluation"),
         ("archive_capacity = 0", "archive_capacity must be >= 1"),
+        ("variants = smpso, smpso", "variant 'smpso' is repeated"),
     ])
     def test_budget_and_capacity_errors_exit_1(self, tmp_path, capsys, line, named):
         spec = tmp_path / "bad.spec"
@@ -479,6 +493,17 @@ class TestIndicatorsCmd:
         f.write_text("0.0,1.0\n1.0,0.0\n")
         assert run_cli("indicators", "--front", str(f), "--indicators", "igd") == 1
         assert "reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, argv, named", [
+        ("0.0,1.0\n1.0,0.0\n", ["--indicators", "hv"], "hv needs --ref-point"),
+        ("0.5,0.5\n", ["--indicators", "sp"], "sp needs at least 2 points, the front has 1"),
+    ], ids=["hv-without-ref-point", "sp-of-one-point"])
+    def test_an_indicator_the_inputs_cannot_give_exits_1_naming_it(self, tmp_path, capsys, rows, argv, named):
+        f = tmp_path / "f.csv"
+        f.write_text(rows)
+        assert run_cli("indicators", "--front", str(f), *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {named}" in err
 
     def test_dimension_mismatch_named(self, tmp_path, capsys):
         f = tmp_path / "f.csv"

@@ -255,11 +255,14 @@ class TestSpacing:
 
 
 class TestPairwiseTables:
+    @pytest.mark.parametrize("k", [5, 10, 40])
     @pytest.mark.parametrize("indicator", [igd, additive_epsilon])
-    def test_a_large_reference_front_stays_within_bounded_memory(self, indicator, rng):
-        # the (reference, front, objective) tensor would take 400 MB
-        front = rng.random((100, 5))
-        ref = rng.random((100_000, 5))
+    def test_a_large_reference_front_stays_within_bounded_memory(self, indicator, k, rng):
+        # the (reference, front, objective) tensor would take 80 MB per
+        # objective; from 8 objectives on the stacked blocks count their
+        # objectives too, or they would take 23 MB at 40
+        front = rng.random((100, k))
+        ref = rng.random((100_000, k))
         tracemalloc.start()
         try:
             indicator(front, ref)
