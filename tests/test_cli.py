@@ -206,6 +206,26 @@ class TestRunDirectory:
             "per_variable_probability=", "particle_fraction=0.20000000000000001",
         ]
 
+    # every meta.txt byte of two zdt1 runs at 200 evaluations: the identity
+    # lines, every setting in order, and the run's evaluations and front size
+    @pytest.mark.parametrize("config, variant, meta", [
+        ("[run]\nvariant = smpso\ninertia = 0.3\nhv_target = 0.5\n", "smpso",
+         "problem=zdt1\nobjectives=2\nvariant=smpso\nseed=1\nscheme=3,5,0,1\ninertia=0.29999999999999999\n"
+         "swarm_size=100\narchive_capacity=100\nmax_evaluations=200\nhv_target=0.5\ndistribution_index=20\n"
+         "per_variable_probability=\nparticle_fraction=0.14999999999999999\nevaluations=200\nfront_size=18\n"),
+        (None, "fcpso",
+         "problem=zdt1\nobjectives=2\nvariant=fcpso\nseed=1\nscheme=2,3.4672000000000001,0,1\n"
+         "swarm_size=100\narchive_capacity=100\nmax_evaluations=200\nhv_target=\ndistribution_index=20\n"
+         "per_variable_probability=\nparticle_fraction=0.14999999999999999\nevaluations=200\nfront_size=17\n"),
+    ], ids=["smpso-config", "fcpso-defaults"])
+    def test_meta_is_byte_for_byte_as_recorded(self, tmp_path, config, variant, meta):
+        argv = ["solve", "--problem", "zdt1", "--evaluations", "200", "--out", str(tmp_path / "r")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run_cli(*argv) == 0
+        assert (tmp_path / "r" / "zdt1-2" / variant / "1" / "meta.txt").read_text(encoding="utf-8") == meta
+
     @pytest.mark.parametrize("first, second, key", [
         (("--scheme", "2,3,0,1"), ("--scheme", "3,5,0,1"), "scheme"),
         (("--archive", "20"), ("--archive", "30"), "archive_capacity"),
