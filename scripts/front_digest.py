@@ -40,7 +40,7 @@ def digest(problem_id: str, variant: str, seed: int) -> str:
     cfg = RunConfig(dynamics=DynamicsConfig(variant=variant), max_evaluations=EVALUATIONS)
     result = run(problem, cfg, seed)
     with tempfile.TemporaryDirectory() as tmp:
-        out = io.write_run_result(tmp, result, cfg)
+        out = io.write_run_result(tmp, problem, cfg, seed, result)
         sha = hashlib.sha256()
         for name in ("front.csv", "positions.csv"):
             sha.update((out / name).read_bytes())

@@ -34,6 +34,8 @@ from math import isfinite
 
 import numpy as np
 
+from ._checks import check_count
+
 __all__ = [
     "ExternalArchive",
     "non_dominated_mask",
@@ -128,8 +130,7 @@ class ExternalArchive:
     """
 
     def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
+        check_count("capacity", capacity, 1)
         self.capacity = capacity
         self._n = 0
         # allocated by the first insertion, which fixes both dimensions

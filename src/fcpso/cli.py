@@ -184,7 +184,7 @@ def cmd_solve(args) -> int:
         raise UsageError(str(exc)) from None
 
     result = run(problem, cfg, seed)
-    io.write_run_result(out_dir, result, cfg)
+    io.write_run_result(out_dir, problem, cfg, seed, result)
 
     hv = hypervolume(result.front_objectives, problem.hv_reference_point)
     print(f"problem={problem.name}")
@@ -249,12 +249,14 @@ def cmd_fairness(args) -> int:
     seed = _convert(_seed, args.seed, "--seed")
     if args.monte_carlo is not None and args.monte_carlo < 1:
         raise UsageError(f"--monte-carlo must be >= 1, got {args.monte_carlo}")
-    did_something = False
+    if args.monte_carlo is not None and not args.scheme:
+        raise UsageError("--monte-carlo needs --scheme")
+    if not (args.scheme or args.solve_fair or args.target_mu is not None):
+        raise UsageError("nothing to do: pass --scheme, --solve-fair or --target-mu")
     if args.solve_fair:
         phi2 = solve_fair_phi2(2.0)
         print(f"fair_phi2={io.fmt(phi2)}")
         print(f"fair_scheme=2,{io.fmt(phi2)},0,1")
-        did_something = True
     if args.target_mu is not None:
         try:
             scheme = scheme_for_unfairness(args.target_mu)
@@ -262,7 +264,6 @@ def cmd_fairness(args) -> int:
             raise UsageError(str(exc)) from None
         print("scheme=" + ",".join(io.fmt(v) for v in scheme.as_tuple()))
         print(f"scheme_mu={io.fmt(unfairness(scheme))}")
-        did_something = True
     if args.scheme:
         scheme = _convert(_scheme, args.scheme, "--scheme")
         p = activation_probability(scheme)
@@ -276,11 +277,6 @@ def cmd_fairness(args) -> int:
             print(f"mc_p_activation={io.fmt(report.p_activation)}")
             print(f"mc_mu={io.fmt(report.unfairness)}")
             print(f"mc_std_error={io.fmt(report.std_error)}")
-        did_something = True
-    elif args.monte_carlo is not None:
-        raise UsageError("--monte-carlo needs --scheme")
-    if not did_something:
-        raise UsageError("nothing to do: pass --scheme, --solve-fair or --target-mu")
     return 0
 
 
@@ -328,8 +324,10 @@ def cmd_profile(args) -> int:
 def cmd_indicators(args) -> int:
     front = _convert(io.read_front_csv, args.front, "--front")
     reference = _convert(io.read_front_csv, args.reference, "--reference") if args.reference else None
-    if args.indicators:
+    if args.indicators is not None:
         wanted = _items(args.indicators)
+        if not wanted:
+            raise UsageError("--indicators: the list is empty")
         bad = [i for i in wanted if i not in ("hv", "igd", "eps", "sp")]
         if bad:
             raise UsageError(f"unknown indicators {bad}; choose from hv, igd, eps, sp")

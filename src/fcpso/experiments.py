@@ -22,6 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._checks import check_count, is_count
 from .fairness import ParameterScheme, scheme_for_unfairness
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
@@ -149,7 +150,7 @@ def _check_workers(workers) -> int:
     """``workers`` as a process count; None means one per CPU this process may run on."""
     if workers is None:
         return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_count(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     return workers
 
@@ -160,10 +161,8 @@ def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> Non
         raise ValueError("no problems to run")
     for pid in problems:
         get_problem(*parse_problem_id(pid))  # cached; raises on an unknown or mis-sized id
-    if repetitions < minimum:
-        raise ValueError(f"repetitions must be >= {minimum}" + (" for statistics" if minimum > 1 else ""))
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be >= 0, got {base_seed!r}")
+    check_count("repetitions", repetitions, minimum)
+    check_count("base_seed", base_seed, 0)
 
 
 def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers: int) -> dict:

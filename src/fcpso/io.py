@@ -6,8 +6,11 @@ with the same seed produces byte-identical files; an absent value is an
 empty cell.  Only the front CSV (``f1,...,fk``, one point per row) is
 read back, by ``read_front_csv``.  A run lands in
 ``<root>/<problem>-<m>/<variant>/<seed>/``, m being the objective count,
-and its ``meta.txt`` records every other setting that determines it, so
-that a run with other settings is refused that directory.
+and ``write_run_result`` writes all its files.  Its ``meta.txt`` takes
+the run's identity from its inputs, (problem, config, seed), one source
+per line, then records every other setting that determines it, so that a
+run with other settings is refused that directory, and ends with the
+result's evaluations and front size.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "check_run_directory",
     "write_front_csv",
     "read_front_csv",
-    "write_metadata",
     "write_hv_trace_csv",
     "write_run_result",
     "write_comparison_csv",
@@ -140,32 +142,22 @@ def read_front_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_metadata(path, result: RunResult, cfg: RunConfig) -> None:
-    lines = [
-        f"problem={result.problem}",
-        f"objectives={result.front_objectives.shape[1]}",
-        f"variant={result.variant}",
-        f"seed={result.seed}",
-        *(f"{key}={value}" for key, value in _run_settings(cfg).items()),
-        f"evaluations={result.evaluations_used}",
-        f"front_size={result.front_size}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_hv_trace_csv(path, trace) -> None:
     _write_csv(path, ("evaluations", "hv"), [(f"{evals}", fmt(hv)) for evals, hv in trace])
 
 
-def write_run_result(directory, result: RunResult, cfg: RunConfig) -> Path:
-    """Write front/positions/metadata of the run of ``cfg``, and the hv
-    trace when recorded (removing one an earlier run left when not)."""
+def write_run_result(directory, problem: ProblemInstance, cfg: RunConfig, seed: int, result: RunResult) -> Path:
+    """Write the front, positions and ``meta.txt`` of ``run(problem, cfg,
+    seed)``, and the hv trace when recorded (removing one an earlier run
+    left when not)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_front_csv(directory / "front.csv", result.front_objectives)
     _write_matrix_csv(directory / "positions.csv", result.front_positions, "x")
-    write_metadata(directory / "meta.txt", result, cfg)
+    inputs = {"problem": problem.name, "objectives": problem.n_obj, "variant": cfg.dynamics.variant, "seed": seed}
+    outputs = {"evaluations": result.evaluations_used, "front_size": result.front_size}
+    meta = {**inputs, **_run_settings(cfg), **outputs}
+    (directory / "meta.txt").write_text("".join(f"{key}={value}\n" for key, value in meta.items()), encoding="utf-8")
     if result.hv_trace:
         write_hv_trace_csv(directory / "hv_trace.csv", result.hv_trace)
     else:

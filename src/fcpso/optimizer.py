@@ -20,7 +20,8 @@ archive of a entries, draws
 4. ``rng.random(k)`` for the k undecided personal bests
    (:func:`~fcpso.swarm.update_pbest`).
 
-One run is fully determined by (problem, config, seed).  Termination is
+One run is fully determined by (problem, config, seed), which name it;
+its :class:`RunResult` holds only what it produced.  Termination is
 either an evaluation budget or reaching a fraction of a reference
 hypervolume, whichever comes first.  The archive hypervolume is traced
 from the initial swarm on, every generation under a hypervolume target
@@ -32,11 +33,11 @@ last value otherwise, which is bitwise what a fresh computation gives.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count
 from .archive import ExternalArchive
 from .indicators import hypervolume
 from .mutation import MutationConfig, apply_turbulence
@@ -64,8 +65,8 @@ class RunConfig:
     record_interval: int = 0  # generations between hv-trace samples (0 = off)
 
     def __post_init__(self) -> None:
-        if self.archive_capacity < 1:
-            raise ValueError(f"archive_capacity must be >= 1, got {self.archive_capacity!r}")
+        check_count("archive_capacity", self.archive_capacity, 1)
+        check_count("max_evaluations", self.max_evaluations)
         if self.max_evaluations < self.dynamics.swarm_size:
             raise ValueError(
                 f"max_evaluations must cover at least one swarm evaluation: got {self.max_evaluations!r}, "
@@ -73,8 +74,7 @@ class RunConfig:
             )
         if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
             raise ValueError(f"hv_target_fraction must lie in [0, 1], got {self.hv_target_fraction!r}")
-        if self.record_interval < 0:
-            raise ValueError("record_interval must be >= 0")
+        check_count("record_interval", self.record_interval, 0)
 
     def hv_target(self, problem: ProblemInstance) -> float | None:
         """The hypervolume that stops a run on ``problem``; None under pure
@@ -89,14 +89,13 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    problem: str
-    variant: str
-    seed: int
+    """A run's outputs: the archive as the front, the evaluations used and
+    the hv trace; the run itself is named by its inputs, not repeated here."""
+
     front_objectives: np.ndarray
     front_positions: np.ndarray
     evaluations_used: int
     hv_trace: list[tuple[int, float]]
-    wall_time: float
 
     @property
     def front_size(self) -> int:
@@ -105,7 +104,6 @@ class RunResult:
 
 def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     """Execute one optimization run and return the archive as the front."""
-    t0 = time.perf_counter()
     dyn = cfg.dynamics
     bounds = problem.bounds
     hv_target = cfg.hv_target(problem)
@@ -155,14 +153,5 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         generation += 1
         done = target_reached()
 
-    return RunResult(
-        problem=problem.name,
-        variant=dyn.variant,
-        seed=seed,
-        front_objectives=archive.objectives_array(),
-        front_positions=archive.positions_array(),
-        evaluations_used=evaluations,
-        hv_trace=trace,
-        wall_time=time.perf_counter() - t0,
-    )
+    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)
 

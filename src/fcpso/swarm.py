@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count
 from .constriction import chi_momentum, chi_vanilla
 from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
 
@@ -97,8 +98,7 @@ class DynamicsConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.inertia is not None and not np.isfinite(self.inertia):
             raise ValueError(f"inertia must be finite, got {self.inertia!r}")
-        if self.swarm_size < 2:
-            raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size!r}")
+        check_count("swarm_size", self.swarm_size, 2)
         if self.inertia is None and self.variant == "smpso":
             object.__setattr__(self, "inertia", 0.1)
         elif self.inertia is not None and self.variant != "smpso":

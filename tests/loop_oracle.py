@@ -164,13 +164,4 @@ def run_oracle(problem, cfg, seed) -> RunResult:
         generation += 1
         done = target_reached()
 
-    return RunResult(
-        problem=problem.name,
-        variant=dyn.variant,
-        seed=seed,
-        front_objectives=archive.objectives_array(),
-        front_positions=archive.positions_array(),
-        evaluations_used=evaluations,
-        hv_trace=trace,
-        wall_time=0.0,
-    )
+    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)

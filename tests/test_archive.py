@@ -127,6 +127,12 @@ class TestTryInsert:
         with pytest.raises(ValueError):
             ExternalArchive(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [True, 2.5, 10.0])
+    def test_a_non_integer_capacity_is_refused(self, capacity):
+        with pytest.raises(ValueError, match=f"capacity must be an integer, got {capacity!r}"):
+            ExternalArchive(capacity)
+        assert ExternalArchive(np.int64(10)).capacity == 10
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_changes_counts_the_candidates_that_change_the_archive(self, k):
         a = ExternalArchive(capacity=2)

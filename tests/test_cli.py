@@ -477,7 +477,10 @@ class TestFairnessCmd:
         assert run_cli("fairness", "--target-mu", "0.49") == 1
 
     def test_monte_carlo_without_scheme(self, capsys):
-        assert run_cli("fairness", "--monte-carlo", "100") == 1
+        for argv in ((), ("--solve-fair",), ("--target-mu", "0.25")):
+            assert run_cli("fairness", *argv, "--monte-carlo", "100") == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "error: --monte-carlo needs --scheme" in err
 
     def test_bad_scheme_format(self, capsys):
         assert run_cli("fairness", "--scheme", "3,5") == 1
@@ -517,7 +520,9 @@ class TestIndicatorsCmd:
     @pytest.mark.parametrize("rows, argv, named", [
         ("0.0,1.0\n1.0,0.0\n", ["--indicators", "hv"], "hv needs --ref-point"),
         ("0.5,0.5\n", ["--indicators", "sp"], "sp needs at least 2 points, the front has 1"),
-    ], ids=["hv-without-ref-point", "sp-of-one-point"])
+        ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators", ","], "--indicators: the list is empty"),
+        ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators="], "--indicators: the list is empty"),
+    ], ids=["hv-without-ref-point", "sp-of-one-point", "empty-indicator-list", "empty-indicators-flag"])
     def test_an_indicator_the_inputs_cannot_give_exits_1_naming_it(self, tmp_path, capsys, rows, argv, named):
         f = tmp_path / "f.csv"
         f.write_text(rows)

@@ -186,6 +186,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="fe indicator needs an hv_target_fraction"):
             ExperimentSpec(problems=("zdt1",), indicators=("fe",), hv_target_fraction=None)
 
+    @pytest.mark.parametrize("key, value, good", [
+        ("repetitions", 2.5, 5), ("repetitions", True, 5), ("base_seed", 1.5, 5), ("base_seed", False, 5),
+        ("max_evaluations", 400.0, 500), ("swarm_size", 20.5, 20), ("archive_capacity", 1.5, 5),
+    ])
+    def test_a_non_integer_count_is_refused_naming_it(self, key, value, good):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            ExperimentSpec(problems=("zdt1",), **{key: value})
+        assert getattr(ExperimentSpec(problems=("zdt1",), **{key: np.int64(good)}), key) == good
+
 
 @pytest.fixture(scope="module")
 def small_spec():

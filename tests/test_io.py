@@ -20,20 +20,21 @@ from fcpso.problems import get_problem
 
 def make_result(**overrides):
     base = dict(
-        problem="zdt1",
-        variant="fcpso",
-        seed=3,
         front_objectives=np.array([[0.0, 1.0], [1.0, 0.0]]),
         front_positions=np.array([[0.1, 0.2], [0.3, 0.4]]),
         evaluations_used=400,
         hv_trace=[(100, 1.5), (200, 2.0)],
-        wall_time=0.5,
     )
     base.update(overrides)
     return RunResult(**base)
 
 
-CFG = RunConfig()  # fcpso, the variant of make_result(); meta.txt takes the scheme from it
+CFG = RunConfig()
+
+
+def write_run(directory, result):
+    """Write ``result`` as the zdt1 run of ``CFG`` (fcpso) on seed 3."""
+    return write_run_result(directory, get_problem("zdt1"), CFG, 3, result)
 
 
 def point(**cells):
@@ -84,19 +85,18 @@ class TestFrontCsv:
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):
         result = make_result()
-        out = write_run_result(tmp_path / "run", result, CFG)
+        out = write_run(tmp_path / "run", result)
         assert (out / "front.csv").is_file()
         assert (out / "positions.csv").is_file()
         assert (out / "hv_trace.csv").is_file()
         meta = (out / "meta.txt").read_text()
-        assert "problem=zdt1" in meta
-        assert "objectives=2" in meta
+        assert meta.startswith("problem=zdt1\nobjectives=2\nvariant=fcpso\nseed=3\n")
         assert "evaluations=400" in meta
         assert "scheme=2,3.4672000000000001,0,1" in meta
 
     def test_positions_and_trace_round_trip(self, tmp_path):
         result = make_result(front_positions=np.array([[0.1, 1 / 3, 0.7], [0.3, 0.4, 1e-300]]))
-        out = write_run_result(tmp_path / "run", result, CFG)
+        out = write_run(tmp_path / "run", result)
         xs = ("x1", "x2", "x3")
         positions = read_records(out / "positions.csv", point, xs, floats=xs)
         np.testing.assert_array_equal(positions, result.front_positions)
@@ -104,12 +104,12 @@ class TestRunResultFiles:
         assert trace == [("100", 1.5), ("200", 2.0)]
 
     def test_no_trace_file_without_trace(self, tmp_path):
-        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]), CFG)
+        out = write_run(tmp_path / "run", make_result(hv_trace=[]))
         assert not (out / "hv_trace.csv").exists()
 
     def test_a_rerun_without_trace_removes_the_old_trace(self, tmp_path):
-        write_run_result(tmp_path / "run", make_result(), CFG)
-        out = write_run_result(tmp_path / "run", make_result(hv_trace=[]), CFG)
+        write_run(tmp_path / "run", make_result())
+        out = write_run(tmp_path / "run", make_result(hv_trace=[]))
         assert not (out / "hv_trace.csv").exists()
 
     def test_hv_trace_contents(self, tmp_path):

@@ -1,11 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fcpso.archive import non_dominated_mask
 from fcpso.mutation import MutationConfig
-from fcpso.optimizer import RunConfig, run
+from fcpso.optimizer import RunConfig, RunResult, run
 from fcpso.problems import get_problem
 from fcpso.swarm import DynamicsConfig
 
@@ -73,19 +73,27 @@ class TestRunBasics:
         result = run(problem, quick_cfg(archive_capacity=8, evals=800), seed=2)
         assert result.front_size <= 8
 
-    def test_metadata(self):
-        problem = get_problem("zdt1")
-        result = run(problem, quick_cfg(variant="em-smpso"), seed=9)
-        assert result.problem == "zdt1"
-        assert result.variant == "em-smpso"
-        assert result.seed == 9
-        assert result.wall_time > 0.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(dynamics=DynamicsConfig(swarm_size=100), max_evaluations=50)
         with pytest.raises(ValueError):
             RunConfig(hv_target_fraction=1.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("archive_capacity", 1.5), ("archive_capacity", True), ("max_evaluations", 250.7),
+        ("max_evaluations", 300.0), ("record_interval", 0.5), ("record_interval", False),
+    ])
+    def test_a_non_integer_count_is_refused_naming_it(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            RunConfig(**{key: value})
+        assert getattr(RunConfig(**{key: np.int64(300)}), key) == 300
+
+    def test_a_result_holds_only_what_the_run_produced(self):
+        assert [f.name for f in fields(RunResult)] == [
+            "front_objectives", "front_positions", "evaluations_used", "hv_trace",
+        ]
+        result = run(get_problem("zdt1"), quick_cfg(), seed=9)
+        assert result.front_size == len(result.front_objectives) == len(result.front_positions)
 
 
 class TestHvTarget:

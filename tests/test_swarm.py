@@ -73,6 +73,12 @@ class TestDefaults:
             with pytest.raises(ValueError, match="inertia must be finite"):
                 DynamicsConfig(variant="smpso", inertia=inertia)
 
+    @pytest.mark.parametrize("swarm_size", [2.5, 20.0, True])
+    def test_a_non_integer_swarm_size_is_refused(self, swarm_size):
+        with pytest.raises(ValueError, match=f"swarm_size must be an integer, got {swarm_size!r}"):
+            DynamicsConfig(swarm_size=swarm_size)
+        assert DynamicsConfig(swarm_size=np.int64(20)).swarm_size == 20
+
     def test_only_smpso_has_an_inertia(self):
         assert DynamicsConfig(variant="smpso").inertia == 0.1
         assert DynamicsConfig(variant="smpso", inertia=0.4).inertia == 0.4
