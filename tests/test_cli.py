@@ -494,6 +494,24 @@ class TestFairnessCmd:
         out, err = capsys.readouterr()
         assert out == "" and f"error: --monte-carlo must be >= 1, got {count}" in err
 
+    def test_every_action_stdout_is_as_recorded(self, capsys):
+        argv = ["--solve-fair", "--target-mu", "-0.2", "--scheme", "3,5,0,1"]
+        assert run_cli("fairness", *argv, "--monte-carlo", "1000", "--seed", "3") == 0
+        assert capsys.readouterr().out == (
+            "fair_phi2=3.4672019777575853\n"
+            "fair_scheme=2,3.4672019777575853,0,1\n"
+            "scheme=2,2.7451465039633733,0,1\n"
+            "scheme_mu=-0.1999999999998951\n"
+            "method=analytic\n"
+            "p_activation=0.92463585509643831\n"
+            "mu=0.42463585509643831\n"
+            "method=monte-carlo\n"
+            "mc_samples=1000\n"
+            "mc_p_activation=0.91400000000000003\n"
+            "mc_mu=0.41400000000000003\n"
+            "mc_std_error=0.0088658896902679748\n"
+        )
+
 
 class TestIndicatorsCmd:
     def test_front_equals_reference(self, tmp_path, capsys):
@@ -510,6 +528,18 @@ class TestIndicatorsCmd:
         assert run_cli("indicators", "--front", str(f), "--ref-point", "2,2") == 0
         out = dict(l.split("=", 1) for l in capsys.readouterr().out.splitlines())
         assert float(out["hv"]) == pytest.approx(3.375)
+
+    @pytest.mark.parametrize("argv, out", [
+        ([], "hv=3.375\nigd=0.083333333333333329\neps=0\nsp=0.28867513459481287\n"),
+        (["--indicators", "sp,hv"], "hv=3.375\nsp=0.28867513459481287\n"),
+    ], ids=["default-selection", "sp-and-hv"])
+    def test_stdout_is_as_recorded(self, tmp_path, capsys, argv, out):
+        f = tmp_path / "f.csv"
+        f.write_text("f1,f2\n0.0,1.0\n0.25,0.5\n1.0,0.0\n")
+        r = tmp_path / "r.csv"
+        r.write_text("f1,f2\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
+        assert run_cli("indicators", "--front", str(f), "--reference", str(r), "--ref-point", "2,2", *argv) == 0
+        assert capsys.readouterr().out == "front_size=3\nreference_point=2,2\n" + out
 
     def test_igd_without_reference_errors(self, tmp_path, capsys):
         f = tmp_path / "f.csv"
