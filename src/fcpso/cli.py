@@ -1,6 +1,9 @@
 """Command-line interface: solve, benchmark, fairness, profile, indicators.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
+Exit codes: 0 success, 1 usage/config error, 2 runtime failure.  Every
+command checks all of its inputs before it prints, runs or writes
+anything, so a bad one exits 1 with nothing on stdout and a message that
+names the flag, or the config file, section and key.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
+from ._checks import check_count
 from .experiments import ExperimentSpec, run_experiment, unfairness_profile
 from .fairness import (
     ParameterScheme,
@@ -68,20 +72,13 @@ def _problem_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-def _workers(workers: int | None) -> int | None:
-    if workers is not None and workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
-    return workers
-
-
 def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
 def _seed(text) -> int:
     seed = int(text)
-    if seed < 0:
-        raise ValueError(f"a seed must be >= 0, got {seed}")
+    check_count("a seed", seed, 0)
     return seed
 
 
@@ -119,12 +116,19 @@ _KEYS = {
 _DYNAMICS_FIELDS = {f.name for f in fields(DynamicsConfig)}
 
 
-def _convert(parse, text: str, where: str):
-    """parse(text), reporting a bad value as a usage error at `where`."""
+def _convert(parse, value, where: str = ""):
+    """parse(value), reporting a bad value as a usage error at `where`, or
+    as it is when its message names the input."""
     try:
-        return parse(text)
+        return parse(value)
     except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from None
+        raise UsageError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _count(flag: str, value: int | None, minimum: int = 1) -> None:
+    """Refuse a given count flag below `minimum`, by check_count's rule."""
+    if value is not None:
+        _convert(lambda v: check_count(flag, v, minimum), value)
 
 
 def load_config_file(path, sections=tuple(_KEYS)) -> dict[str, dict]:
@@ -167,10 +171,7 @@ def cmd_solve(args) -> int:
         values["hv_target_fraction"] = values.pop("hv_target")
     dynamics = {key: values.pop(key) for key in _DYNAMICS_FIELDS & values.keys()}
 
-    try:
-        problem = get_problem(*parse_problem_id(args.problem))
-    except ValueError as exc:
-        raise UsageError(f"--problem {args.problem}: {exc}") from None
+    problem = _convert(lambda pid: get_problem(*parse_problem_id(pid)), args.problem, f"--problem {args.problem}")
     try:
         cfg = RunConfig(
             dynamics=DynamicsConfig(**dynamics),
@@ -219,13 +220,13 @@ def _experiment_from_config(config: dict[str, dict]) -> ExperimentSpec:
 
 
 def cmd_benchmark(args) -> int:
-    workers = _workers(args.workers)
+    _count("--workers", args.workers)
     path = _resolve_spec_path(args.spec)
     try:
         spec = _experiment_from_config(load_config_file(path, ("experiment", "mutation")))
     except ValueError as exc:  # a bad spec value is a usage error
         raise UsageError(str(exc)) from None
-    rows = run_experiment(spec, workers=workers)
+    rows = run_experiment(spec, workers=args.workers)
     out_dir = io.results_root(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "comparison.csv"
@@ -247,36 +248,33 @@ def cmd_benchmark(args) -> int:
 
 def cmd_fairness(args) -> int:
     seed = _convert(_seed, args.seed, "--seed")
-    if args.monte_carlo is not None and args.monte_carlo < 1:
-        raise UsageError(f"--monte-carlo must be >= 1, got {args.monte_carlo}")
+    _count("--monte-carlo", args.monte_carlo)
     if args.monte_carlo is not None and not args.scheme:
         raise UsageError("--monte-carlo needs --scheme")
     if not (args.scheme or args.solve_fair or args.target_mu is not None):
         raise UsageError("nothing to do: pass --scheme, --solve-fair or --target-mu")
+    scheme = _convert(_scheme, args.scheme, "--scheme") if args.scheme else None
+    lines = []
     if args.solve_fair:
         phi2 = solve_fair_phi2(2.0)
-        print(f"fair_phi2={io.fmt(phi2)}")
-        print(f"fair_scheme=2,{io.fmt(phi2)},0,1")
+        lines += [f"fair_phi2={io.fmt(phi2)}", f"fair_scheme=2,{io.fmt(phi2)},0,1"]
     if args.target_mu is not None:
-        try:
-            scheme = scheme_for_unfairness(args.target_mu)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        print("scheme=" + ",".join(io.fmt(v) for v in scheme.as_tuple()))
-        print(f"scheme_mu={io.fmt(unfairness(scheme))}")
-    if args.scheme:
-        scheme = _convert(_scheme, args.scheme, "--scheme")
+        derived = _convert(scheme_for_unfairness, args.target_mu, "--target-mu")
+        lines.append("scheme=" + ",".join(io.fmt(v) for v in derived.as_tuple()))
+        lines.append(f"scheme_mu={io.fmt(unfairness(derived))}")
+    if scheme is not None:
         p = activation_probability(scheme)
-        print("method=analytic")
-        print(f"p_activation={io.fmt(p)}")
-        print(f"mu={io.fmt(p - 0.5)}")
+        lines += ["method=analytic", f"p_activation={io.fmt(p)}", f"mu={io.fmt(p - 0.5)}"]
         if args.monte_carlo is not None:
             report = monte_carlo_activation(scheme, args.monte_carlo, seed=seed)
-            print("method=monte-carlo")
-            print(f"mc_samples={report.sample_count}")
-            print(f"mc_p_activation={io.fmt(report.p_activation)}")
-            print(f"mc_mu={io.fmt(report.unfairness)}")
-            print(f"mc_std_error={io.fmt(report.std_error)}")
+            lines += [
+                "method=monte-carlo",
+                f"mc_samples={report.sample_count}",
+                f"mc_p_activation={io.fmt(report.p_activation)}",
+                f"mc_mu={io.fmt(report.unfairness)}",
+                f"mc_std_error={io.fmt(report.std_error)}",
+            ]
+    print("\n".join(lines))
     return 0
 
 
@@ -289,22 +287,18 @@ def cmd_profile(args) -> int:
     for flag, values in (("--problems", problems), ("--mu-grid", mu_grid)):
         if not values:
             raise UsageError(f"{flag}: the list is empty")
-    if args.repetitions < 1:
-        raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
+    _count("--repetitions", args.repetitions)
     base_seed = _convert(_seed, args.base_seed, "--base-seed")
-    workers = _workers(args.workers)
+    _count("--workers", args.workers)
     # a budget below one swarm evaluation is a usage error, found before any run
-    try:
-        RunConfig(max_evaluations=args.evaluations)
-    except ValueError as exc:
-        raise UsageError(f"--evaluations: {exc}") from None
+    _convert(lambda n: RunConfig(max_evaluations=n), args.evaluations, "--evaluations")
     points, notices = unfairness_profile(
         problems,
         mu_grid,
         repetitions=args.repetitions,
         base_seed=base_seed,
         max_evaluations=args.evaluations,
-        workers=workers,
+        workers=args.workers,
     )
     for notice in notices:
         print(f"notice: {notice}", file=sys.stderr)
@@ -324,50 +318,37 @@ def cmd_profile(args) -> int:
 def cmd_indicators(args) -> int:
     front = _convert(io.read_front_csv, args.front, "--front")
     reference = _convert(io.read_front_csv, args.reference, "--reference") if args.reference else None
-    if args.indicators is not None:
-        wanted = _items(args.indicators)
-        if not wanted:
-            raise UsageError("--indicators: the list is empty")
-        bad = [i for i in wanted if i not in ("hv", "igd", "eps", "sp")]
-        if bad:
-            raise UsageError(f"unknown indicators {bad}; choose from hv, igd, eps, sp")
-    else:  # default to whatever the provided inputs support
-        wanted = ("sp",) if front.shape[0] >= 2 else ()
-        if args.ref_point:
-            wanted = ("hv",) + wanted
-        if reference is not None:
-            wanted += ("igd", "eps")
-    if reference is not None and reference.shape[1] != front.shape[1]:
-        raise UsageError(
-            f"objective count mismatch: front has {front.shape[1]}, "
-            f"reference has {reference.shape[1]}"
-        )
-
     ref_point = np.array(_convert(_floats, args.ref_point, "--ref-point")) if args.ref_point else None
     if ref_point is not None and not np.isfinite(ref_point).all():
         raise UsageError(f"--ref-point: non-finite entry in {args.ref_point!r}")
-    values: dict[str, float] = {}
-    if "sp" in wanted and front.shape[0] < 2:
-        raise UsageError(f"sp needs at least 2 points, the front has {front.shape[0]}")
-    if "hv" in wanted:
-        if ref_point is None:
-            raise UsageError("hv needs --ref-point")
-        if ref_point.shape[0] != front.shape[1]:
-            raise UsageError(
-                f"objective count mismatch: front has {front.shape[1]}, "
-                f"--ref-point has {ref_point.shape[0]}"
-            )
-        values["hv"] = hypervolume(front, ref_point)
-    for ind in ("igd", "eps"):
-        if ind in wanted:
-            if reference is None:
-                raise UsageError(f"{ind} needs --reference")
-            fn = igd if ind == "igd" else additive_epsilon
-            values[ind] = fn(front, reference)
-    if "sp" in wanted:
-        values["sp"] = spacing(front)
+    n, k = front.shape
+    for name, given in (("reference", reference), ("--ref-point", ref_point)):
+        if given is not None and given.shape[-1] != k:
+            raise UsageError(f"objective count mismatch: front has {k}, {name} has {given.shape[-1]}")
 
-    print(f"front_size={front.shape[0]}")
+    # indicator -> (what it lacks given the inputs, or None; its value)
+    no_reference = "--reference" if reference is None else None
+    table = {
+        "hv": ("--ref-point" if ref_point is None else None, lambda: hypervolume(front, ref_point)),
+        "igd": (no_reference, lambda: igd(front, reference)),
+        "eps": (no_reference, lambda: additive_epsilon(front, reference)),
+        "sp": (f"at least 2 points, the front has {n}" if n < 2 else None, lambda: spacing(front)),
+    }
+    if args.indicators is None:  # default to whatever the inputs support
+        wanted = [name for name, (lack, _) in table.items() if lack is None]
+    else:
+        wanted = _items(args.indicators)
+        if not wanted:
+            raise UsageError("--indicators: the list is empty")
+        bad = [i for i in wanted if i not in table]
+        if bad:
+            raise UsageError(f"unknown indicators {bad}; choose from {', '.join(table)}")
+    for name in wanted:
+        if table[name][0] is not None:
+            raise UsageError(f"{name} needs {table[name][0]}")
+    values = {name: value() for name, (_, value) in table.items() if name in wanted}
+
+    print(f"front_size={n}")
     if ref_point is not None:
         print("reference_point=" + ",".join(io.fmt(v) for v in ref_point))
     for key, value in values.items():

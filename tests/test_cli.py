@@ -494,6 +494,15 @@ class TestFairnessCmd:
         out, err = capsys.readouterr()
         assert out == "" and f"error: --monte-carlo must be >= 1, got {count}" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--target-mu", "0.49"], "--target-mu: no known scheme family reaches mu = 0.49"),
+        (["--scheme", "3,5"], "--scheme: expected 'phi1,phi2,beta1,beta2', got '3,5'"),
+    ])
+    def test_a_bad_input_after_solve_fair_exits_1_before_output(self, capsys, argv, named):
+        assert run_cli("fairness", "--solve-fair", *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {named}" in err
+
     def test_every_action_stdout_is_as_recorded(self, capsys):
         argv = ["--solve-fair", "--target-mu", "-0.2", "--scheme", "3,5,0,1"]
         assert run_cli("fairness", *argv, "--monte-carlo", "1000", "--seed", "3") == 0
@@ -552,7 +561,10 @@ class TestIndicatorsCmd:
         ("0.5,0.5\n", ["--indicators", "sp"], "sp needs at least 2 points, the front has 1"),
         ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators", ","], "--indicators: the list is empty"),
         ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators="], "--indicators: the list is empty"),
-    ], ids=["hv-without-ref-point", "sp-of-one-point", "empty-indicator-list", "empty-indicators-flag"])
+        ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2,2", "--indicators", "sp"],
+         "objective count mismatch: front has 2, --ref-point has 3"),
+    ], ids=["hv-without-ref-point", "sp-of-one-point", "empty-indicator-list", "empty-indicators-flag",
+            "ref-point-too-wide-without-hv"])
     def test_an_indicator_the_inputs_cannot_give_exits_1_naming_it(self, tmp_path, capsys, rows, argv, named):
         f = tmp_path / "f.csv"
         f.write_text(rows)
