@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count
+
 __all__ = [
     "ParameterScheme",
     "FairnessReport",
@@ -143,8 +145,8 @@ def monte_carlo_activation(
 ) -> FairnessReport:
     """Empirical P(E) by direct sampling; the brute-force cross-check for
     the closed forms."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     phi = rng.uniform(scheme.phi1, scheme.phi2, size=samples)
     beta = rng.uniform(scheme.beta1, scheme.beta2, size=samples)

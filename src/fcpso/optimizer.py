@@ -104,6 +104,7 @@ class RunResult:
 
 def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     """Execute one optimization run and return the archive as the front."""
+    check_count("seed", seed, 0)
     dyn = cfg.dynamics
     bounds = problem.bounds
     hv_target = cfg.hv_target(problem)

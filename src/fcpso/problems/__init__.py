@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._checks import check_count
 from ..swarm import BoxBounds
 from . import fronts
 from .dtlz import dtlz_dimension, dtlz_evaluator
@@ -126,6 +127,7 @@ def get_problem(name: str, n_obj: int | None = None) -> ProblemInstance:
     except KeyError:
         raise ValueError(f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}") from None
     m = _DEFAULT_OBJECTIVES[suite] if n_obj is None else n_obj
+    check_count("n_obj", m)
     if suite == "zdt" and m != 2:
         raise ValueError(f"{registered} is bi-objective; got n_obj={n_obj!r}")
     return _build(registered, m)

@@ -194,6 +194,14 @@ class TestMonteCarlo:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_activation(ParameterScheme(3, 5, 0, 1), 0)
+        for samples, seed, refusal in [
+            (2.5, 0, "samples must be an integer, got 2.5"),
+            (True, 0, "samples must be an integer, got True"),
+            (100, -1, "seed must be >= 0, got -1"),
+            (100, 1.5, "seed must be an integer, got 1.5"),
+        ]:
+            with pytest.raises(ValueError, match=refusal):
+                monte_carlo_activation(ParameterScheme(3, 5, 0, 1), samples, seed=seed)
 
 
 class TestSolveFairPhi2:

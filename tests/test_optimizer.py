@@ -88,6 +88,15 @@ class TestRunBasics:
             RunConfig(**{key: value})
         assert getattr(RunConfig(**{key: np.int64(300)}), key) == 300
 
+    @pytest.mark.parametrize("seed, refusal", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_a_seed_that_is_not_a_count_is_refused_naming_it(self, seed, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            run(get_problem("zdt1"), RunConfig(max_evaluations=200), seed)
+
     def test_a_result_holds_only_what_the_run_produced(self):
         assert [f.name for f in fields(RunResult)] == [
             "front_objectives", "front_positions", "evaluations_used", "hv_trace",

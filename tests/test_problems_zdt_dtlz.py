@@ -275,6 +275,10 @@ class TestObjectiveAndVariableCounts:
         ('get_problem("wfg4", 0)', "wfg4"),
         ('fronts.dtlz_front(2, 1)', "2 objectives"),
         ('fronts._lattice_h(1, 1000)', "2 objectives"),
+        ('get_problem("zdt1", 2.0)', "n_obj must be an integer, got 2.0"),
+        ('get_problem("dtlz2", 3.0)', "n_obj must be an integer, got 3.0"),
+        ('get_problem("dtlz2", 3.5)', "n_obj must be an integer, got 3.5"),
+        ('get_problem("wfg4", 5.0)', "n_obj must be an integer, got 5.0"),
     ])
     def test_rejected_with_a_named_error(self, call, named):
         outcome = _outcome(call)
