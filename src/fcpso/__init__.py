@@ -45,7 +45,6 @@ from .swarm import (
     initialize_swarm,
     update_pbest,
     update_position,
-    velocity_constriction,
 )
 
 __version__ = "0.1.0"

@@ -16,15 +16,14 @@ the row of each entry: one bisect decides dominance, the entries a
 candidate beats are one run of the staircase, and an insertion or an
 eviction changes the crowding of its neighbours only, unless it moves an
 extreme.  With three or more objectives, dominance is one vectorized
-test against every row, an eviction computes the crowding of the live
-rows, and a leader draw reuses the crowding it last computed unless the
-archive changed since.  Both ways give bitwise the same crowding,
-outcomes, entry order and leader draws.
+test against every row, and an eviction and a leader draw each compute
+the crowding of the live rows.  Both ways give bitwise the same
+crowding, outcomes, entry order and leader draws.
 
 ``ExternalArchive.changes`` counts the candidates that were not
 dominated, the only ones that change the entries, so a reader that finds
-the count it saw last finds the entries it saw last: the leader draws
-reuse their crowding by it, and the optimizer its hypervolume trace.
+the count it saw last finds the entries it saw last: the optimizer
+reuses its hypervolume trace by it.
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ class ExternalArchive:
     ``_f2`` list them by rising f1, and so by falling f2, and ``_stair``
     gives the row of each.  ``_crowding`` then has each row's crowding
     distance, kept current by every change.  With three or more
-    objectives an eviction computes the crowding of the live rows, and
-    ``_crowding`` keeps the crowding the last leader draw computed,
-    current while ``changes`` still equals ``_crowded_at``.
+    objectives an eviction or a leader draw computes the crowding of the
+    live rows, and ``_crowding`` is unused.
 
     ``changes`` grows by one with every candidate that is not dominated,
     the only kind that inserts, drops or evicts; while it stays put, so
@@ -138,7 +136,6 @@ class ExternalArchive:
         self._positions: np.ndarray | None = None
         self._crowding = np.zeros(capacity + 1)
         self.changes = 0
-        self._crowded_at = -1
         # the staircase; _f1 stays None unless the first candidate has
         # two objectives
         self._f1: list[float] | None = None
@@ -287,10 +284,7 @@ class ExternalArchive:
         n = self._n
         if not n:
             raise ValueError("cannot select a leader from an empty archive")
-        if self._f1 is None and self._crowded_at != self.changes:
-            self._crowding[:n] = crowding_distance(self._objectives[:n])
-            self._crowded_at = self.changes
-        crowding = self._crowding[:n]
+        crowding = self._crowding[:n] if self._f1 is not None else crowding_distance(self._objectives[:n])
         pairs = rng.integers(0, n, size=(count, 2))
         ties = rng.random(count)
         a, b = crowding[pairs].T

@@ -247,10 +247,12 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    seed = _convert(_seed, args.seed, "--seed")
+    seed = _convert(_seed, args.seed or 0, "--seed")
     _count("--monte-carlo", args.monte_carlo)
     if args.monte_carlo is not None and not args.scheme:
         raise UsageError("--monte-carlo needs --scheme")
+    if args.seed is not None and args.monte_carlo is None:
+        raise UsageError("--seed needs --monte-carlo")
     if not (args.scheme or args.solve_fair or args.target_mu is not None):
         raise UsageError("nothing to do: pass --scheme, --solve-fair or --target-mu")
     scheme = _convert(_scheme, args.scheme, "--scheme") if args.scheme else None
@@ -388,7 +390,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", default=None, help="phi1,phi2,beta1,beta2 to analyze")
     p.add_argument("--monte-carlo", type=int, default=None, metavar="N",
                    help="also estimate P(E) from N samples")
-    p.add_argument("--seed", type=int, default=0, help="monte-carlo seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="monte-carlo seed (default 0)")
     p.add_argument("--solve-fair", action="store_true", help="solve for the fair phi2 at phi1=2")
     p.add_argument("--target-mu", type=float, default=None,
                    help="derive a scheme with this unfairness")

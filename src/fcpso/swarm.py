@@ -2,12 +2,14 @@
 
 The swarm is a set of arrays with one row per particle: N x n positions,
 velocities, momenta and personal-best positions, and N x m personal-best
-objectives.  Variants share the same outer loop and differ only in how a
-particle's speed is computed: "smpso" applies the plain constriction
-factor to an inertia-weighted update, while "em-smpso" and "fcpso"
-replace inertia with exponentially-averaged momentum and use the
-momentum-aware factor.  The variants then differ only in their sampling
-scheme: (c1, c2) for all three, and beta for the two with momentum.
+objectives.  Variants share the same outer loop and one velocity step,
+chi(c1 + c2, beta) (h + c1 r1 (p - x) + c2 r2 (g - x)) towards the
+personal best p and the leader g, clamped to the box's [-delta, delta].
+Only the carried term h and beta differ: "smpso" carries w v at
+beta = 0, where the momentum-aware factor is the plain one, and
+"em-smpso" and "fcpso" carry the momentum m' = beta m + (1 - beta) v.
+The sampling schemes draw (c1, c2) for all three, and beta for the two
+with momentum.
 
 Sampling is split from the dynamics: :func:`draw_coefficients` draws a
 generation's coefficients as one block, and the ``compute_speed_*``
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import check_count
-from .constriction import chi_momentum, chi_vanilla
+from .constriction import chi_momentum
 from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "compute_speed_smpso",
     "compute_speed_em",
     "update_position",
-    "velocity_constriction",
     "initialize_swarm",
     "update_pbest",
 ]
@@ -125,6 +126,19 @@ def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentu
     return u
 
 
+def _constricted_step(
+    x: np.ndarray, carried: np.ndarray, pbest: np.ndarray, gbest: np.ndarray,
+    r1: float, r2: float, c1: float, c2: float, beta: float, bounds: BoxBounds,
+) -> np.ndarray:
+    """The velocity step of every variant: the carried term plus the c1 r1
+    and c2 r2 pulls towards pbest and gbest, times chi_momentum(c1 + c2,
+    beta), each component clamped to [-delta_j, delta_j]."""
+    if gbest.shape != x.shape:
+        raise ValueError(f"gbest dimension {gbest.shape} != position {x.shape}")
+    v = chi_momentum(c1 + c2, beta) * (carried + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
+    return np.minimum(np.maximum(v, bounds.neg_delta), bounds.delta)
+
+
 def compute_speed_smpso(
     x: np.ndarray,
     v: np.ndarray,
@@ -135,13 +149,8 @@ def compute_speed_smpso(
     bounds: BoxBounds,
 ) -> np.ndarray:
     """One particle's constricted inertial velocity update from one
-    (r1, r2, c1, c2) draw, shared across components."""
-    if gbest.shape != x.shape:
-        raise ValueError(f"gbest dimension {gbest.shape} != position {x.shape}")
-    r1, r2, c1, c2 = coefficients
-    chi = chi_vanilla(c1 + c2)
-    v = chi * (inertia * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
-    return velocity_constriction(v, bounds)
+    (r1, r2, c1, c2) draw: the shared step carrying w v, at beta = 0."""
+    return _constricted_step(x, inertia * v, pbest, gbest, *coefficients, 0.0, bounds)
 
 
 def compute_speed_em(
@@ -154,20 +163,11 @@ def compute_speed_em(
     bounds: BoxBounds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One particle's momentum velocity update from one (r1, r2, c1, c2,
-    beta) draw: m' = beta m + (1-beta) v, then the constricted attraction
-    step on top of m'.  Returns (velocity, momentum)."""
-    if gbest.shape != x.shape:
-        raise ValueError(f"gbest dimension {gbest.shape} != position {x.shape}")
-    r1, r2, c1, c2, beta = coefficients
-    chi = chi_momentum(c1 + c2, beta)
+    beta) draw: m' = beta m + (1-beta) v, then the shared step carrying
+    m'.  Returns (velocity, momentum)."""
+    beta = coefficients[4]
     m = beta * m + (1.0 - beta) * v
-    v = chi * (m + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
-    return velocity_constriction(v, bounds), m
-
-
-def velocity_constriction(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
-    """Clamp each velocity component to [-delta_j, delta_j]."""
-    return np.minimum(np.maximum(v, bounds.neg_delta), bounds.delta)
+    return _constricted_step(x, m, pbest, gbest, *coefficients, bounds), m
 
 
 def update_position(swarm: Swarm, bounds: BoxBounds) -> None:

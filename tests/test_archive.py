@@ -238,28 +238,25 @@ class TestSelectLeader:
         expected.random(6)
         assert got.bit_generator.state == expected.bit_generator.state
 
-    def test_three_objectives_reuse_crowding_until_the_archive_changes(self, rng, monkeypatch):
-        from fcpso import archive as module
+    def test_three_objective_leaders_are_those_of_a_fresh_archive_of_the_same_entries(self, rng):
+        def fresh_leaders(archive):
+            fresh = ExternalArchive(capacity=8)
+            for y in archive.objectives_array():
+                fresh.try_insert(*entry(*y))
+            return fresh.select_leaders(np.random.default_rng(3), 6).tobytes()
 
-        calls = []
-        crowding = module.crowding_distance
-        monkeypatch.setattr(module, "crowding_distance", lambda F: calls.append(len(F)) or crowding(F))
         a = ExternalArchive(capacity=8)
         for x in np.linspace(0.0, 1.0, 5):
             a.try_insert(*entry(float(x), float(1.0 - x), 0.5))
-        fresh = ExternalArchive(capacity=8)
-        for y in a.objectives_array():
-            fresh.try_insert(*entry(*y))
         first = a.select_leaders(np.random.default_rng(3), 6)
         assert a.select_leaders(np.random.default_rng(3), 6).tobytes() == first.tobytes()
         assert a.try_insert(*entry(2.0, 2.0, 2.0)) == DOMINATED
         a.select_leaders(rng, 6)
-        assert calls == [5]
+        assert fresh_leaders(a) == first.tobytes()
         a.try_insert(*entry(0.25, 0.25, 0.25))  # drops the three interior entries
         a.select_leaders(rng, 6)
-        assert calls == [5, 3]
-        # the reused crowding draws what a fresh archive of the same entries draws
-        assert fresh.select_leaders(np.random.default_rng(3), 6).tobytes() == first.tobytes()
+        assert len(a) == 3
+        assert a.select_leaders(np.random.default_rng(3), 6).tobytes() == fresh_leaders(a)
 
     def test_empty_archive_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -495,11 +495,13 @@ class TestFairnessCmd:
         assert out == "" and f"error: --monte-carlo must be >= 1, got {count}" in err
 
     @pytest.mark.parametrize("argv, named", [
-        (["--target-mu", "0.49"], "--target-mu: no known scheme family reaches mu = 0.49"),
-        (["--scheme", "3,5"], "--scheme: expected 'phi1,phi2,beta1,beta2', got '3,5'"),
+        (["--solve-fair", "--target-mu", "0.49"], "--target-mu: no known scheme family reaches mu = 0.49"),
+        (["--solve-fair", "--scheme", "3,5"], "--scheme: expected 'phi1,phi2,beta1,beta2', got '3,5'"),
+        (["--scheme", "3,5,0,1", "--seed", "5"], "--seed needs --monte-carlo"),
+        (["--solve-fair", "--seed", "7"], "--seed needs --monte-carlo"),
     ])
-    def test_a_bad_input_after_solve_fair_exits_1_before_output(self, capsys, argv, named):
-        assert run_cli("fairness", "--solve-fair", *argv) == 1
+    def test_a_bad_input_exits_1_before_output(self, capsys, argv, named):
+        assert run_cli("fairness", *argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and f"error: {named}" in err
 

@@ -1,7 +1,8 @@
 """Property tests for the archive, hypervolume, activation and
-coefficient-draw invariants, for IGD, additive epsilon and spacing
-against the tensor forms in ``indicator_oracle``, and for the array
-swarm's generation loop against the per-particle loop in ``loop_oracle``.
+coefficient-draw invariants, for smpso's velocity kernel against the
+momentum kernel, for IGD, additive epsilon and spacing against the
+tensor forms in ``indicator_oracle``, and for the array swarm's
+generation loop against the per-particle loop in ``loop_oracle``.
 
 Objectives are mostly small integers, so duplicates and ties are common,
 and every hypervolume is an exact sum of integer boxes; the 2-objective
@@ -27,7 +28,14 @@ from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem, parse_problem_id
-from fcpso.swarm import VARIANTS, DynamicsConfig, draw_coefficients
+from fcpso.swarm import (
+    VARIANTS,
+    BoxBounds,
+    DynamicsConfig,
+    compute_speed_em,
+    compute_speed_smpso,
+    draw_coefficients,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -270,6 +278,31 @@ def test_one_draw_call_is_the_scalar_uniform_stream(scheme, seed, momentum, part
     drawn = draw_coefficients(scheme, batched, momentum, particles)
     assert drawn.tobytes() == np.array(expected).tobytes()
     assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@st.composite
+def velocity_cases(draw):
+    """One particle's finite rows, a box, a coefficient row inside a
+    scheme's box and any finite inertia."""
+    n = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x, v, pbest, gbest = (np.array(draw(st.lists(finite, min_size=n, max_size=n))) for _ in range(4))
+    half = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    scheme = draw(uniform_schemes())
+    unit, c = st.floats(0.0, 1.0), st.floats(scheme.phi1 / 2.0, scheme.phi2 / 2.0)
+    coefficients = (draw(unit), draw(unit), draw(c), draw(c))
+    return x, v, pbest, gbest, coefficients, draw(finite), BoxBounds(-half, half)
+
+
+@PROPERTY_SETTINGS
+@given(velocity_cases())
+def test_smpso_is_the_momentum_kernel_carrying_w_v_at_beta_zero(case):
+    x, v, pbest, gbest, coefficients, w, bounds = case
+    # huge rows overflow to inf or nan, alike on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        smpso = compute_speed_smpso(x, v, pbest, gbest, coefficients, w, bounds)
+        em, _ = compute_speed_em(x, w * v, np.zeros_like(v), pbest, gbest, (*coefficients, 0.0), bounds)
+    np.testing.assert_array_equal(smpso, em)
 
 
 @st.composite

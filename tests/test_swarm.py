@@ -17,7 +17,6 @@ from fcpso.swarm import (
     initialize_swarm,
     update_pbest,
     update_position,
-    velocity_constriction,
 )
 
 
@@ -138,7 +137,7 @@ class TestComputeSpeedEm:
         draws = (0.3, 0.9, 2.1, 1.7)
         v_em, m_em = compute_speed_em(x, v, one(0.0), pbest, gbest, draws + (0.0,), WIDE)
         v_sm = compute_speed_smpso(x, v, pbest, gbest, draws, 1.0, WIDE)
-        assert v_em[0] == pytest.approx(v_sm[0], abs=1e-15)
+        assert v_em[0] == v_sm[0]
         assert m_em[0] == 0.8  # beta = 0 copies the previous velocity
 
     def test_rest_state_is_fixed_point(self):
@@ -161,6 +160,30 @@ class TestComputeSpeedEm:
             beta ** (steps - 1 - s) * (1.0 - beta) * v for s, v in enumerate(velocities)
         )
         assert m[0] == pytest.approx(expected, abs=1e-10)
+
+
+def smpso_kernel(x, v, pbest, gbest, coefficients, bounds):
+    return compute_speed_smpso(x, v, pbest, gbest, coefficients, 0.5, bounds)
+
+
+def em_kernel(x, v, pbest, gbest, coefficients, bounds):
+    return compute_speed_em(x, v, np.zeros_like(v), pbest, gbest, (*coefficients, 0.5), bounds)[0]
+
+
+@pytest.mark.parametrize("kernel", [smpso_kernel, em_kernel])
+@pytest.mark.parametrize("pull, expected", [(3.0, 0.5), (-3.0, -0.5), (0.2, None)])
+def test_a_kernel_clamps_each_component_to_the_box(kernel, pull, expected):
+    # r1 = r2 = 1 and c1 + c2 = 1 < 4 keep chi at 1, so an unclamped
+    # component is pull + the carried term; UNIT's delta is 0.5
+    x, v = np.zeros(3), np.array([0.0, 0.1, -0.1])
+    target = np.full(3, pull)
+    velocity = kernel(x, v, target, target, (1.0, 1.0, 0.5, 0.5), UNIT)
+    unclamped = kernel(x, v, target, target, (1.0, 1.0, 0.5, 0.5), WIDE)
+    if expected is None:
+        assert np.all(np.abs(unclamped) < 0.5)
+        np.testing.assert_array_equal(velocity, unclamped)
+    else:
+        np.testing.assert_array_equal(velocity, np.full(3, expected))
 
 
 class TestDrawCoefficients:
@@ -213,14 +236,6 @@ class TestUpdatePosition:
         np.testing.assert_allclose(s.positions, [[1.0, 0.1], [0.6, -1.0], [0.7, 0.3]])
         assert s.positions[0, 0] == 1.0 and s.positions[1, 1] == -1.0
         np.testing.assert_array_equal(s.velocities, [[-0.3, 0.1], [0.1, 0.5], [0.2, -0.2]])
-
-
-class TestVelocityConstriction:
-    def test_clamps(self):
-        b = BoxBounds(np.array([0.0]), np.array([10.0]))
-        assert velocity_constriction(np.array([7.0]), b)[0] == 5.0
-        assert velocity_constriction(np.array([-7.0]), b)[0] == -5.0
-        assert velocity_constriction(np.array([3.0]), b)[0] == 3.0
 
 
 class TestInitializeSwarm:
