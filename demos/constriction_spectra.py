@@ -9,6 +9,7 @@ import numpy as np
 from fcpso import (
     MapState,
     activation_event,
+    activation_threshold,
     chi_momentum,
     chi_vanilla,
     eigenvalues,
@@ -38,7 +39,7 @@ print()
 print("=== activation regions ===")
 print(f"{'beta':>6} {'threshold 4/(1+beta)':>22}")
 for b in (0.0, 0.25, 0.5, 0.75, 0.99):
-    print(f"{b:>6.2f} {4.0 / (1.0 + b):>22.4f}")
+    print(f"{b:>6.2f} {activation_threshold(b):>22.4f}")
 
 print()
 print("vanilla never activates below phi = 4; momentum activates earlier:")

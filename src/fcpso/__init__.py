@@ -12,6 +12,7 @@ from .constriction import (
     EigenPair,
     MapState,
     activation_event,
+    activation_threshold,
     chi_momentum,
     chi_vanilla,
     eigenvalues,

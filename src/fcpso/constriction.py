@@ -1,10 +1,11 @@
 """Closed-form constriction factors for plain and momentum-aided PSO.
 
 The velocity update of a swarm whose attractors are frozen is a linear
-discrete-time map.  Scaling the update by the reciprocal of the largest
-eigenvalue modulus of that map keeps the dynamics bounded; the piecewise
-factors below do exactly that, switching on only when an unstable
-eigenvalue exists.
+discrete-time map.  The piecewise factors below switch on only above
+:func:`activation_threshold`, where the map has an eigenvalue
+lambda- < -1, and return 1/lambda-: negative, as in SMPSO (Nebro et al.,
+MCDM 2009), with |chi| = 1/lambda_max keeping the dynamics bounded.
+"Constricted" in the fairness calculus refers to |chi|.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "EigenPair",
     "chi_vanilla",
     "chi_momentum",
+    "activation_threshold",
     "activation_event",
     "evolution_matrix",
     "step_map",
@@ -65,12 +67,18 @@ def chi_vanilla(phi: float) -> float:
     return chi_momentum(phi, 0.0)
 
 
+def activation_threshold(beta: float | np.ndarray) -> float | np.ndarray:
+    """The activation boundary 4 / (1 + beta): the constriction factor is
+    active exactly for phi above it.  Elementwise on an array of beta."""
+    return 4.0 / (1.0 + beta)
+
+
 def activation_event(phi: float, beta: float) -> bool:
     """True iff the momentum constriction factor takes its active branch,
-    i.e. phi > 4 / (1 + beta)."""
+    i.e. phi > :func:`activation_threshold` (beta)."""
     _check_phi(phi)
     _check_beta(beta)
-    return phi > 4.0 / (1.0 + beta)
+    return phi > activation_threshold(beta)
 
 
 def chi_momentum(phi: float, beta: float) -> float:
@@ -84,7 +92,7 @@ def chi_momentum(phi: float, beta: float) -> float:
     if not (0.0 < phi < math.inf and 0.0 <= beta < 1.0):
         _check_phi(phi)
         _check_beta(beta)
-    if not phi > 4.0 / (1.0 + beta):
+    if not phi > activation_threshold(beta):
         return 1.0
     # Active branch implies phi > 4/(1+beta) >= 4(1-beta), so the
     # discriminant is positive; the clamp only absorbs rounding at the

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from ._checks import check_count, is_count
-from .fairness import ParameterScheme, scheme_for_unfairness
+from .fairness import ParameterScheme, UnreachableUnfairnessError, scheme_for_unfairness
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
@@ -241,8 +241,8 @@ def unfairness_profile(
     """Median archive hypervolume of momentum swarms across an unfairness
     grid, normalized per problem by the inertial baseline's median.
 
-    Returns (points, notices); a mu outside the coverage of the known
-    scheme families is skipped with a notice, and a grid with no mu left
+    Returns (points, notices); a mu that no scheme family's bisection
+    bracket reaches is skipped with a notice, and a grid with no mu left
     runs nothing.  Bad problems, repetitions, seeds or workers raise
     before any run; ``workers`` defaults to one per usable CPU.
     """
@@ -262,7 +262,7 @@ def unfairness_profile(
     for mu in mu_grid:
         try:
             scheme = scheme_for_unfairness(float(mu))
-        except ValueError as exc:
+        except UnreachableUnfairnessError as exc:
             notices.append(f"mu={mu}: skipped ({exc})")
             continue
         grid.append(float(mu))

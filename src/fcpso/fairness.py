@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_count
+from .constriction import activation_threshold
 
 __all__ = [
     "ParameterScheme",
@@ -32,13 +33,8 @@ __all__ = [
     "scheme_for_unfairness",
 ]
 
-# Over-constricted limit of the restricted-momentum family: mu at
-# epsilon -> 1, equal to 1 - 2 ln(4/3).
-_MU_RESTRICTED_SUP = 1.0 - 2.0 * math.log(4.0 / 3.0)
-
-
 class UnreachableUnfairnessError(ValueError):
-    """Requested unfairness lies outside the range of the known families."""
+    """Requested unfairness lies outside what a family's bracket reaches."""
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,12 @@ class ParameterScheme:
     @property
     def phi_l(self) -> float:
         """Lower edge of the phi corridor where activation is partial."""
-        return max(self.phi1, 4.0 / (1.0 + self.beta2))
+        return max(self.phi1, activation_threshold(self.beta2))
 
     @property
     def phi_g(self) -> float:
         """Upper edge of the phi corridor where activation is partial."""
-        return min(4.0 / (1.0 + self.beta1), self.phi2)
+        return min(activation_threshold(self.beta1), self.phi2)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi1, self.phi2, self.beta1, self.beta2)
@@ -103,11 +99,11 @@ def activation_probability(scheme: ParameterScheme) -> float:
     above it everything does.
     """
     phi1, phi2, beta1, beta2 = scheme.as_tuple()
-    if phi2 <= 4.0 / (1.0 + beta2):  # box entirely below the boundary
-        return 0.0
-    if phi1 >= 4.0 / (1.0 + beta1):  # box entirely above the boundary
-        return 1.0
     lo, hi = scheme.phi_l, scheme.phi_g
+    if lo >= phi2:  # box entirely below the boundary
+        return 0.0
+    if hi <= phi1:  # box entirely above the boundary
+        return 1.0
     p_phi = 1.0 / (phi2 - phi1)
     p_beta = 1.0 / (beta2 - beta1)
     # integral over the corridor of (beta2 - (4/phi - 1)) dphi
@@ -150,38 +146,39 @@ def monte_carlo_activation(
     rng = np.random.default_rng(seed)
     phi = rng.uniform(scheme.phi1, scheme.phi2, size=samples)
     beta = rng.uniform(scheme.beta1, scheme.beta2, size=samples)
-    hits = int(np.count_nonzero(phi > 4.0 / (1.0 + beta)))
+    hits = int(np.count_nonzero(phi > activation_threshold(beta)))
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
     return FairnessReport(p_activation=p, unfairness=p - 0.5, sample_count=samples, std_error=se)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(
-            f"no sign change in bracket [{lo!r}, {hi!r}] (f: {flo!r}, {fhi!r})"
+def _bisect(mu, target: float, lo: float, hi: float, family: str) -> float:
+    """x in [lo, hi] with mu(x) = target, for mu increasing there; the 1e-12
+    stop takes at most 42 halvings of a bracket up to 4 wide."""
+    mu_lo, mu_hi = mu(lo), mu(hi)
+    if not mu_lo <= target <= mu_hi:
+        raise UnreachableUnfairnessError(
+            f"mu = {target!r} is out of reach: the family {family} spans mu in [{mu_lo!r}, {mu_hi!r}]"
         )
-    for _ in range(max_iter):
+    if mu_lo == target:
+        return lo
+    if mu_hi == target:
+        return hi
+    while True:
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or hi - lo < tol:
+        f = mu(mid) - target
+        if f == 0.0 or hi - lo < 1e-12:
             return mid
-        if flo * fmid < 0.0:
+        if f > 0.0:
             hi = mid
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            lo = mid
 
 
 def _phi2_for(phi1: float, target_mu: float) -> float:
-    """phi2 in (phi1, 4] where (phi1, phi2, 0, 1) has unfairness target_mu,
-    by bisection; raises if mu - target_mu does not change sign there."""
-    return _bisect(lambda p2: unfairness(ParameterScheme(phi1, p2, 0.0, 1.0)) - target_mu, phi1 + 1e-9, 4.0)
+    """phi2 in (phi1, 4] where (phi1, phi2, 0, 1) has unfairness target_mu."""
+    return _bisect(lambda p2: unfairness(ParameterScheme(phi1, p2, 0.0, 1.0)), target_mu,
+                   phi1 + 1e-9, 4.0, f"({phi1!r}, phi2, 0, 1)")
 
 
 def solve_fair_phi2(phi1: float = 2.0) -> float:
@@ -190,8 +187,8 @@ def solve_fair_phi2(phi1: float = 2.0) -> float:
 
     For phi1 = 2 this is 2 x, x the root of (x - 1)/ln x = 4/3 (the
     paper's closed form), approximately 3.4672.
-    Raises if mu does not change sign on the bracket (no fair phi2 for
-    this phi1).
+    Raises UnreachableUnfairnessError when mu = 0 lies outside the
+    bracket's range (no fair phi2 for this phi1, as for phi1 >= 8/3).
     """
     if not (math.isfinite(phi1) and 0.0 < phi1 < 4.0):
         raise ValueError(f"phi1 must lie in (0, 4), got {phi1!r}")
@@ -199,23 +196,18 @@ def solve_fair_phi2(phi1: float = 2.0) -> float:
 
 
 def scheme_for_unfairness(target_mu: float) -> ParameterScheme:
-    """A scheme whose unfairness is target_mu, from the two one-parameter
-    families with known mu ranges.
+    """A scheme whose unfairness is target_mu, from two one-parameter
+    families whose bisection brackets alone set the reachable targets.
 
-    target_mu in (0, ~0.4246]: restricted momentum (3, 5, 0, eps), mu
-    increasing in eps.  target_mu in (-0.5, 0]: full momentum
-    (2, phi2, 0, 1), mu increasing in phi2 on (2, 4]; at 0 (either sign)
-    the fair scheme (2, 3.4672..., 0, 1), since the restricted family
-    has mu > 0 for every eps.
+    target_mu > 0: restricted momentum (3, 5, 0, eps), mu increasing in
+    eps on [1e-12, 1 - 1e-12], which reaches [1.0000889e-12, 0.42463585509636]
+    (the limit 1 - 2 ln(4/3) at eps = 1 is out of reach).  Any other
+    target: full momentum (2, phi2, 0, 1), mu increasing in phi2 on
+    [2 + 1e-9, 4], which reaches [-0.4999999995, 0] here; 0 gives the fair
+    scheme (2, 3.4672..., 0, 1).  Anything else, NaN included, raises
+    UnreachableUnfairnessError, a ValueError.
     """
-    if not math.isfinite(target_mu):
-        raise UnreachableUnfairnessError(f"target must be finite, got {target_mu!r}")
-    if 0.0 < target_mu <= _MU_RESTRICTED_SUP:
-        eps = _bisect(lambda e: unfairness_restricted(e) - target_mu, 1e-12, 1.0 - 1e-12)
+    if target_mu > 0.0:
+        eps = _bisect(unfairness_restricted, target_mu, 1e-12, 1.0 - 1e-12, "(3, 5, 0, eps)")
         return ParameterScheme(3.0, 5.0, 0.0, eps)
-    if -0.5 < target_mu <= 0.0:
-        return ParameterScheme(2.0, _phi2_for(2.0, target_mu), 0.0, 1.0)
-    raise UnreachableUnfairnessError(
-        f"no known scheme family reaches mu = {target_mu!r}; coverage is "
-        f"(-0.5, {_MU_RESTRICTED_SUP:.4f}]"
-    )
+    return ParameterScheme(2.0, _phi2_for(2.0, target_mu), 0.0, 1.0)

@@ -7,9 +7,9 @@ bounds, the hypervolume reference point and, where a closed form exists,
 a sampled theoretical front from its suite's builder in :mod:`.fronts`.
 Every problem runs at its suite's canonical size: ZDT (Zitzler, Deb &
 Thiele 2000), DTLZ (Deb et al. 2005) and WFG (Huband et al., IEEE TEVC
-2006).  The DTLZ and WFG evaluators come from cached builders, so their
-constants are computed once per instance; the instance wraps them in
-one shape, bounds and finiteness check per call.
+2006).  The DTLZ and WFG evaluators are built with their instance, so
+their constants are computed once per instance, which wraps them in one
+shape, bounds and finiteness check per call.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Decision dimension follows the canonical convention n = m + p - 1 with
 p = 5 (DTLZ1), 10 (DTLZ2-6) or 20 (DTLZ7) distance variables.
 
-:func:`dtlz_evaluator` builds one evaluator per (index, m) and caches it.
+:func:`dtlz_evaluator` builds one evaluator per (index, m).
 The products over the position variables come from one ``np.cumprod``,
 multiplied in the order of the textbook loop, so every output is bitwise
 that loop's.  Sums are ``np.add.reduce``, the pairwise reduction
@@ -12,7 +12,6 @@ that loop's.  Sums are ``np.add.reduce``, the pairwise reduction
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,7 +45,6 @@ def _objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
     return f
 
 
-@lru_cache(maxsize=None)
 def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Build the evaluator of DTLZ<index> with m objectives.  It takes a
     float array of at least m variables, unchecked."""

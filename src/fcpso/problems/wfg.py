@@ -6,7 +6,7 @@ shift/bias/reduction transformations onto underlying parameters in
 runs at the canonical size of Huband et al. (IEEE TEVC 2006): k = 2(m-1)
 position and l = 20 distance parameters.
 
-:func:`wfg_evaluator` builds one evaluator per (index, m) and caches it:
+:func:`wfg_evaluator` builds one evaluator per (index, m), for which
 the 2i input scales, S_j, the group slices with their weight vectors and
 divisors, and the transformation constants are computed once, so a call
 only transforms z.  The outputs are bitwise those of a direct
@@ -18,7 +18,6 @@ scalar ``pow`` may differ in the last bit).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -171,7 +170,6 @@ def _shape_disconnected(x1, alpha, beta, a):
 # --- the nine problems ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def wfg_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Build the evaluator of WFG<index> with m objectives.  It takes a
     float array of length wfg_dimension(m), unchecked."""

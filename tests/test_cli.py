@@ -367,6 +367,17 @@ class TestConfigFile:
         assert run_with_config(command, cfg, tmp_path) == 1
         assert f"unexpected section {section}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("seed = 1\n", "File contains no section headers"),
+        ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+    ], ids=["no-section-header", "repeated-section"])
+    def test_malformed_config_file_exits_1_naming_it(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run_with_config("solve", cfg, tmp_path) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and named in err and "bad.cfg" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(
             "solve", "--problem", "zdt1", "--config", str(tmp_path / "none.cfg"),
@@ -401,6 +412,25 @@ class TestBenchmark:
         code = run_cli("benchmark", str(spec), "--out", str(tmp_path))
         assert code == 1
         assert "repititions" in capsys.readouterr().err
+
+    def test_spec_without_problems_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("[experiment]\nrepetitions = 2\n")
+        assert run_cli("benchmark", str(spec), "--out", str(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: spec file needs 'problems' in [experiment]" in err
+
+    def test_an_error_row_is_printed_beside_the_scored_rows(self, tmp_path, capsys):
+        # dtlz2 has no reference hypervolume, so it has no fe to compare
+        spec = tmp_path / "fe.spec"
+        spec.write_text(
+            "[experiment]\nproblems = dtlz2:3\nrepetitions = 2\nindicators = hv, fe\n"
+            "max_evaluations = 200\nswarm_size = 20\narchive_capacity = 20\n"
+        )
+        assert run_cli("benchmark", str(spec), "--workers", "1", "--out", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("dtlz2:3 hv: smpso=")
+        assert lines[1] == "dtlz2:3 fe: error (error: no reference hypervolume for dtlz2)"
 
     def test_bad_spec_value_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
@@ -495,7 +525,12 @@ class TestFairnessCmd:
         assert out == "" and f"error: --monte-carlo must be >= 1, got {count}" in err
 
     @pytest.mark.parametrize("argv, named", [
-        (["--solve-fair", "--target-mu", "0.49"], "--target-mu: no known scheme family reaches mu = 0.49"),
+        (["--solve-fair", "--target-mu", "0.49"],
+         "--target-mu: mu = 0.49 is out of reach: the family (3, 5, 0, eps) spans mu in "
+         "[1.000088900582341e-12, 0.4246358550963629]"),
+        (["--target-mu", "-0.4999999999"],
+         "--target-mu: mu = -0.4999999999 is out of reach: the family (2.0, phi2, 0, 1) spans mu in "
+         "[-0.49999999949999996, 0.11370563888010943]"),
         (["--solve-fair", "--scheme", "3,5"], "--scheme: expected 'phi1,phi2,beta1,beta2', got '3,5'"),
         (["--scheme", "3,5,0,1", "--seed", "5"], "--seed needs --monte-carlo"),
         (["--solve-fair", "--seed", "7"], "--seed needs --monte-carlo"),
@@ -565,8 +600,10 @@ class TestIndicatorsCmd:
         ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators="], "--indicators: the list is empty"),
         ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2,2", "--indicators", "sp"],
          "objective count mismatch: front has 2, --ref-point has 3"),
+        ("0.0,1.0\n1.0,0.0\n", ["--ref-point", "2,2", "--indicators", "hv,gd"],
+         "unknown indicators ['gd']; choose from hv, igd, eps, sp"),
     ], ids=["hv-without-ref-point", "sp-of-one-point", "empty-indicator-list", "empty-indicators-flag",
-            "ref-point-too-wide-without-hv"])
+            "ref-point-too-wide-without-hv", "unknown-indicator"])
     def test_an_indicator_the_inputs_cannot_give_exits_1_naming_it(self, tmp_path, capsys, rows, argv, named):
         f = tmp_path / "f.csv"
         f.write_text(rows)
@@ -642,6 +679,18 @@ class TestProfileCmd:
         assert run_cli("profile", "--workers", "1", *argv, "--out", str(tmp_path)) == 1
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "profile.csv").exists()
+
+    def test_an_unreachable_mu_is_a_notice_on_stderr(self, tmp_path, capsys):
+        # no mu is left, so nothing runs and the profile is empty
+        code = run_cli("profile", "--problems", "zdt1", "--mu-grid=0.49", "--workers", "1", "--out", str(tmp_path))
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "notice: mu=0.49: skipped (mu = 0.49 is out of reach: the family (3, 5, 0, eps) "
+            "spans mu in [1.000088900582341e-12, 0.4246358550963629])\n"
+        )
+        assert out == f"profile_csv={tmp_path / 'profile.csv'}\n"
+        assert (tmp_path / "profile.csv").read_text() == "mu,problem,normalized_hv\n"
 
     def test_zero_baseline_hv_is_a_named_runtime_error(self, tmp_path, capsys):
         # two generations leave the smpso archive outside zdt1's (2, 2) hv box

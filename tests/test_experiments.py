@@ -255,6 +255,15 @@ class TestRunExperiment:
         assert row.p_value == 1.0
         assert row.winner == "tie"
 
+    @pytest.mark.parametrize("ind", ["hv", "igd"])
+    def test_a_significantly_better_sample_wins_on_either_side(self, ind):
+        # five against five with no overlap: the exact two-sided p is 2/252
+        low = [{ind: 0.1 + 0.01 * i} for i in range(5)]
+        high = [{ind: 0.5 + 0.01 * i} for i in range(5)]
+        better, worse = (high, low) if ind == "hv" else (low, high)
+        assert experiments._compare_cell("zdt1", ind, "x", "y", better, worse).winner == "a"
+        assert experiments._compare_cell("zdt1", ind, "x", "y", worse, better).winner == "b"
+
     def test_repeated_problem_is_run_once(self, monkeypatch):
         spec = ExperimentSpec(
             problems=("zdt1",), repetitions=4, max_evaluations=1000, swarm_size=20, archive_capacity=20,

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from fcpso.constriction import activation_event
 from fcpso.fairness import (
+    FAIR_PHI2,
     FCPSO_SCHEME,
     ParameterScheme,
     UnreachableUnfairnessError,
@@ -191,6 +194,20 @@ class TestMonteCarlo:
         assert r.sample_count == 1000
         assert r.p_activation == pytest.approx(r.unfairness + 0.5)
 
+    @pytest.mark.parametrize("scheme", [
+        ParameterScheme(2.0, FAIR_PHI2, 0.0, 1.0),
+        ParameterScheme(3.0, 5.0, 0.0, 0.3),
+        ParameterScheme(2.5, 4.5, 0.1, 0.9),
+    ])
+    def test_hits_are_the_activation_events_of_the_same_draws(self, scheme):
+        samples, seed = 5000, 11
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(scheme.phi1, scheme.phi2, size=samples)
+        beta = rng.uniform(scheme.beta1, scheme.beta2, size=samples)
+        hits = sum(activation_event(float(p), float(b)) for p, b in zip(phi, beta))
+        assert 0 < hits < samples
+        assert monte_carlo_activation(scheme, samples, seed=seed).p_activation == hits / samples
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_activation(ParameterScheme(3, 5, 0, 1), 0)
@@ -208,6 +225,7 @@ class TestSolveFairPhi2:
     def test_paper_root(self):
         phi2 = solve_fair_phi2(2.0)
         assert 3.4667 <= phi2 <= 3.4677
+        assert phi2 == 3.4672019777575853  # bitwise the bisection's root
 
     def test_root_is_fair(self):
         phi2 = solve_fair_phi2(2.0)
@@ -224,7 +242,7 @@ class TestSolveFairPhi2:
 
     def test_no_root_for_large_phi1(self):
         # mu > 0 on the whole bracket once phi1 >= 8/3
-        with pytest.raises(ValueError):
+        with pytest.raises(UnreachableUnfairnessError, match=r"mu = 0.0 is out of reach: the family \(3.0, phi2"):
             solve_fair_phi2(3.0)
 
 
@@ -251,10 +269,41 @@ class TestSchemeForUnfairness:
             s = scheme_for_unfairness(target)
             assert abs(unfairness(s) - target) <= 1e-6
 
-    @pytest.mark.parametrize("bad", [0.43, 0.5, -0.5, -0.6, float("nan")])
+    # the schemes the bisection gives for the acceptance profile's grid and
+    # for 0: a change to a bracket, a bisected function or the order of
+    # the midpoints moves one of them
+    PINNED = {
+        -0.44: (2.0, 2.1249737533983595, 0.0, 1.0),
+        -0.3: (2.0, 2.4603255620986104, 0.0, 1.0),
+        -0.15: (2.0, 2.904614755798953, 0.0, 1.0),
+        -0.05: (2.0, 3.2640771164725066, 0.0, 1.0),
+        0.0: (2.0, 3.4672019777575853, 0.0, 1.0),
+        0.05: (3.0, 5.0, 0.0, 0.05171665742226267),
+        0.15: (3.0, 5.0, 0.0, 0.16643076984949723),
+        0.25: (3.0, 5.0, 0.0, 0.29871203904980814),
+        0.32: (3.0, 5.0, 0.0, 0.41868969390878086),
+        0.38: (3.0, 5.0, 0.0, 0.6280345408633534),
+        0.42: (3.0, 5.0, 0.0, 0.9420518112943026),
+    }
+
+    @pytest.mark.parametrize("target", sorted(PINNED))
+    def test_reachable_targets_give_the_pinned_scheme(self, target):
+        assert scheme_for_unfairness(target).as_tuple() == self.PINNED[target]
+
+    @pytest.mark.parametrize("bad", [
+        1.0 - 2.0 * LN43,  # the restricted family's limit at eps = 1
+        -0.4999999999,  # between -0.5 and the full family's lower end
+        1e-13,  # between 0 and the restricted family's lower end
+        0.43, 0.49, 0.5, -0.5, -0.6, float("nan"), float("inf"), -float("inf"),
+    ])
     def test_unreachable(self, bad):
-        with pytest.raises(UnreachableUnfairnessError):
+        # refused by name, and both ends of the range the message gives are reached
+        with pytest.raises(UnreachableUnfairnessError, match=f"^mu = {re.escape(repr(bad))} is out of reach: ") as caught:
             scheme_for_unfairness(bad)
+        family, ends = str(caught.value).split(": ")[1].split(" spans mu in ")
+        assert family.startswith("the family (")
+        for end in ends.strip("[]").split(", "):
+            assert isinstance(scheme_for_unfairness(float(end)), ParameterScheme)
 
 
 def test_fcpso_default_scheme_is_nearly_fair():

@@ -175,6 +175,16 @@ class TestHypervolumeManyObjectives:
         expected = hv_oracle(front, ref)
         assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_past_five_objectives_the_limit_sets_recurse(self, k, rng):
+        # at k >= 6 each limit set goes back through the k - 1 sweep, down
+        # to the 4-D base case
+        front = rng.random((12, k))
+        front /= np.linalg.norm(front, axis=1, keepdims=True)
+        ref = np.full(k, 1.1)
+        expected = hv_oracle(front, ref)
+        assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
+
     def test_dense_dtlz2_front_rises_toward_its_closed_form(self):
         # DTLZ2's front is the unit sphere in the positive orthant, so
         # against r = 2 its hypervolume is 2^m - V_m / 2^m, with V_m the

@@ -1,8 +1,10 @@
 """Property tests for the archive, hypervolume, activation and
-coefficient-draw invariants, for smpso's velocity kernel against the
-momentum kernel, for IGD, additive epsilon and spacing against the
-tensor forms in ``indicator_oracle``, and for the array swarm's
-generation loop against the per-particle loop in ``loop_oracle``.
+coefficient-draw invariants, for the activation threshold that the
+constriction factor and the activation event share, for smpso's
+velocity kernel against the momentum kernel, for IGD, additive epsilon
+and spacing against the tensor forms in ``indicator_oracle``, and for
+the array swarm's generation loop against the per-particle loop in
+``loop_oracle``.
 
 Objectives are mostly small integers, so duplicates and ties are common,
 and every hypervolume is an exact sum of integer boxes; the 2-objective
@@ -23,6 +25,7 @@ from loop_oracle import run_oracle
 from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
+from fcpso.constriction import activation_event, activation_threshold, chi_momentum
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
@@ -259,6 +262,18 @@ def test_activation_probability_matches_monte_carlo(scheme):
         assert sampled == exact
     else:
         assert abs(sampled - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / samples)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(4.0, 0.0)
+@example(activation_threshold(0.25), 0.25)
+@example(activation_threshold(0.5), 0.5)
+def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
+    assert activation_event(phi, beta) == (chi_momentum(phi, beta) != 1.0) == (phi > activation_threshold(beta))
 
 
 @PROPERTY_SETTINGS
