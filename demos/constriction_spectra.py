@@ -7,7 +7,6 @@ momentum-aware factor rescales the unstable mode to unit modulus.
 import numpy as np
 
 from fcpso import (
-    MapState,
     activation_event,
     activation_threshold,
     chi_momentum,
@@ -15,17 +14,18 @@ from fcpso import (
     eigenvalues,
     evolution_matrix,
     lambda_max,
-    step_map,
 )
 
 print("=== the 3-D deterministic map and its matrix ===")
 phi, beta = 4.0, 0.5
 print(f"phi = {phi}, beta = {beta}")
-print(evolution_matrix(phi, beta))
-state = MapState(v=1.0, y=1.0, m=0.0)
+u = evolution_matrix(phi, beta)
+print(u)
+state = np.array([1.0, 1.0, 0.0])  # [v, y, m]
 for t in range(4):
-    print(f"  t={t}: v={state.v:+.4f} y={state.y:+.4f} m={state.m:+.4f}")
-    state = step_map(state, phi, beta)
+    v, y, m = state
+    print(f"  t={t}: v={v:+.4f} y={y:+.4f} m={m:+.4f}")
+    state = u @ state
 
 print()
 print("=== eigenvalues and the constriction factor ===")

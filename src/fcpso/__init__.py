@@ -10,7 +10,6 @@ quality indicators.
 from .archive import ExternalArchive, crowding_distance, non_dominated_mask
 from .constriction import (
     EigenPair,
-    MapState,
     activation_event,
     activation_threshold,
     chi_momentum,
@@ -18,7 +17,6 @@ from .constriction import (
     eigenvalues,
     evolution_matrix,
     lambda_max,
-    step_map,
 )
 from .fairness import (
     FAIR_PHI2,

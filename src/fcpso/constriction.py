@@ -1,10 +1,11 @@
 """Closed-form constriction factors for plain and momentum-aided PSO.
 
 The velocity update of a swarm whose attractors are frozen is a linear
-discrete-time map.  The piecewise factors below switch on only above
-:func:`activation_threshold`, where the map has an eigenvalue
-lambda- < -1, and return 1/lambda-: negative, as in SMPSO (Nebro et al.,
-MCDM 2009), with |chi| = 1/lambda_max keeping the dynamics bounded.
+discrete-time map, :func:`evolution_matrix`.  The piecewise factors below
+switch on only above :func:`activation_threshold`, where the map has an
+eigenvalue lambda- < -1, and return 1/lambda-: negative, as in SMPSO
+(Nebro et al., MCDM 2009), with |chi| = 1/lambda_max keeping the
+dynamics bounded.
 "Constricted" in the fairness calculus refers to |chi|.
 """
 
@@ -16,26 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MapState",
     "EigenPair",
     "chi_vanilla",
     "chi_momentum",
     "activation_threshold",
     "activation_event",
     "evolution_matrix",
-    "step_map",
     "eigenvalues",
     "lambda_max",
 ]
-
-
-@dataclass(frozen=True)
-class MapState:
-    """State [v, y, m] of the deterministic swarm map; y is g - x."""
-
-    v: float
-    y: float
-    m: float
 
 
 @dataclass(frozen=True)
@@ -48,12 +38,9 @@ class EigenPair:
     discriminant: float
 
 
-def _check_phi(phi: float) -> None:
+def _check(phi: float, beta: float) -> None:
     if not math.isfinite(phi) or phi <= 0.0:
         raise ValueError(f"phi must be finite and > 0, got {phi!r}")
-
-
-def _check_beta(beta: float) -> None:
     if not math.isfinite(beta) or not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
 
@@ -76,8 +63,7 @@ def activation_threshold(beta: float | np.ndarray) -> float | np.ndarray:
 def activation_event(phi: float, beta: float) -> bool:
     """True iff the momentum constriction factor takes its active branch,
     i.e. phi > :func:`activation_threshold` (beta)."""
-    _check_phi(phi)
-    _check_beta(beta)
+    _check(phi, beta)
     return phi > activation_threshold(beta)
 
 
@@ -90,8 +76,7 @@ def chi_momentum(phi: float, beta: float) -> float:
     # one comparison chain admits exactly the finite phi > 0 and the beta
     # in [0, 1); anything else raises as activation_event does
     if not (0.0 < phi < math.inf and 0.0 <= beta < 1.0):
-        _check_phi(phi)
-        _check_beta(beta)
+        _check(phi, beta)
     if not phi > activation_threshold(beta):
         return 1.0
     # Active branch implies phi > 4/(1+beta) >= 4(1-beta), so the
@@ -102,9 +87,10 @@ def chi_momentum(phi: float, beta: float) -> float:
 
 
 def evolution_matrix(phi: float, beta: float) -> np.ndarray:
-    """3x3 one-step matrix of the deterministic [v, y, m] map."""
-    _check_phi(phi)
-    _check_beta(beta)
+    """The deterministic momentum-PSO map with pbest = gbest = g, as the
+    3x3 matrix that steps the state [v, y, m], y = g - x, by one
+    iteration: ``evolution_matrix(phi, beta) @ state``."""
+    _check(phi, beta)
     return np.array(
         [
             [1.0 - beta, phi, beta],
@@ -114,26 +100,13 @@ def evolution_matrix(phi: float, beta: float) -> np.ndarray:
     )
 
 
-def step_map(state: MapState, phi: float, beta: float) -> MapState:
-    """One step of the deterministic momentum-PSO map (pbest = gbest = g)."""
-    _check_phi(phi)
-    _check_beta(beta)
-    v, y, m = state.v, state.y, state.m
-    return MapState(
-        v=(1.0 - beta) * v + phi * y + beta * m,
-        y=(beta - 1.0) * v + (1.0 - phi) * y - beta * m,
-        m=(1.0 - beta) * v + beta * m,
-    )
-
-
 def eigenvalues(phi: float, beta: float) -> EigenPair:
     """Roots lambda+/- = ((2 - phi) +/- sqrt(phi^2 - 4(1-beta) phi)) / 2.
 
     When the discriminant is negative the pair is complex conjugate with
     common modulus sqrt(1 - beta*phi).
     """
-    _check_phi(phi)
-    _check_beta(beta)
+    _check(phi, beta)
     disc = phi * phi - 4.0 * (1.0 - beta) * phi
     root = complex(math.sqrt(disc), 0.0) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))
     lam_plus = (complex(2.0 - phi) + root) / 2.0

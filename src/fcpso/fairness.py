@@ -21,9 +21,6 @@ __all__ = [
     "ParameterScheme",
     "FairnessReport",
     "UnreachableUnfairnessError",
-    "SMPSO_SCHEME",
-    "EM_SMPSO_SCHEME",
-    "FCPSO_SCHEME",
     "FAIR_PHI2",
     "activation_probability",
     "unfairness",
@@ -73,12 +70,8 @@ class ParameterScheme:
         return (self.phi1, self.phi2, self.beta1, self.beta2)
 
 
-# Scheme defaults of the three solver variants.  phi bounds are twice the
-# per-coefficient bounds: c1, c2 ~ U(phi1/2, phi2/2).
-SMPSO_SCHEME = ParameterScheme(3.0, 5.0, 0.0, 1.0)
-EM_SMPSO_SCHEME = ParameterScheme(3.0, 5.0, 0.0, 1.0)
+# fcpso's default phi2: solve_fair_phi2(2.0) to four decimals
 FAIR_PHI2 = 3.4672
-FCPSO_SCHEME = ParameterScheme(2.0, FAIR_PHI2, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._checks import check_count
 from .constriction import chi_momentum
-from .fairness import EM_SMPSO_SCHEME, FCPSO_SCHEME, SMPSO_SCHEME, ParameterScheme
+from .fairness import FAIR_PHI2, ParameterScheme
 
 __all__ = [
     "BoxBounds",
@@ -45,7 +45,9 @@ __all__ = [
 
 VARIANTS = ("smpso", "em-smpso", "fcpso")
 
-_DEFAULT_SCHEMES = {"smpso": SMPSO_SCHEME, "em-smpso": EM_SMPSO_SCHEME, "fcpso": FCPSO_SCHEME}
+# phi bounds are twice the per-coefficient bounds: c1, c2 ~ U(phi1/2, phi2/2)
+_BOX_3_5 = ParameterScheme(3.0, 5.0, 0.0, 1.0)
+_DEFAULT_SCHEMES = {"smpso": _BOX_3_5, "em-smpso": _BOX_3_5, "fcpso": ParameterScheme(2.0, FAIR_PHI2, 0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,6 @@ class BoxBounds:
 
     delta: np.ndarray = field(init=False)
     neg_delta: np.ndarray = field(init=False)
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
 
 
 @dataclass

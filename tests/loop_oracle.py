@@ -105,11 +105,12 @@ def remember(p, y, rng):
 
 def initial_swarm(problem, dyn, rng):
     bounds = problem.bounds
+    n = bounds.lower.shape[0]
     swarm = []
     for _ in range(dyn.swarm_size):
         x = rng.uniform(bounds.lower, bounds.upper)
         y = np.asarray(problem.evaluate(x), dtype=float)
-        swarm.append(Particle(x, np.zeros(bounds.n), np.zeros(bounds.n), x.copy(), y))
+        swarm.append(Particle(x, np.zeros(n), np.zeros(n), x.copy(), y))
     return swarm
 
 

@@ -61,6 +61,10 @@ class TestCrowdingDistance:
     def test_single_entry(self):
         assert crowding_distance(np.array([[1.0, 2.0]]))[0] == np.inf
 
+    def test_empty_set_refused(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            crowding_distance(np.empty((0, 2)))
+
     def test_two_entries(self):
         d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.all(np.isinf(d))
@@ -177,6 +181,11 @@ class TestNonFiniteObjectives:
 
 
 class TestArchiveInvariants:
+    def test_a_new_archive_has_no_rows(self):
+        a = ExternalArchive(capacity=3)
+        assert len(a) == 0
+        assert a.objectives_array().shape == a.positions_array().shape == (0, 0)
+
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_fuzz_mutual_non_dominance_and_capacity(self, k, rng):
         a = ExternalArchive(capacity=30)

@@ -8,7 +8,6 @@ from scipy import integrate
 from fcpso.constriction import activation_event
 from fcpso.fairness import (
     FAIR_PHI2,
-    FCPSO_SCHEME,
     ParameterScheme,
     UnreachableUnfairnessError,
     activation_probability,
@@ -18,6 +17,7 @@ from fcpso.fairness import (
     unfairness,
     unfairness_restricted,
 )
+from fcpso.swarm import DynamicsConfig
 
 LN43 = math.log(4.0 / 3.0)
 
@@ -245,6 +245,11 @@ class TestSolveFairPhi2:
         with pytest.raises(UnreachableUnfairnessError, match=r"mu = 0.0 is out of reach: the family \(3.0, phi2"):
             solve_fair_phi2(3.0)
 
+    @pytest.mark.parametrize("phi1", [0.0, 4.0, -1.0, float("nan")])
+    def test_phi1_outside_zero_to_four_is_refused(self, phi1):
+        with pytest.raises(ValueError, match=re.escape(f"phi1 must lie in (0, 4), got {phi1!r}")):
+            solve_fair_phi2(phi1)
+
 
 class TestSchemeForUnfairness:
     def test_target_zero_is_fair_scheme(self):
@@ -307,4 +312,4 @@ class TestSchemeForUnfairness:
 
 
 def test_fcpso_default_scheme_is_nearly_fair():
-    assert abs(unfairness(FCPSO_SCHEME)) <= 5e-4
+    assert abs(unfairness(DynamicsConfig().scheme)) <= 5e-4

@@ -81,6 +81,11 @@ class TestFrontCsv:
         path.write_bytes(text.encode("utf-8-sig"))
         np.testing.assert_array_equal(read_front_csv(path), [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
 
+    def test_a_blank_line_between_rows_is_skipped(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("f1,f2\n0.1,0.9\n\n  \n0.9,0.1\n")
+        np.testing.assert_array_equal(read_front_csv(path), [[0.1, 0.9], [0.9, 0.1]])
+
 
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):

@@ -25,7 +25,7 @@ from loop_oracle import run_oracle
 from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
-from fcpso.constriction import activation_event, activation_threshold, chi_momentum
+from fcpso.constriction import activation_event, activation_threshold, chi_momentum, eigenvalues
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
@@ -274,6 +274,29 @@ def test_activation_probability_matches_monte_carlo(scheme):
 @example(activation_threshold(0.5), 0.5)
 def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
     assert activation_event(phi, beta) == (chi_momentum(phi, beta) != 1.0) == (phi > activation_threshold(beta))
+
+
+@PROPERTY_SETTINGS
+@given(
+    # phi * phi overflows past about 1.34e154, where both sides lose their
+    # value; test_constriction's xfail records it
+    st.floats(min_value=0.0, max_value=1e154, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(4.0, 0.0)
+@example(math.nextafter(4.0, math.inf), 0.0)
+@example(activation_threshold(0.25), 0.25)
+@example(math.nextafter(activation_threshold(0.25), math.inf), 0.25)
+@example(activation_threshold(0.3), 0.3)
+@example(math.nextafter(activation_threshold(0.3), math.inf), 0.3)
+def test_the_solver_applies_the_reciprocal_of_the_calculus_lambda_minus(phi, beta):
+    chi = chi_momentum(phi, beta)
+    if not activation_event(phi, beta):
+        assert chi == 1.0
+        return
+    lam = eigenvalues(phi, beta).lambda_minus
+    assert lam.imag == 0.0
+    assert chi == 1.0 / lam.real
 
 
 @PROPERTY_SETTINGS

@@ -48,11 +48,18 @@ class TestBoxBounds:
         np.testing.assert_array_equal(b.delta, [5.0, 5.0])
         np.testing.assert_array_equal(b.neg_delta, [-5.0, -5.0])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoxBounds(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            BoxBounds(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "lower,upper,message",
+        [
+            ([1.0], [1.0], "strictly below"),
+            ([0.0, 2.0], [1.0, 1.0], "strictly below"),
+            ([0.0, 0.0], [1.0], "1-D arrays of equal length"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], "1-D arrays of equal length"),
+        ],
+    )
+    def test_validation(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            BoxBounds(np.array(lower), np.array(upper))
 
 
 class TestDefaults:
