@@ -9,6 +9,7 @@ quality indicators.
 
 from .archive import ExternalArchive, crowding_distance, non_dominated_mask
 from .constriction import (
+    PHI_MAX,
     EigenPair,
     activation_event,
     activation_threshold,

@@ -19,11 +19,6 @@ extreme.  With three or more objectives, dominance is one vectorized
 test against every row, and an eviction and a leader draw each compute
 the crowding of the live rows.  Both ways give bitwise the same
 crowding, outcomes, entry order and leader draws.
-
-``ExternalArchive.changes`` counts the candidates that were not
-dominated, the only ones that change the entries, so a reader that finds
-the count it saw last finds the entries it saw last: the optimizer
-reuses its hypervolume trace by it.
 """
 
 from __future__ import annotations
@@ -48,19 +43,12 @@ REPLACED_CROWDED = "replaced-crowded"
 
 def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of the points no other point weakly dominates
-    (duplicates keep their first occurrence)."""
+    (duplicates keep their first occurrence).  A NaN or infinite entry
+    raises ValueError."""
     F = np.atleast_2d(np.asarray(objectives, dtype=float))
+    if not np.isfinite(F).all():
+        raise ValueError("objectives must be finite, got a NaN or infinite entry")
     n = F.shape[0]
-    if F.shape[1] == 2:
-        # lexicographic sweep: a point survives iff its f2 beats every
-        # earlier (f1, f2)-smaller point's f2; fmin skips NaNs, where a
-        # plain running minimum would turn every later entry NaN
-        order = np.lexsort((F[:, 1], F[:, 0]))
-        f2 = F[order, 1]
-        best_before = np.fmin.accumulate(np.concatenate(([np.inf], f2[:-1])))
-        keep = np.empty(n, dtype=bool)
-        keep[order] = f2 < best_before
-        return keep
     # point b goes when some point a weakly dominates it and either beats
     # it somewhere or is an earlier duplicate; rows go in blocks of about
     # 2**20 coordinate comparisons, to bound memory
@@ -121,10 +109,6 @@ class ExternalArchive:
     distance, kept current by every change.  With three or more
     objectives an eviction or a leader draw computes the crowding of the
     live rows, and ``_crowding`` is unused.
-
-    ``changes`` grows by one with every candidate that is not dominated,
-    the only kind that inserts, drops or evicts; while it stays put, so
-    do the entries.
     """
 
     def __init__(self, capacity: int = 100):
@@ -135,7 +119,6 @@ class ExternalArchive:
         self._objectives: np.ndarray | None = None
         self._positions: np.ndarray | None = None
         self._crowding = np.zeros(capacity + 1)
-        self.changes = 0
         # the staircase; _f1 stays None unless the first candidate has
         # two objectives
         self._f1: list[float] | None = None
@@ -204,7 +187,6 @@ class ExternalArchive:
                 end += 1
             beaten = stair[q:end]
             del f1[q:end], f2[q:end], stair[q:end]
-        self.changes += 1
         if len(beaten):
             self._drop(beaten)
         n = self._n

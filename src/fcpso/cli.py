@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from dataclasses import fields
 from importlib import resources
@@ -421,7 +422,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped after the files were written; the rest, and
+        # the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,17 +6,20 @@ switch on only above :func:`activation_threshold`, where the map has an
 eigenvalue lambda- < -1, and return 1/lambda-: negative, as in SMPSO
 (Nebro et al., MCDM 2009), with |chi| = 1/lambda_max keeping the
 dynamics bounded.
-"Constricted" in the fairness calculus refers to |chi|.
+"Constricted" in the fairness calculus refers to |chi|.  The factor and
+the eigenvalues square phi, so they refuse a phi above :data:`PHI_MAX`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "PHI_MAX",
     "EigenPair",
     "chi_vanilla",
     "chi_momentum",
@@ -26,6 +29,9 @@ __all__ = [
     "eigenvalues",
     "lambda_max",
 ]
+
+
+PHI_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -38,9 +44,11 @@ class EigenPair:
     discriminant: float
 
 
-def _check(phi: float, beta: float) -> None:
+def _check(phi: float, beta: float, squared: bool = False) -> None:
     if not math.isfinite(phi) or phi <= 0.0:
         raise ValueError(f"phi must be finite and > 0, got {phi!r}")
+    if squared and phi > PHI_MAX:
+        raise ValueError(f"phi must be at most {PHI_MAX!r}, past which phi * phi overflows, got {phi!r}")
     if not math.isfinite(beta) or not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
 
@@ -73,10 +81,10 @@ def chi_momentum(phi: float, beta: float) -> float:
     Active branch: 2 / (2 - phi - sqrt(phi^2 - 4(1-beta) phi)).  At
     beta = 0 this reduces exactly to :func:`chi_vanilla`.
     """
-    # one comparison chain admits exactly the finite phi > 0 and the beta
-    # in [0, 1); anything else raises as activation_event does
-    if not (0.0 < phi < math.inf and 0.0 <= beta < 1.0):
-        _check(phi, beta)
+    # one comparison chain admits exactly the phi in (0, PHI_MAX] and the
+    # beta in [0, 1); anything else raises
+    if not (0.0 < phi <= PHI_MAX and 0.0 <= beta < 1.0):
+        _check(phi, beta, squared=True)
     if not phi > activation_threshold(beta):
         return 1.0
     # Active branch implies phi > 4/(1+beta) >= 4(1-beta), so the
@@ -106,7 +114,7 @@ def eigenvalues(phi: float, beta: float) -> EigenPair:
     When the discriminant is negative the pair is complex conjugate with
     common modulus sqrt(1 - beta*phi).
     """
-    _check(phi, beta)
+    _check(phi, beta, squared=True)
     disc = phi * phi - 4.0 * (1.0 - beta) * phi
     root = complex(math.sqrt(disc), 0.0) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))
     lam_plus = (complex(2.0 - phi) + root) / 2.0

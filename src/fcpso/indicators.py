@@ -5,8 +5,9 @@ in any input.  Hypervolume is exact: a sweep for two objectives, a
 dimension sweep over vectorized 2-D union areas for three, the same areas
 for every f4-prefix and f3 level in one table for four, and for five or
 more a sweep over exclusive contributions of limit sets that ends in the
-four-objective table.  The limit sets of a block of sweep points are
-filtered for non-dominance in one batch.
+four-objective table.  Two and three objectives take any point set; from
+four on, dominated points go first, and the limit sets of a block of
+sweep points are filtered for non-dominance in one batch.
 
 IGD, additive epsilon and spacing take each point's nearest partner over
 blocks of about 2**16 cells, so memory stays bounded however large the
@@ -36,7 +37,7 @@ def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:
 
     A NaN or infinite entry raises.  Points that do not strictly dominate
     the reference point are discarded first; an empty effective front has
-    volume 0.
+    volume 0.  Dominated points and duplicates add nothing.
     """
     F = np.atleast_2d(_finite(front, "front"))
     r = _finite(reference_point, "reference point")
@@ -45,23 +46,25 @@ def hypervolume(front: np.ndarray, reference_point: np.ndarray) -> float:
     F = F[np.all(F < r, axis=1)]
     if F.shape[0] == 0:
         return 0.0
-    F = F[non_dominated_mask(F)]
     if F.shape[1] == 2:
         return _hv_sweep_2d(F, r)
     if F.shape[1] == 3:
         return _hv_3d(F, r)
+    # the 4-D table grows as n**3 in time and the limit-set tables as n**2
+    # in memory, unblocked, so dominated points go first
+    F = F[non_dominated_mask(F)]
     if F.shape[1] == 4:
         return float(_hv_4d(F[None], r)[0])
     return _hv_limit_sets(F, r)
 
 
 def _hv_sweep_2d(F: np.ndarray, r: np.ndarray) -> float:
-    # non-dominated 2-D front: ascending f1 means strictly descending f2
-    order = np.argsort(F[:, 0], kind="stable")
-    f1 = F[order, 0]
-    f2 = F[order, 1]
-    widths = np.diff(np.append(f1, r[0]))
-    return float(np.sum(widths * (r[1] - f2)))
+    """Any point set: in (f1, f2) order, the width from each point to the
+    next has the least f2 so far as its height."""
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    widths = np.diff(np.append(F[order, 0], r[0]))
+    low = np.minimum.accumulate(F[order, 1])
+    return float(np.sum(widths * (r[1] - low)))
 
 
 def _hv_3d(F: np.ndarray, r: np.ndarray) -> float:

@@ -25,10 +25,7 @@ its :class:`RunResult` holds only what it produced.  Termination is
 either an evaluation budget or reaching a fraction of a reference
 hypervolume, whichever comes first.  The archive hypervolume is traced
 from the initial swarm on, every generation under a hypervolume target
-and every ``record_interval`` generations otherwise.  A trace point
-computes the hypervolume only when the archive changed since the last
-one (:attr:`~fcpso.archive.ExternalArchive.changes`) and repeats the
-last value otherwise, which is bitwise what a fresh computation gives.
+and every ``record_interval`` generations otherwise.
 """
 
 from __future__ import annotations
@@ -119,16 +116,12 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     trace: list[tuple[int, float]] = []
     interval = 1 if hv_target is not None else cfg.record_interval
     generation = 0
-    last = (-1, 0.0)  # archive.changes and hypervolume at the last computed trace point
 
     def target_reached() -> bool:
         """Trace the archive hypervolume when due; True once it meets the target."""
-        nonlocal last
         if not interval or generation % interval:
             return False
-        if last[0] != archive.changes:
-            last = (archive.changes, hypervolume(archive.objectives_array(), problem.hv_reference_point))
-        hv = last[1]
+        hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
         trace.append((evaluations, hv))
         return hv_target is not None and hv >= hv_target
 

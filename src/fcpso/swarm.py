@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import check_count
-from .constriction import chi_momentum
+from .constriction import PHI_MAX, chi_momentum
 from .fairness import FAIR_PHI2, ParameterScheme
 
 __all__ = [
@@ -106,6 +106,10 @@ class DynamicsConfig:
             object.__setattr__(self, "scheme", _DEFAULT_SCHEMES[self.variant])
         elif self.variant == "smpso" and (self.scheme.beta1, self.scheme.beta2) != (0.0, 1.0):
             raise ValueError(f"scheme: smpso draws no beta, so its beta bounds must be 0,1, got {self.scheme}")
+        # draw_coefficients's c at rng.random's largest draw, monotone in it
+        lo, hi = self.scheme.phi1 / 2.0, self.scheme.phi2 / 2.0
+        if 2.0 * (lo + (hi - lo) * (1.0 - 2.0**-53)) > PHI_MAX:
+            raise ValueError(f"scheme: a drawn c1 + c2 can pass {PHI_MAX!r}, where chi overflows, got {self.scheme}")
 
 
 def draw_coefficients(scheme: ParameterScheme, rng: np.random.Generator, momentum: bool, count: int) -> np.ndarray:

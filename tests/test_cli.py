@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from csv_reader import COMPARISON_FLOATS, COMPARISON_HEADER, read_records
 
+from fcpso import cli
 from fcpso.cli import _KEYS, build_parser, load_config_file, main
 from fcpso.experiments import ComparisonRow
 from fcpso.fairness import ParameterScheme
@@ -173,6 +178,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error: hv-target termination needs a reference hypervolume, and dtlz2 has none" in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_scheme_whose_draws_overflow_chi_exits_1_naming_it(self, tmp_path, capsys):
+        code = run_cli("solve", "--problem", "zdt1", "--scheme", "2,1e200,0,1", "--out", str(tmp_path))
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: scheme: a drawn c1 + c2 can pass 1.3407807929942596e+154" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--swarm", "--evaluations", "--archive"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, flag):
@@ -539,6 +551,26 @@ class TestFairnessCmd:
         assert run_cli("fairness", *argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and f"error: {named}" in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_ends_the_command_quietly(self, unbuffered):
+        # stdout is a pipe whose read end is already closed, so every write
+        # fails at once and no reader's timing matters; unbuffered, the
+        # print fails inside the command, and buffered, the flush after it
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fcpso.cli", "fairness", "--solve-fair"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_every_action_stdout_is_as_recorded(self, capsys):
         argv = ["--solve-fair", "--target-mu", "-0.2", "--scheme", "3,5,0,1"]

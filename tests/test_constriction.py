@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fcpso.constriction import (
+    PHI_MAX,
     activation_event,
     chi_momentum,
     chi_vanilla,
@@ -57,11 +58,25 @@ class TestChiMomentum:
         with pytest.raises(ValueError):
             chi_momentum(phi, beta)
 
-    @pytest.mark.xfail(strict=True, reason="phi * phi overflows past about 1.34e154: chi is -0.0, then NaN")
-    @pytest.mark.parametrize("phi", [1e200, 1e308])
-    def test_active_branch_past_the_square_overflow(self, phi):
+    def test_the_largest_phi_whose_square_is_finite(self):
+        assert PHI_MAX == 1.3407807929942596e154
+        assert math.isfinite(PHI_MAX * PHI_MAX)
+        above = math.nextafter(PHI_MAX, math.inf)
+        assert math.isinf(above * above)
         # 2 / (2 - phi - sqrt(phi^2 - 2 phi)) -> -1/phi as phi grows
-        assert chi_momentum(phi, 0.5) * phi == pytest.approx(-1.0)
+        assert chi_momentum(PHI_MAX, 0.5) == -7.458340731200208e-155
+
+    @pytest.mark.parametrize("fn", [chi_momentum, eigenvalues, lambda_max])
+    @pytest.mark.parametrize("phi", [math.nextafter(PHI_MAX, math.inf), 1e200, 1e308])
+    def test_active_branch_past_the_square_overflow(self, fn, phi):
+        # past PHI_MAX, phi * phi is inf: chi would be -0.0, then NaN
+        message = f"phi must be at most {PHI_MAX!r}, past which phi * phi overflows, got {phi!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(phi, 0.5)
+
+    def test_what_does_not_square_phi_takes_any_finite_phi(self):
+        assert activation_event(1e308, 0.5) is True
+        assert evolution_matrix(1e308, 0.5)[0, 1] == 1e308
 
 
 class TestActivation:

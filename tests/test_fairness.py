@@ -91,6 +91,12 @@ class TestActivationProbability:
     def test_total_region(self):
         assert activation_probability(ParameterScheme(4.2, 5.0, 0.0, 1.0)) == 1.0
 
+    def test_a_phi2_past_phi_max_is_still_a_scheme(self):
+        # the calculus never squares phi; only DynamicsConfig refuses it
+        scheme = ParameterScheme(2.0, 1.7e308)
+        assert activation_probability(scheme) == pytest.approx(1.0, abs=1e-15)
+        assert monte_carlo_activation(scheme, 1000, seed=0).p_activation == 1.0
+
     def test_against_quadrature_oracle(self, rng):
         for _ in range(30):
             s = random_scheme(rng)

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import indicator_oracle
 import numpy as np
+import pytest
 from archive_oracle import ListArchive, crowding_loop, dominates
 from hv_oracle import hv_oracle
 from hv_oracle import non_dominated_mask as non_dominated_loop
@@ -25,7 +26,7 @@ from loop_oracle import run_oracle
 from zdt_oracle import ZDT
 
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
-from fcpso.constriction import activation_event, activation_threshold, chi_momentum, eigenvalues
+from fcpso.constriction import PHI_MAX, activation_event, activation_threshold, chi_momentum, eigenvalues
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
 from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
@@ -180,9 +181,11 @@ def test_hypervolume_never_drops_when_a_point_is_added(case):
 
 
 @PROPERTY_SETTINGS
-@given(integer_points(k_min=3, k_max=5, max_size=25))
+@given(integer_points(k_min=2, k_max=5, max_size=25))
 def test_hypervolume_matches_the_slicing_oracle(front):
-    # coordinates reach 10, the reference, so some points sit on its boundary
+    # coordinates reach 10, the reference, so some points sit on its
+    # boundary; below four objectives dominated points and duplicates go
+    # into the sweeps unfiltered
     ref = np.full(front.shape[1], 10.0)
     expected = hv_oracle(front, ref)
     assert abs(hypervolume(front, ref) - expected) <= 1e-12 * expected
@@ -272,15 +275,21 @@ def test_activation_probability_matches_monte_carlo(scheme):
 @example(4.0, 0.0)
 @example(activation_threshold(0.25), 0.25)
 @example(activation_threshold(0.5), 0.5)
+@example(math.nextafter(PHI_MAX, math.inf), 0.5)
 def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
-    assert activation_event(phi, beta) == (chi_momentum(phi, beta) != 1.0) == (phi > activation_threshold(beta))
+    active = phi > activation_threshold(beta)
+    assert activation_event(phi, beta) == active
+    if phi > PHI_MAX:  # chi squares phi
+        with pytest.raises(ValueError, match="phi must be at most"):
+            chi_momentum(phi, beta)
+    else:
+        assert (chi_momentum(phi, beta) != 1.0) == active
 
 
 @PROPERTY_SETTINGS
 @given(
-    # phi * phi overflows past about 1.34e154, where both sides lose their
-    # value; test_constriction's xfail records it
-    st.floats(min_value=0.0, max_value=1e154, exclude_min=True),
+    # past PHI_MAX, phi * phi overflows, and both sides refuse phi
+    st.floats(min_value=0.0, max_value=PHI_MAX, exclude_min=True),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 @example(4.0, 0.0)
@@ -289,6 +298,7 @@ def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
 @example(math.nextafter(activation_threshold(0.25), math.inf), 0.25)
 @example(activation_threshold(0.3), 0.3)
 @example(math.nextafter(activation_threshold(0.3), math.inf), 0.3)
+@example(PHI_MAX, 0.5)
 def test_the_solver_applies_the_reciprocal_of_the_calculus_lambda_minus(phi, beta):
     chi = chi_momentum(phi, beta)
     if not activation_event(phi, beta):

@@ -1,13 +1,17 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_oracle import Particle, dominates, initial_swarm, remember
 
-from fcpso.constriction import chi_momentum
+from fcpso.constriction import PHI_MAX, chi_momentum
 from fcpso.fairness import ParameterScheme
 from fcpso.problems import get_problem
 from fcpso.swarm import (
+    VARIANTS,
     BoxBounds,
     DynamicsConfig,
     Swarm,
@@ -100,6 +104,26 @@ class TestDefaults:
             with pytest.raises(ValueError, match="scheme: smpso draws no beta"):
                 DynamicsConfig(variant="smpso", scheme=ParameterScheme(3.0, 5.0, *betas))
         assert DynamicsConfig(variant="em-smpso", scheme=ParameterScheme(3.0, 5.0, 0.2, 0.8)).scheme.beta1 == 0.2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("phi2, refused", [
+        (1.7e308, True),
+        (1e200, True),
+        (PHI_MAX, False),
+        # c at the largest draw rounds to PHI_MAX / 2 here, so no sum passes
+        (math.nextafter(PHI_MAX, math.inf), False),
+        (math.nextafter(PHI_MAX, math.inf) * (1.0 + 2.0**-50), True),
+    ])
+    def test_a_scheme_whose_draws_can_pass_phi_max_is_refused(self, queued_rng, variant, phi2, refused):
+        scheme = ParameterScheme(2.0, phi2)
+        # the largest c1 + c2 the scheme can draw: at rng.random's largest draw
+        (_, _, c1, c2) = draw_coefficients(scheme, queued_rng([1.0 - 2.0**-53] * 4), False, 1)[0]
+        assert (c1 + c2 > PHI_MAX) == refused
+        if not refused:
+            assert DynamicsConfig(variant=variant, scheme=scheme).scheme == scheme
+            return
+        with pytest.raises(ValueError, match=re.escape(f"scheme: a drawn c1 + c2 can pass {PHI_MAX!r}")):
+            DynamicsConfig(variant=variant, scheme=scheme)
 
 
 class TestComputeSpeedSmpso:
