@@ -6,19 +6,22 @@ in preallocated objective and position arrays.  Swarm leaders (the gbest
 of the velocity update) are drawn from it with binary tournaments that
 favour isolated entries, a generation's tournaments in one call.
 
-Only the dominance test depends on the objective count, fixed by the
-first candidate; it yields the rows a candidate beats, and dropping them,
-writing the candidate at the next row and evicting on overflow are the
-same code for any count.  With two objectives, a mutually non-dominated
-set sorted by f1 has strictly falling f2, a staircase (Kung, Luccio and
-Preparata, JACM 1975).  The archive keeps that order in plain lists with
-the row of each entry: one bisect decides dominance, the entries a
-candidate beats are one run of the staircase, and an insertion or an
-eviction changes the crowding of its neighbours only, unless it moves an
-extreme.  With three or more objectives, dominance is one vectorized
-test against every row, and an eviction and a leader draw each compute
-the crowding of the live rows.  Both ways give bitwise the same
-crowding, outcomes, entry order and leader draws.
+A candidate's objectives are checked for finiteness first, so a refused
+candidate leaves the archive as it was.  Only the dominance test depends
+on the objective count, fixed by the first accepted candidate; it yields
+the rows a candidate beats.  Dropping them, writing the candidate at the
+next row and evicting on overflow are the same code for any count, and a
+row leaves one way: the rows after it shift down by one.  With two
+objectives, a mutually non-dominated set sorted by f1 has strictly
+falling f2, a staircase (Kung, Luccio and Preparata, JACM 1975).  The
+archive keeps that order in plain lists with the row of each entry: one
+bisect decides dominance, the entries a candidate beats are one run of
+the staircase, and an insertion or an eviction changes the crowding of
+its neighbours only, unless it moves an extreme.  With three or more
+objectives, dominance is one vectorized test against every row, and an
+eviction and a leader draw each compute the crowding of the live rows.
+Both ways give bitwise the same crowding, outcomes, entry order and
+leader draws.
 """
 
 from __future__ import annotations
@@ -100,15 +103,16 @@ class ExternalArchive:
     """Capacity-bounded store of mutually non-dominated entries.
 
     Row ``i < len(self)`` of the objective and position buffers is entry
-    ``i``; entries keep the order they were inserted in.  The buffers have
-    one spare row for the candidate that overflows the capacity.
+    ``i``; entries keep the order they were inserted in, and ``_drop``
+    is the one way out.  The buffers have one spare row for the
+    candidate that overflows the capacity.
 
     With two objectives the entries are also a staircase: ``_f1`` and
     ``_f2`` list them by rising f1, and so by falling f2, and ``_stair``
     gives the row of each.  ``_crowding`` then has each row's crowding
     distance, kept current by every change.  With three or more
-    objectives an eviction or a leader draw computes the crowding of the
-    live rows, and ``_crowding`` is unused.
+    objectives ``_crowded`` computes the crowding of the live rows, and
+    ``_crowding`` is unused.
     """
 
     def __init__(self, capacity: int = 100):
@@ -146,10 +150,14 @@ class ExternalArchive:
         Returns "dominated" if some entry weakly dominates the candidate
         (duplicates count), "replaced-crowded" if insertion forced a
         crowding eviction, "inserted" otherwise.  A non-finite objective
-        raises ValueError; with three or more objectives only a candidate
-        that is not dominated is checked.
+        raises ValueError before anything else, so the archive is left
+        as it was.
         """
         c = np.asarray(objectives, dtype=float)
+        values = c.tolist()
+        # a NaN would also break the staircase's order
+        if not all(map(isfinite, values)):
+            raise ValueError(f"objectives must be finite, got {values}")
         x = np.asarray(position, dtype=float)
         if self._objectives is None:
             self._objectives = np.empty((self.capacity + 1, *c.shape))
@@ -167,15 +175,10 @@ class ExternalArchive:
             # weakly dominated (or duplicate) -> reject
             if (F <= c).all(axis=1).any():
                 return DOMINATED
-            if not np.isfinite(c).all():
-                raise ValueError(f"objectives must be finite, got {c.tolist()}")
             # no entry is <= c, so an entry c is <= everywhere is strictly dominated
-            beaten = np.flatnonzero((c <= F).all(axis=1))
+            beaten = np.flatnonzero((c <= F).all(axis=1)).tolist()
         else:
-            a, b = c.tolist()
-            # a NaN would break the staircase's order
-            if not (isfinite(a) and isfinite(b)):
-                raise ValueError(f"objectives must be finite, got {[a, b]}")
+            a, b = values
             p = bisect_right(f1, a)
             # of the entries with f1 <= a, the last has the least f2
             if p and f2[p - 1] <= b:
@@ -187,8 +190,7 @@ class ExternalArchive:
                 end += 1
             beaten = stair[q:end]
             del f1[q:end], f2[q:end], stair[q:end]
-        if len(beaten):
-            self._drop(beaten)
+        self._drop(beaten)
         n = self._n
         self._objectives[n] = c
         self._positions[n] = x
@@ -203,37 +205,34 @@ class ExternalArchive:
         self._evict()
         return REPLACED_CROWDED
 
-    def _drop(self, rows: list[int] | np.ndarray) -> None:
-        """Drop the entries in ``rows``, already off the staircase; the
-        other rows close up in order and the staircase is renumbered."""
-        n = self._n
-        keep = np.ones(n, dtype=bool)
-        keep[rows] = False
-        m = n - len(rows)
-        self._objectives[:m] = self._objectives[:n][keep]
-        self._positions[:m] = self._positions[:n][keep]
-        self._n = m
-        if self._f1 is not None:
-            self._crowding[:m] = self._crowding[:n][keep]
-            # in place, as try_insert holds the list
-            self._stair[:] = (np.cumsum(keep) - 1)[self._stair].tolist()
+    def _drop(self, rows: list[int]) -> None:
+        """Drop the entries in ``rows``, already off the staircase, highest
+        first: the rows after each shift down by one and are renumbered."""
+        for e in sorted(rows, reverse=True):
+            n = self._n - 1
+            self._objectives[e:n] = self._objectives[e + 1 : n + 1]
+            self._positions[e:n] = self._positions[e + 1 : n + 1]
+            self._n = n
+            if self._f1 is not None:
+                self._crowding[e:n] = self._crowding[e + 1 : n + 1]
+                # in place, as try_insert holds the list
+                self._stair[:] = [r if r < e else r - 1 for r in self._stair]
 
     def _evict(self) -> None:
-        """Drop the first of the least crowded entries; later rows shift down."""
-        n = self._n
-        if self._f1 is None:
-            e = int(np.argmin(crowding_distance(self._objectives[:n])))
-        else:
-            e = int(np.argmin(self._crowding[:n]))
+        """Drop the first of the least crowded entries."""
+        e = int(np.argmin(self._crowded()))
+        if self._f1 is not None:
             q = bisect_left(self._f1, float(self._objectives[e, 0]))
             del self._f1[q], self._f2[q], self._stair[q]
-            self._stair[:] = [r if r < e else r - 1 for r in self._stair]
-            self._crowding[e : n - 1] = self._crowding[e + 1 : n]
-        self._objectives[e : n - 1] = self._objectives[e + 1 : n]
-        self._positions[e : n - 1] = self._positions[e + 1 : n]
-        self._n = n - 1
+        self._drop([e])
         if self._f1 is not None:
             self._recrowd(q)
+
+    def _crowded(self) -> np.ndarray:
+        """The live rows' crowding: kept at two objectives, computed at more."""
+        if self._f1 is None:
+            return crowding_distance(self._objectives[: self._n])
+        return self._crowding[: self._n]
 
     def _recrowd(self, q: int) -> None:
         """Bring the crowding up to date after a change at staircase entry q.
@@ -266,9 +265,8 @@ class ExternalArchive:
         n = self._n
         if not n:
             raise ValueError("cannot select a leader from an empty archive")
-        crowding = self._crowding[:n] if self._f1 is not None else crowding_distance(self._objectives[:n])
         pairs = rng.integers(0, n, size=(count, 2))
         ties = rng.random(count)
-        a, b = crowding[pairs].T
+        a, b = self._crowded()[pairs].T
         first = np.where(a == b, ties < 0.5, a > b)
         return self._positions[np.where(first, pairs[:, 0], pairs[:, 1])]

@@ -6,8 +6,10 @@ switch on only above :func:`activation_threshold`, where the map has an
 eigenvalue lambda- < -1, and return 1/lambda-: negative, as in SMPSO
 (Nebro et al., MCDM 2009), with |chi| = 1/lambda_max keeping the
 dynamics bounded.
-"Constricted" in the fairness calculus refers to |chi|.  The factor and
-the eigenvalues square phi, so they refuse a phi above :data:`PHI_MAX`.
+"Constricted" in the fairness calculus refers to |chi|.  Every function
+here takes beta in [0, 1], the closed box a scheme may draw from; phi
+must be positive and finite, and the factor and the eigenvalues square
+it, so they refuse a phi above :data:`PHI_MAX`.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def _check(phi: float, beta: float, squared: bool = False) -> None:
         raise ValueError(f"phi must be finite and > 0, got {phi!r}")
     if squared and phi > PHI_MAX:
         raise ValueError(f"phi must be at most {PHI_MAX!r}, past which phi * phi overflows, got {phi!r}")
-    if not math.isfinite(beta) or not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+    if not math.isfinite(beta) or not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
 
 
 def chi_vanilla(phi: float) -> float:
@@ -82,8 +84,8 @@ def chi_momentum(phi: float, beta: float) -> float:
     beta = 0 this reduces exactly to :func:`chi_vanilla`.
     """
     # one comparison chain admits exactly the phi in (0, PHI_MAX] and the
-    # beta in [0, 1); anything else raises
-    if not (0.0 < phi <= PHI_MAX and 0.0 <= beta < 1.0):
+    # beta in [0, 1]; anything else raises
+    if not (0.0 < phi <= PHI_MAX and 0.0 <= beta <= 1.0):
         _check(phi, beta, squared=True)
     if not phi > activation_threshold(beta):
         return 1.0

@@ -157,26 +157,39 @@ class TestTryInsert:
 
 
 class TestNonFiniteObjectives:
-    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("held", [0, 2])
-    def test_rejected_naming_the_values(self, k, bad, held):
-        # the candidate beats the (0, 1) and (1, 0) corners in the last
-        # objective, so at k = 3 neither entry dominates it
+    @pytest.mark.parametrize(
+        "held,rest",
+        [
+            ([], [0.1]),
+            ([], [0.1, 0.1]),
+            # the candidate beats both corners in its last objective, so
+            # at k = 3 neither entry dominates it
+            ([(0.0, 1.0), (1.0, 0.0)], [0.1]),
+            ([(0.0, 1.0, 0.5), (1.0, 0.0, 0.5)], [0.1, 0.1]),
+            # the origin dominates (inf, 1, 1), which is refused all the same,
+            # as are (-inf, 1, 1) and (nan, 1, 1), which it does not
+            ([(0.0, 0.0, 0.0)], [1.0, 1.0]),
+        ],
+        ids=["k2-empty", "k3-empty", "k2-corners", "k3-corners", "k3-dominated"],
+    )
+    def test_rejected_naming_the_values(self, held, rest, bad):
         a = ExternalArchive(capacity=2)
-        corners = [entry(0.0, 1.0, *[0.5] * (k - 2)), entry(1.0, 0.0, *[0.5] * (k - 2))]
-        for x, y in corners[:held]:
-            a.try_insert(x, y)
+        for y in held:
+            a.try_insert(*entry(*y))
         before = a.objectives_array().tolist()
-        candidate = [bad, 0.1, *[0.1] * (k - 2)]
+        candidate = [bad, *rest]
         with pytest.raises(ValueError, match=re.escape(str(candidate))):
             a.try_insert(*entry(*candidate))
         assert a.objectives_array().tolist() == before
 
-    def test_three_objective_check_follows_dominance(self):
+    def test_a_refused_first_candidate_leaves_the_width_open(self):
         a = ExternalArchive(capacity=2)
-        a.try_insert(*entry(0.0, 0.0, 0.0))
-        assert a.try_insert(*entry(np.inf, 1.0, 1.0)) == DOMINATED
+        with pytest.raises(ValueError, match="finite"):
+            a.try_insert(*entry(np.nan, 1.0))
+        assert a.objectives_array().shape == (0, 0)
+        assert a.try_insert(*entry(1.0, 2.0, 3.0)) == INSERTED
+        assert a.objectives_array().tolist() == [[1.0, 2.0, 3.0]]
 
 
 class TestArchiveInvariants:

@@ -53,7 +53,7 @@ class TestChiMomentum:
         for phi in np.linspace(1e-3, 6.0, 1000):
             assert chi_momentum(float(phi), 0.0) == chi_vanilla(float(phi))
 
-    @pytest.mark.parametrize("phi,beta", [(0.0, 0.5), (4.0, 1.0), (4.0, -0.1), (float("nan"), 0.5)])
+    @pytest.mark.parametrize("phi,beta", [(0.0, 0.5), (4.0, 1.5), (4.0, -0.1), (float("nan"), 0.5)])
     def test_domain_errors(self, phi, beta):
         with pytest.raises(ValueError):
             chi_momentum(phi, beta)
@@ -220,7 +220,7 @@ class TestStabilityProperties:
     "phi,beta,message",
     [
         (0.0, 0.5, "phi must be finite and > 0, got 0.0"),
-        (4.0, 1.0, "beta must lie in [0, 1), got 1.0"),
+        (4.0, 1.5, "beta must lie in [0, 1], got 1.5"),
         (float("nan"), -0.1, "phi must be finite and > 0, got nan"),
     ],
 )

@@ -270,12 +270,13 @@ def test_activation_probability_matches_monte_carlo(scheme):
 @PROPERTY_SETTINGS
 @given(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0),
 )
 @example(4.0, 0.0)
 @example(activation_threshold(0.25), 0.25)
 @example(activation_threshold(0.5), 0.5)
 @example(math.nextafter(PHI_MAX, math.inf), 0.5)
+@example(math.nextafter(activation_threshold(1.0), math.inf), 1.0)
 def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
     active = phi > activation_threshold(beta)
     assert activation_event(phi, beta) == active
@@ -290,7 +291,7 @@ def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
 @given(
     # past PHI_MAX, phi * phi overflows, and both sides refuse phi
     st.floats(min_value=0.0, max_value=PHI_MAX, exclude_min=True),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0),
 )
 @example(4.0, 0.0)
 @example(math.nextafter(4.0, math.inf), 0.0)
@@ -299,6 +300,8 @@ def test_the_solver_and_the_calculus_share_one_activation_threshold(phi, beta):
 @example(activation_threshold(0.3), 0.3)
 @example(math.nextafter(activation_threshold(0.3), math.inf), 0.3)
 @example(PHI_MAX, 0.5)
+@example(math.nextafter(activation_threshold(1.0), math.inf), 1.0)
+@example(PHI_MAX, 1.0)
 def test_the_solver_applies_the_reciprocal_of_the_calculus_lambda_minus(phi, beta):
     chi = chi_momentum(phi, beta)
     if not activation_event(phi, beta):

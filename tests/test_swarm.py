@@ -229,6 +229,17 @@ class TestDrawCoefficients:
         np.testing.assert_allclose(coefficients, [row[:k] for row in expected], rtol=0, atol=1e-15)
         assert stub.values == []
 
+    def test_a_drawn_beta_of_one_gives_a_clamped_velocity(self, queued_rng):
+        # at rng.random's largest draw, 1 - 2**-53, beta1 + (beta2 - beta1) * u
+        # rounds to beta2 = 1 whenever beta1 >= 0.5
+        top = 1.0 - 2.0**-53
+        scheme = ParameterScheme(2.0, 3.4672, 0.5, 1.0)
+        coefficients = draw_coefficients(scheme, queued_rng([0.5, 0.5, top, top, top]), True, 1)[0]
+        assert coefficients[4] == 1.0
+        v, m = compute_speed_em(one(0.0), one(0.3), one(0.2), one(0.9), one(0.9), coefficients, UNIT)
+        assert m[0] == 0.2  # beta = 1 carries the momentum unchanged
+        assert np.isfinite(v[0]) and abs(v[0]) <= 0.5
+
 
 class TestUpdatePosition:
     def test_interior_move(self):
