@@ -6,7 +6,7 @@ in preallocated objective and position arrays.  Swarm leaders (the gbest
 of the velocity update) are drawn from it with binary tournaments that
 favour isolated entries, a generation's tournaments in one call.
 
-A candidate's objectives are checked for finiteness first, so a refused
+A candidate's shapes and finiteness are checked first, so a refused
 candidate leaves the archive as it was.  Only the dominance test depends
 on the objective count, fixed by the first accepted candidate; it yields
 the rows a candidate beats.  Dropping them, writing the candidate at the
@@ -149,16 +149,18 @@ class ExternalArchive:
 
         Returns "dominated" if some entry weakly dominates the candidate
         (duplicates count), "replaced-crowded" if insertion forced a
-        crowding eviction, "inserted" otherwise.  A non-finite objective
-        raises ValueError before anything else, so the archive is left
-        as it was.
+        crowding eviction, "inserted" otherwise.  Objectives or a position
+        that are not one vector each, or a non-finite objective, raise
+        ValueError before anything else, so the archive is left as it was.
         """
         c = np.asarray(objectives, dtype=float)
+        x = np.asarray(position, dtype=float)
+        if c.ndim != 1 or x.ndim != 1:
+            raise ValueError(f"candidate has objectives {c.shape} and position {x.shape}; each must be one vector")
         values = c.tolist()
         # a NaN would also break the staircase's order
         if not all(map(isfinite, values)):
             raise ValueError(f"objectives must be finite, got {values}")
-        x = np.asarray(position, dtype=float)
         if self._objectives is None:
             self._objectives = np.empty((self.capacity + 1, *c.shape))
             self._positions = np.empty((self.capacity + 1, *x.shape))

@@ -4,7 +4,8 @@ Positions are an (N, n) array mutated in place.  The draws come from the
 run's ``np.random.Generator``: one ``rng.random(N)`` block picks the P
 rows, then one ``rng.random((P, 2 * n))`` block holds their mutations,
 row by row in row order.  It is bitwise P ``rng.random(2 * n)`` blocks,
-one per picked row.
+one per picked row.  Turbulence takes the :class:`BoxBounds`, which
+owns, checks and freezes its arrays; only the positions are checked here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .swarm import BoxBounds
 
 __all__ = ["MutationConfig", "polynomial_mutate", "apply_turbulence"]
 
@@ -32,43 +35,33 @@ class MutationConfig:
             raise ValueError(f"particle_fraction must lie in [0, 1], got {self.particle_fraction!r}")
 
 
-def polynomial_mutate(
-    x: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    cfg: MutationConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Polynomial mutation with distribution index eta, clamped to bounds.
+def polynomial_mutate(x: np.ndarray, bounds: BoxBounds, cfg: MutationConfig, rng: np.random.Generator) -> np.ndarray:
+    """Polynomial mutation with distribution index eta, clamped to the box.
 
-    ``x`` is one point of n variables, or a (P, n) block of P points, all
-    in the box; the result has the shape of ``x``.  Each variable mutates
-    independently with per_variable_probability (default 1/n).  The
-    perturbation is symmetric: an internal draw of u = 1/2 leaves the
-    variable unchanged.  One ``rng.random((P, 2 * n))`` block holds the
-    draws, a single point taking P = 1 (the stream of ``rng.random(2 * n)``):
-    variable i of point r mutates when entry (r, i) is below the
-    probability, by the u in entry (r, n + i).  Nothing is drawn when the
-    probability is 0.  Bounds of another length than a point, with
-    ``lower >= upper`` anywhere, or a point outside them raise ValueError
-    before any draw.  Each mutated variable is computed in Python floats,
-    the scalar ``**`` included.
+    ``x`` is a (P, n) block of P points in ``bounds``, a box of n
+    variables that checked itself when it was built; the result is a new
+    (P, n) block.  Each variable mutates independently with
+    per_variable_probability (default 1/n).  The perturbation is
+    symmetric: an internal draw of u = 1/2 leaves the variable unchanged.
+    One ``rng.random((P, 2 * n))`` block holds the draws: variable i of
+    point r mutates when entry (r, i) is below the probability, by the u
+    in entry (r, n + i).  Nothing is drawn when the probability is 0.  A
+    block of another width than the box, or a point outside it, raises
+    ValueError before any draw.  Each mutated variable is computed in
+    Python floats, the scalar ``**`` included.
     """
     x = np.asarray(x, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if x.ndim not in (1, 2) or lower.shape != x.shape[-1:] or upper.shape != x.shape[-1:]:
-        raise ValueError(f"x has shape {x.shape}, but lower has {lower.shape} and upper {upper.shape}")
-    if not (lower < upper).all():
-        raise ValueError(f"lower must be < upper everywhere, got lower {lower.tolist()} and upper {upper.tolist()}")
+    lower, upper = bounds.lower, bounds.upper
+    n = lower.shape[0]
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"x has shape {x.shape}, but the box has {n} variables")
     # written so that a NaN, which compares False, fails it
     if not ((lower <= x) & (x <= upper)).all():
         raise ValueError("x must lie within [lower, upper]")
-    n = lower.shape[0]
     prob = cfg.per_variable_probability if cfg.per_variable_probability is not None else 1.0 / n
-    out = x.reshape(-1, n).copy()
+    out = x.copy()
     if prob == 0.0:
-        return out.reshape(x.shape)
+        return out
     eta = cfg.distribution_index
     mut_pow = 1.0 / (eta + 1.0)
     draws = rng.random((out.shape[0], 2 * n))
@@ -86,14 +79,14 @@ def polynomial_mutate(
             dq = 1.0 - val**mut_pow
         mutated.append(min(max(xi + dq * (hi - lo), lo), hi))
     out[rows, cols] = mutated
-    return out.reshape(x.shape)
+    return out
 
 
-def apply_turbulence(positions: np.ndarray, bounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
+def apply_turbulence(positions: np.ndarray, bounds: BoxBounds, cfg: MutationConfig, rng: np.random.Generator) -> None:
     """Mutate a random particle_fraction of the rows of ``positions`` in
     place, with one :func:`polynomial_mutate` call over the picked rows;
     velocities and momenta are untouched."""
     if cfg.particle_fraction == 0.0:
         return
     rows = np.flatnonzero(rng.random(positions.shape[0]) < cfg.particle_fraction)
-    positions[rows] = polynomial_mutate(positions[rows], bounds.lower, bounds.upper, cfg, rng)
+    positions[rows] = polynomial_mutate(positions[rows], bounds, cfg, rng)

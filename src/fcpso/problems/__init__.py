@@ -9,7 +9,9 @@ Every problem runs at its suite's canonical size: ZDT (Zitzler, Deb &
 Thiele 2000), DTLZ (Deb et al. 2005) and WFG (Huband et al., IEEE TEVC
 2006).  The DTLZ and WFG evaluators are built with their instance, so
 their constants are computed once per instance, which wraps them in one
-shape, bounds and finiteness check per call.
+shape, bounds and finiteness check per call.  The cache shares each
+instance: its box owns and freezes its own arrays, and the instance
+freezes its reference point and front.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ class ProblemInstance:
     hv_reference_point: np.ndarray
 
     def __post_init__(self) -> None:
-        # get_problem's cache shares each instance with every later caller
-        b = self.bounds
-        for a in (b.lower, b.upper, b.delta, b.neg_delta, self.hv_reference_point, self.reference_front):
+        # get_problem's cache shares each instance with every later caller;
+        # the box already froze its own arrays
+        for a in (self.hv_reference_point, self.reference_front):
             if a is not None:
                 a.setflags(write=False)
 

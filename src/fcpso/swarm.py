@@ -53,25 +53,26 @@ _DEFAULT_SCHEMES = {"smpso": _BOX_3_5, "em-smpso": _BOX_3_5, "fcpso": ParameterS
 @dataclass(frozen=True)
 class BoxBounds:
     """Per-variable box constraints; each velocity component lies in
-    [neg_delta, delta], both derived from the box."""
+    [neg_delta, delta], both derived from the box.  The box owns float
+    copies of ``lower`` and ``upper``, checked once, and all four arrays
+    are read-only, so a checked box cannot change."""
 
     lower: np.ndarray
     upper: np.ndarray
+    delta: np.ndarray = field(init=False)
+    neg_delta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "delta", (upper - lower) / 2.0)
-        object.__setattr__(self, "neg_delta", -self.delta)
-
-    delta: np.ndarray = field(init=False)
-    neg_delta: np.ndarray = field(init=False)
+        delta = (upper - lower) / 2.0
+        for name, a in (("lower", lower), ("upper", upper), ("delta", delta), ("neg_delta", -delta)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass

@@ -19,6 +19,14 @@ def entry(*objs):
     return y.copy(), y
 
 
+# (position, objectives, message) of candidates that are not one vector each
+NOT_ONE_VECTOR = [
+    pytest.param(np.zeros(1), 1.0, r"objectives \(\) and position \(1,\); each must", id="scalar-objectives"),
+    pytest.param(np.zeros(2), np.ones((2, 2)), r"objectives \(2, 2\) and position \(2,\); each must", id="2x2-objectives"),
+    pytest.param(np.zeros((1, 2)), np.ones(2), r"objectives \(2,\) and position \(1, 2\); each must", id="1x2-position"),
+]
+
+
 class TestNonDominatedMask:
     def test_simple(self):
         F = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
@@ -123,11 +131,16 @@ class TestTryInsert:
         objs = {tuple(y) for y in a.objectives_array()}
         assert objs == {(0.0, 1.0), (1.0, 0.0)}
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "position,objectives,match",
+        [pytest.param(*entry(0.0, 1.0, 2.0), "the archive holds", id="wider"), *NOT_ONE_VECTOR],
+    )
+    def test_dimension_mismatch(self, position, objectives, match):
         a = ExternalArchive(capacity=4)
         a.try_insert(*entry(0.0, 1.0))
-        with pytest.raises(ValueError):
-            a.try_insert(*entry(0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match=match):
+            a.try_insert(position, objectives)
+        assert a.objectives_array().tolist() == [[0.0, 1.0]]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -183,10 +196,14 @@ class TestNonFiniteObjectives:
             a.try_insert(*entry(*candidate))
         assert a.objectives_array().tolist() == before
 
-    def test_a_refused_first_candidate_leaves_the_width_open(self):
+    @pytest.mark.parametrize(
+        "position,objectives,match",
+        [pytest.param(*entry(np.nan, 1.0), "finite", id="nan"), *NOT_ONE_VECTOR],
+    )
+    def test_a_refused_first_candidate_leaves_the_width_open(self, position, objectives, match):
         a = ExternalArchive(capacity=2)
-        with pytest.raises(ValueError, match="finite"):
-            a.try_insert(*entry(np.nan, 1.0))
+        with pytest.raises(ValueError, match=match):
+            a.try_insert(position, objectives)
         assert a.objectives_array().shape == (0, 0)
         assert a.try_insert(*entry(1.0, 2.0, 3.0)) == INSERTED
         assert a.objectives_array().tolist() == [[1.0, 2.0, 3.0]]

@@ -23,69 +23,64 @@ class TestConfigValidation:
             MutationConfig(**kwargs)
 
 
+def unit_box(n):
+    return BoxBounds(np.zeros(n), np.ones(n))
+
+
 class TestPolynomialMutate:
     def test_zero_probability_is_identity(self, rng):
-        x = rng.random(8)
+        x = rng.random((1, 8))
         cfg = MutationConfig(per_variable_probability=0.0)
-        out = polynomial_mutate(x, np.zeros(8), np.ones(8), cfg, rng)
+        out = polynomial_mutate(x, unit_box(8), cfg, rng)
         np.testing.assert_array_equal(out, x)
 
     def test_midpoint_draw_leaves_variable_unchanged(self, queued_rng):
         # selection draw below prob, then the symmetric u = 1/2 perturbation
         cfg = MutationConfig(per_variable_probability=1.0)
         stub = queued_rng([0.0, 0.5])
-        out = polynomial_mutate(np.array([0.3]), np.zeros(1), np.ones(1), cfg, stub)
-        assert out[0] == pytest.approx(0.3, abs=1e-15)
+        out = polynomial_mutate(np.array([[0.3]]), unit_box(1), cfg, stub)
+        assert out[0, 0] == pytest.approx(0.3, abs=1e-15)
 
     def test_one_block_picks_and_holds_each_u(self, queued_rng):
         # only variable 1 is picked, and its u is entry 3 + 1; the u = 0
         # beside it would move any variable that read it
         cfg = MutationConfig(per_variable_probability=0.5)
         stub = queued_rng([0.9, 0.1, 0.9, 0.0, 0.5, 0.0])
-        x = np.array([0.3, 0.6, 0.2])
-        np.testing.assert_array_equal(polynomial_mutate(x, np.zeros(3), np.ones(3), cfg, stub), x)
+        x = np.array([[0.3, 0.6, 0.2]])
+        np.testing.assert_array_equal(polynomial_mutate(x, unit_box(3), cfg, stub), x)
         assert stub.values == []
 
     def test_zero_probability_draws_nothing(self):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        polynomial_mutate(np.full(4, 0.5), np.zeros(4), np.ones(4), MutationConfig(per_variable_probability=0.0), rng)
+        polynomial_mutate(np.full((1, 4), 0.5), unit_box(4), MutationConfig(per_variable_probability=0.0), rng)
         assert rng.bit_generator.state == state
 
     def test_symmetry_and_bounds(self, rng):
         cfg = MutationConfig(distribution_index=20.0, per_variable_probability=1.0)
-        lo, hi = np.zeros(1), np.ones(1)
+        box = unit_box(1)
         samples = np.empty(100_000)
         for i in range(samples.shape[0]):
-            samples[i] = polynomial_mutate(np.array([0.5]), lo, hi, cfg, rng)[0]
+            samples[i] = polynomial_mutate(np.array([[0.5]]), box, cfg, rng)[0, 0]
         assert np.all(samples >= 0.0) and np.all(samples <= 1.0)
         assert abs(samples.mean() - 0.5) < 0.01
 
     def test_respects_untouched_dimensions(self, rng):
         cfg = MutationConfig(per_variable_probability=1.0)
-        x = rng.random(5) * 10 - 5
-        out = polynomial_mutate(x, np.full(5, -5.0), np.full(5, 5.0), cfg, rng)
+        x = rng.random((1, 5)) * 10 - 5
+        out = polynomial_mutate(x, BoxBounds(np.full(5, -5.0), np.full(5, 5.0)), cfg, rng)
         assert np.all(out >= -5.0) and np.all(out <= 5.0)
         assert out.shape == x.shape
 
-    @pytest.mark.parametrize(
-        "lower, upper, match",
-        [
-            ([0.0, 1.0, 0.0], [1.0, 1.0, 1.0], "lower must be < upper"),
-            ([0.0, 2.0, 0.0], [1.0, 1.0, 1.0], "lower must be < upper"),
-            ([0.0, 0.0], [1.0, 1.0, 1.0], r"lower has \(2,\)"),
-            ([0.0, 0.0, 0.0], [1.0, 1.0], r"upper \(2,\)"),
-        ],
-    )
-    def test_bad_bounds_raise_before_any_draw(self, lower, upper, match):
-        # probability 1 would mutate every variable, the degenerate one too
+    @pytest.mark.parametrize("box_width, block_width", [(2, 3), (3, 2)])
+    def test_a_block_of_another_width_raises_before_any_draw(self, box_width, block_width):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         cfg = MutationConfig(per_variable_probability=1.0)
+        match = rf"x has shape \(1, {block_width}\), but the box has {box_width} variables"
         with pytest.raises(ValueError, match=match):
-            polynomial_mutate(np.full(3, 0.5), np.array(lower), np.array(upper), cfg, rng)
+            polynomial_mutate(np.full((1, block_width), 0.5), unit_box(box_width), cfg, rng)
         assert rng.bit_generator.state == state
-
 
     @pytest.mark.parametrize("prob", [None, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("eta", [5.0, 20.0])
@@ -100,40 +95,31 @@ class TestPolynomialMutate:
         X[::3, 1], X[::4, 2], X[::5, 4] = lower[1], upper[2], upper[4]
         cfg = MutationConfig(distribution_index=eta, per_variable_probability=prob)
         got_rng, want_rng = np.random.default_rng(99), np.random.default_rng(99)
-        got = polynomial_mutate(X, lower, upper, cfg, got_rng)
+        got = polynomial_mutate(X, BoxBounds(lower, upper), cfg, got_rng)
         want = np.array([mutate_row(x, lower, upper, cfg, want_rng) for x in X])
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert (got != X).any() == (prob != 0.0)
 
-    def test_a_point_is_a_block_of_one(self):
-        lower, upper = np.zeros(6), np.ones(6)
-        x = np.random.default_rng(4).random(6)
-        cfg = MutationConfig(per_variable_probability=0.5)
-        one, block = np.random.default_rng(2), np.random.default_rng(2)
-        out = polynomial_mutate(x, lower, upper, cfg, one)
-        assert out.shape == (6,)
-        assert out.tobytes() == polynomial_mutate(x[None, :], lower, upper, cfg, block).tobytes()
-        assert one.bit_generator.state == block.bit_generator.state
-
     def test_an_empty_block_draws_nothing(self):
         rng = np.random.default_rng(6)
         state = rng.bit_generator.state
-        out = polynomial_mutate(np.empty((0, 3)), np.zeros(3), np.ones(3), MutationConfig(), rng)
+        out = polynomial_mutate(np.empty((0, 3)), unit_box(3), MutationConfig(), rng)
         assert out.shape == (0, 3)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("x, match", [
+        (np.full(3, 0.5), r"x has shape \(3,\)"),
         (np.full((2, 2, 3), 0.5), r"x has shape \(2, 2, 3\)"),
-        (np.array([0.5, 1.5, 0.5]), "within"),
+        (np.array([[0.5, 1.5, 0.5]]), "within"),
         (np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]), "within"),
-        (np.array([0.5, np.nextafter(0.0, -1.0), 0.5]), "within"),
+        (np.array([[0.5, np.nextafter(0.0, -1.0), 0.5]]), "within"),
     ])
     def test_bad_points_raise_before_any_draw(self, x, match):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=match):
-            polynomial_mutate(x, np.zeros(3), np.ones(3), MutationConfig(per_variable_probability=1.0), rng)
+            polynomial_mutate(x, unit_box(3), MutationConfig(per_variable_probability=1.0), rng)
         assert rng.bit_generator.state == state
 
 

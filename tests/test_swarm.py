@@ -65,6 +65,20 @@ class TestBoxBounds:
         with pytest.raises(ValueError, match=message):
             BoxBounds(np.array(lower), np.array(upper))
 
+    def test_the_box_keeps_its_own_copies(self):
+        lower, upper = np.zeros(2), np.ones(2)
+        b = BoxBounds(lower, upper)
+        lower[0], upper[1] = 0.9, 0.1
+        np.testing.assert_array_equal(b.lower, [0.0, 0.0])
+        np.testing.assert_array_equal(b.upper, [1.0, 1.0])
+        np.testing.assert_array_equal(b.delta, [0.5, 0.5])
+
+    @pytest.mark.parametrize("name", ["lower", "upper", "delta", "neg_delta"])
+    def test_each_array_refuses_a_write(self, name):
+        a = getattr(BoxBounds(np.zeros(2), np.ones(2)), name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.25
+
 
 class TestDefaults:
     def test_variant_schemes(self):
