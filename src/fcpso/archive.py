@@ -8,7 +8,7 @@ favour isolated entries, a generation's tournaments in one call.
 
 A candidate's shapes and finiteness are checked first, so a refused
 candidate leaves the archive as it was.  Only the dominance test depends
-on the objective count, fixed by the first accepted candidate; it yields
+on the objective count, fixed when the archive is built; it yields
 the rows a candidate beats.  Dropping them, writing the candidate at the
 next row and evicting on overflow are the same code for any count, and a
 row leaves one way: the rows after it shift down by one.  With two
@@ -104,8 +104,9 @@ class ExternalArchive:
 
     Row ``i < len(self)`` of the objective and position buffers is entry
     ``i``; entries keep the order they were inserted in, and ``_drop``
-    is the one way out.  The buffers have one spare row for the
-    candidate that overflows the capacity.
+    is the one way out.  The objective and position counts are fixed
+    when the archive is built, and the buffers have one spare row for
+    the candidate that overflows the capacity.
 
     With two objectives the entries are also a staircase: ``_f1`` and
     ``_f2`` list them by rising f1, and so by falling f2, and ``_stair``
@@ -115,17 +116,16 @@ class ExternalArchive:
     ``_crowding`` is unused.
     """
 
-    def __init__(self, capacity: int = 100):
-        check_count("capacity", capacity, 1)
+    def __init__(self, capacity: int, n_obj: int, n_var: int):
+        for name, value in (("capacity", capacity), ("n_obj", n_obj), ("n_var", n_var)):
+            check_count(name, value, 1)
         self.capacity = capacity
         self._n = 0
-        # allocated by the first insertion, which fixes both dimensions
-        self._objectives: np.ndarray | None = None
-        self._positions: np.ndarray | None = None
+        self._objectives = np.empty((capacity + 1, n_obj))
+        self._positions = np.empty((capacity + 1, n_var))
         self._crowding = np.zeros(capacity + 1)
-        # the staircase; _f1 stays None unless the first candidate has
-        # two objectives
-        self._f1: list[float] | None = None
+        # the staircase, kept only at two objectives
+        self._f1: list[float] | None = [] if n_obj == 2 else None
         self._f2: list[float] = []
         self._stair: list[int] = []
 
@@ -134,14 +134,10 @@ class ExternalArchive:
 
     def objectives_array(self) -> np.ndarray:
         """A copy of the entries' objectives, one row per entry."""
-        if self._objectives is None:
-            return np.empty((0, 0))
         return self._objectives[: self._n].copy()
 
     def positions_array(self) -> np.ndarray:
         """A copy of the entries' positions, one row per entry."""
-        if self._positions is None:
-            return np.empty((0, 0))
         return self._positions[: self._n].copy()
 
     def try_insert(self, position: np.ndarray, objectives: np.ndarray) -> str:
@@ -150,27 +146,21 @@ class ExternalArchive:
         Returns "dominated" if some entry weakly dominates the candidate
         (duplicates count), "replaced-crowded" if insertion forced a
         crowding eviction, "inserted" otherwise.  Objectives or a position
-        that are not one vector each, or a non-finite objective, raise
-        ValueError before anything else, so the archive is left as it was.
+        of another shape than the archive's vectors, or a non-finite
+        objective, raise ValueError before anything else, so the archive is
+        left as it was.
         """
         c = np.asarray(objectives, dtype=float)
         x = np.asarray(position, dtype=float)
-        if c.ndim != 1 or x.ndim != 1:
-            raise ValueError(f"candidate has objectives {c.shape} and position {x.shape}; each must be one vector")
+        held_c, held_x = self._objectives.shape[1:], self._positions.shape[1:]
+        if c.shape != held_c or x.shape != held_x:
+            raise ValueError(
+                f"candidate has objectives {c.shape} and position {x.shape}; the archive holds {held_c} and {held_x}"
+            )
         values = c.tolist()
         # a NaN would also break the staircase's order
         if not all(map(isfinite, values)):
             raise ValueError(f"objectives must be finite, got {values}")
-        if self._objectives is None:
-            self._objectives = np.empty((self.capacity + 1, *c.shape))
-            self._positions = np.empty((self.capacity + 1, *x.shape))
-            if c.shape == (2,):
-                self._f1 = []
-        elif c.shape != self._objectives.shape[1:] or x.shape != self._positions.shape[1:]:
-            raise ValueError(
-                f"candidate has objectives {c.shape} and position {x.shape}; the archive holds "
-                f"{self._objectives.shape[1:]} and {self._positions.shape[1:]}"
-            )
         f1, f2, stair = self._f1, self._f2, self._stair
         if f1 is None:
             F = self._objectives[: self._n]

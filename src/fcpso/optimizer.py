@@ -108,7 +108,7 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
 
     rng = np.random.default_rng(seed)
     swarm = initialize_swarm(problem, dyn, rng)
-    archive = ExternalArchive(cfg.archive_capacity)
+    archive = ExternalArchive(cfg.archive_capacity, problem.n_obj, problem.n_var)
     for x, y in zip(swarm.positions, swarm.pbest_objectives):
         archive.try_insert(x, y)
     evaluations = dyn.swarm_size

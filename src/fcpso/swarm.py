@@ -54,8 +54,9 @@ _DEFAULT_SCHEMES = {"smpso": _BOX_3_5, "em-smpso": _BOX_3_5, "fcpso": ParameterS
 class BoxBounds:
     """Per-variable box constraints; each velocity component lies in
     [neg_delta, delta], both derived from the box.  The box owns float
-    copies of ``lower`` and ``upper``, checked once, and all four arrays
-    are read-only, so a checked box cannot change."""
+    copies of ``lower`` and ``upper``, checked once (finite, with finite
+    widths), and all four arrays are read-only, so a checked box cannot
+    change."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -69,7 +70,12 @@ class BoxBounds:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        delta = (upper - lower) / 2.0
+        # an infinite bound or an overflowing width gives an infinite width
+        with np.errstate(over="ignore"):
+            width = upper - lower
+        if not np.isfinite(width).all():
+            raise ValueError(f"each bound and width must be finite, got lower {lower} and upper {upper}")
+        delta = width / 2.0
         for name, a in (("lower", lower), ("upper", upper), ("delta", delta), ("neg_delta", -delta)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

@@ -19,11 +19,13 @@ def entry(*objs):
     return y.copy(), y
 
 
-# (position, objectives, message) of candidates that are not one vector each
+# (position, objectives, message) of candidates that are not one vector
+# each, offered to an archive of two objectives and two variables
+HOLDS = r"; the archive holds \(2,\) and \(2,\)"
 NOT_ONE_VECTOR = [
-    pytest.param(np.zeros(1), 1.0, r"objectives \(\) and position \(1,\); each must", id="scalar-objectives"),
-    pytest.param(np.zeros(2), np.ones((2, 2)), r"objectives \(2, 2\) and position \(2,\); each must", id="2x2-objectives"),
-    pytest.param(np.zeros((1, 2)), np.ones(2), r"objectives \(2,\) and position \(1, 2\); each must", id="1x2-position"),
+    pytest.param(np.zeros(1), 1.0, r"objectives \(\) and position \(1,\)" + HOLDS, id="scalar-objectives"),
+    pytest.param(np.zeros(2), np.ones((2, 2)), r"objectives \(2, 2\) and position \(2,\)" + HOLDS, id="2x2-objectives"),
+    pytest.param(np.zeros((1, 2)), np.ones(2), r"objectives \(2,\) and position \(1, 2\)" + HOLDS, id="1x2-position"),
 ]
 
 
@@ -97,33 +99,33 @@ class TestCrowdingDistance:
 
 class TestTryInsert:
     def test_insert_non_dominated(self):
-        a = ExternalArchive(capacity=10)
+        a = ExternalArchive(10, 2, 2)
         assert a.try_insert(*entry(1.0, 0.0)) == INSERTED
         assert a.try_insert(*entry(0.0, 1.0)) == INSERTED
         assert a.try_insert(*entry(0.5, 0.5)) == INSERTED
         assert len(a) == 3
 
     def test_reject_dominated(self):
-        a = ExternalArchive(capacity=10)
+        a = ExternalArchive(10, 2, 2)
         a.try_insert(*entry(1.0, 1.0))
         assert a.try_insert(*entry(2.0, 2.0)) == DOMINATED
         assert len(a) == 1
 
     def test_reject_duplicate(self):
-        a = ExternalArchive(capacity=10)
+        a = ExternalArchive(10, 2, 2)
         a.try_insert(*entry(1.0, 1.0))
         assert a.try_insert(*entry(1.0, 1.0)) == DOMINATED
         assert len(a) == 1
 
     def test_candidate_sweeps_out_dominated_entries(self):
-        a = ExternalArchive(capacity=10)
+        a = ExternalArchive(10, 2, 2)
         a.try_insert(*entry(1.0, 3.0))
         a.try_insert(*entry(3.0, 1.0))
         assert a.try_insert(*entry(0.5, 0.5)) == INSERTED
         assert len(a) == 1
 
     def test_crowding_eviction_keeps_extremes(self):
-        a = ExternalArchive(capacity=2)
+        a = ExternalArchive(2, 2, 2)
         a.try_insert(*entry(0.0, 1.0))
         a.try_insert(*entry(1.0, 0.0))
         assert a.try_insert(*entry(0.5, 0.5)) == REPLACED_CROWDED
@@ -136,7 +138,7 @@ class TestTryInsert:
         [pytest.param(*entry(0.0, 1.0, 2.0), "the archive holds", id="wider"), *NOT_ONE_VECTOR],
     )
     def test_dimension_mismatch(self, position, objectives, match):
-        a = ExternalArchive(capacity=4)
+        a = ExternalArchive(4, 2, 2)
         a.try_insert(*entry(0.0, 1.0))
         with pytest.raises(ValueError, match=match):
             a.try_insert(position, objectives)
@@ -144,17 +146,31 @@ class TestTryInsert:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ExternalArchive(capacity=0)
+            ExternalArchive(0, 2, 2)
 
     @pytest.mark.parametrize("capacity", [True, 2.5, 10.0])
     def test_a_non_integer_capacity_is_refused(self, capacity):
         with pytest.raises(ValueError, match=f"capacity must be an integer, got {capacity!r}"):
-            ExternalArchive(capacity)
-        assert ExternalArchive(np.int64(10)).capacity == 10
+            ExternalArchive(capacity, 2, 2)
+        assert ExternalArchive(np.int64(10), 2, 2).capacity == 10
+
+    @pytest.mark.parametrize("name", ["n_obj", "n_var"])
+    @pytest.mark.parametrize(
+        "value,message",
+        [(0, "must be >= 1, got 0"), (2.0, "must be an integer, got 2.0"), (True, "must be an integer, got True")],
+        ids=["zero", "float", "bool"],
+    )
+    def test_a_bad_count_is_refused_naming_it(self, name, value, message):
+        counts = {"n_obj": 2, "n_var": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            ExternalArchive(4, **counts)
+        archive = ExternalArchive(4, n_obj=np.int64(2), n_var=np.int64(3))
+        assert archive.objectives_array().shape == (0, 2)
+        assert archive.positions_array().shape == (0, 3)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_each_candidate_gets_its_insert_outcome(self, k):
-        a = ExternalArchive(capacity=2)
+        a = ExternalArchive(2, k, k)
         pad = (0.0,) * (k - 2)
         steps = [
             ((1.0, 1.0), INSERTED),
@@ -187,7 +203,8 @@ class TestNonFiniteObjectives:
         ids=["k2-empty", "k3-empty", "k2-corners", "k3-corners", "k3-dominated"],
     )
     def test_rejected_naming_the_values(self, held, rest, bad):
-        a = ExternalArchive(capacity=2)
+        k = 1 + len(rest)
+        a = ExternalArchive(2, k, k)
         for y in held:
             a.try_insert(*entry(*y))
         before = a.objectives_array().tolist()
@@ -200,24 +217,25 @@ class TestNonFiniteObjectives:
         "position,objectives,match",
         [pytest.param(*entry(np.nan, 1.0), "finite", id="nan"), *NOT_ONE_VECTOR],
     )
-    def test_a_refused_first_candidate_leaves_the_width_open(self, position, objectives, match):
-        a = ExternalArchive(capacity=2)
+    def test_a_refused_first_candidate_leaves_the_archive_empty(self, position, objectives, match):
+        a = ExternalArchive(2, 2, 2)
         with pytest.raises(ValueError, match=match):
             a.try_insert(position, objectives)
-        assert a.objectives_array().shape == (0, 0)
-        assert a.try_insert(*entry(1.0, 2.0, 3.0)) == INSERTED
-        assert a.objectives_array().tolist() == [[1.0, 2.0, 3.0]]
+        assert a.objectives_array().shape == a.positions_array().shape == (0, 2)
+        assert a.try_insert(*entry(1.0, 2.0)) == INSERTED
+        assert a.objectives_array().tolist() == [[1.0, 2.0]]
 
 
 class TestArchiveInvariants:
     def test_a_new_archive_has_no_rows(self):
-        a = ExternalArchive(capacity=3)
+        a = ExternalArchive(3, 2, 5)
         assert len(a) == 0
-        assert a.objectives_array().shape == a.positions_array().shape == (0, 0)
+        assert a.objectives_array().shape == (0, 2)
+        assert a.positions_array().shape == (0, 5)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_fuzz_mutual_non_dominance_and_capacity(self, k, rng):
-        a = ExternalArchive(capacity=30)
+        a = ExternalArchive(30, k, k)
         for i in range(2500):
             y = rng.random(k)
             a.try_insert(y, y)
@@ -230,7 +248,7 @@ class TestArchiveInvariants:
 
     def test_matches_brute_force_filter_when_uncapped(self, rng):
         offered = rng.random((200, 3))
-        a = ExternalArchive(capacity=10_000)
+        a = ExternalArchive(10_000, 3, 3)
         for y in offered:
             a.try_insert(y, y)
         got = {tuple(y) for y in a.objectives_array()}
@@ -240,12 +258,12 @@ class TestArchiveInvariants:
 
 class TestSelectLeader:
     def test_single_entry(self, rng):
-        a = ExternalArchive(capacity=4)
+        a = ExternalArchive(4, 2, 2)
         a.try_insert(*entry(0.3, 0.7))
         np.testing.assert_array_equal(a.select_leaders(rng, 3), [[0.3, 0.7]] * 3)
 
     def test_higher_crowding_wins(self, queued_rng):
-        a = ExternalArchive(capacity=8)
+        a = ExternalArchive(8, 2, 2)
         a.try_insert(*entry(0.0, 1.0))
         a.try_insert(*entry(0.45, 0.55))
         a.try_insert(*entry(0.5, 0.5))
@@ -260,14 +278,14 @@ class TestSelectLeader:
         assert stub.values == []
 
     def test_leaders_are_a_copy(self, rng):
-        a = ExternalArchive(capacity=4)
+        a = ExternalArchive(4, 2, 2)
         a.try_insert(*entry(0.3, 0.7))
         leaders = a.select_leaders(rng, 2)
         a.try_insert(*entry(0.1, 0.1))
         np.testing.assert_array_equal(leaders, [[0.3, 0.7]] * 2)
 
     def test_draws_two_blocks(self):
-        a = ExternalArchive(capacity=8)
+        a = ExternalArchive(8, 2, 2)
         for x in np.linspace(0.0, 1.0, 5):
             a.try_insert(*entry(float(x), float(1.0 - x)))
         got, expected = np.random.default_rng(7), np.random.default_rng(7)
@@ -278,12 +296,12 @@ class TestSelectLeader:
 
     def test_three_objective_leaders_are_those_of_a_fresh_archive_of_the_same_entries(self, rng):
         def fresh_leaders(archive):
-            fresh = ExternalArchive(capacity=8)
+            fresh = ExternalArchive(8, 3, 3)
             for y in archive.objectives_array():
                 fresh.try_insert(*entry(*y))
             return fresh.select_leaders(np.random.default_rng(3), 6).tobytes()
 
-        a = ExternalArchive(capacity=8)
+        a = ExternalArchive(8, 3, 3)
         for x in np.linspace(0.0, 1.0, 5):
             a.try_insert(*entry(float(x), float(1.0 - x), 0.5))
         first = a.select_leaders(np.random.default_rng(3), 6)
@@ -298,10 +316,10 @@ class TestSelectLeader:
 
     def test_empty_archive_rejected(self, rng):
         with pytest.raises(ValueError):
-            ExternalArchive(capacity=2).select_leaders(rng, 1)
+            ExternalArchive(2, 2, 2).select_leaders(rng, 1)
 
     def test_boundary_bias(self, rng):
-        a = ExternalArchive(capacity=20)
+        a = ExternalArchive(20, 2, 2)
         for x in np.linspace(0.0, 1.0, 10):
             a.try_insert(*entry(float(x), float(1.0 - x)))
         # positions are distinct, so a leader's position names its entry

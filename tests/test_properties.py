@@ -53,7 +53,7 @@ def objective_stream(draw, slots_per_objective=0):
     # non-dominated, so the archive overflows and evicts often
     head = st.lists(st.integers(0, 10), min_size=k - 1, max_size=k - 1)
     points = draw(st.lists(st.tuples(head, st.integers(0, 2)), max_size=40))
-    return capacity, [np.array([*h, 10 * (k - 1) - sum(h) + noise], dtype=float) for h, noise in points]
+    return capacity, k, [np.array([*h, 10 * (k - 1) - sum(h) + noise], dtype=float) for h, noise in points]
 
 
 def _mutually_non_dominated(F: np.ndarray) -> bool:
@@ -67,8 +67,8 @@ def _mutually_non_dominated(F: np.ndarray) -> bool:
 @PROPERTY_SETTINGS
 @given(objective_stream())
 def test_archive_stays_non_dominated_and_within_capacity(stream):
-    capacity, points = stream
-    archive = ExternalArchive(capacity)
+    capacity, k, points = stream
+    archive = ExternalArchive(capacity, k, 1)
     for y in points:
         archive.try_insert(np.zeros(1), y)
         assert len(archive) <= capacity
@@ -78,8 +78,8 @@ def test_archive_stays_non_dominated_and_within_capacity(stream):
 @PROPERTY_SETTINGS
 @given(objective_stream(slots_per_objective=2))
 def test_archive_keeps_each_objective_minimum(stream):
-    capacity, points = stream
-    archive = ExternalArchive(capacity)
+    capacity, k, points = stream
+    archive = ExternalArchive(capacity, k, 1)
     for y in points:
         before = [*archive.objectives_array(), y]
         archive.try_insert(np.zeros(1), y)
@@ -94,16 +94,16 @@ def _points(*rows):
 @given(objective_stream(), st.integers(0, 2**32 - 1))
 # two objectives: a candidate beats an interior run of old rows, and a
 # later candidate overflows the capacity and evicts an old row
-@example((6, _points((3, 7), (6, 4), (1, 9), (8, 2), (0, 10), (10, 0), (3, 4), (5, 3.5), (2, 8.5))), 0)
+@example((6, 2, _points((3, 7), (6, 4), (1, 9), (8, 2), (0, 10), (10, 0), (3, 4), (5, 3.5), (2, 8.5))), 0)
 # two objectives: evictions of old rows next to the left end, then next to
 # the right end (at capacity > 1 an end is never the least crowded)
-@example((4, _points((4, 6), (1, 8.5), (5, 5), (9, 1.5), (0, 10), (10, 0), (7, 2.5))), 0)
+@example((4, 2, _points((4, 6), (1, 8.5), (5, 5), (9, 1.5), (0, 10), (10, 0), (7, 2.5))), 0)
 # capacity 1: two-objective evictions take the left end, then the right end
-@example((1, _points((0, 10), (10, 0), (0, 10))), 0)
-@example((1, _points((0, 5, 5), (5, 0, 5), (5, 5, 0))), 0)
+@example((1, 2, _points((0, 10), (10, 0), (0, 10))), 0)
+@example((1, 3, _points((0, 5, 5), (5, 0, 5), (5, 5, 0))), 0)
 def test_archive_matches_the_sequential_list_archive(stream, seed):
-    capacity, points = stream
-    archive, reference = ExternalArchive(capacity), ListArchive(capacity)
+    capacity, k, points = stream
+    archive, reference = ExternalArchive(capacity, k, 2), ListArchive(capacity)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     for i, y in enumerate(points):
         x = np.array([float(i), -float(i)])  # names the candidate
@@ -130,7 +130,7 @@ def two_objective_stream(draw):
 def test_two_objective_crowding_stays_bitwise_the_full_recompute(stream):
     # the staircase updates only the neighbours of each change
     capacity, points = stream
-    archive = ExternalArchive(capacity)
+    archive = ExternalArchive(capacity, 2, 1)
     for y in points:
         archive.try_insert(np.zeros(1), y)
         expected = crowding_distance(archive.objectives_array())

@@ -59,8 +59,13 @@ class TestBoxBounds:
             ([0.0, 2.0], [1.0, 1.0], "strictly below"),
             ([0.0, 0.0], [1.0], "1-D arrays of equal length"),
             ([[0.0, 0.0]], [[1.0, 1.0]], "1-D arrays of equal length"),
+            ([-np.inf, 0.0], [np.inf, 1.0], "bound and width must be finite"),
+            ([0.0], [np.inf], "bound and width must be finite"),
+            ([-1e308], [1e308], "bound and width must be finite"),
         ],
     )
+    # a width that overflows is refused without numpy's overflow warning
+    @pytest.mark.filterwarnings("error")
     def test_validation(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):
             BoxBounds(np.array(lower), np.array(upper))
