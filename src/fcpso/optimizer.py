@@ -1,12 +1,14 @@
-"""The generation loop: initialize, move, mutate, evaluate, archive, remember.
+"""The generation loop: evaluate, archive, remember, trace, then move and mutate.
 
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
 per row and which once per generation.  ``np.random.default_rng(seed)``
 is the run's only random source, and the order of its draws is part of
 the contract: a swarm of N particles over n variables starts from one
 ``rng.random(N * n)`` block of positions
-(:func:`~fcpso.swarm.initialize_swarm`), then each generation, with an
-archive of a entries, draws
+(:func:`~fcpso.swarm.initialize_swarm`).  That swarm is generation 0,
+whose personal-best step draws ``rng.random(0)``, nothing, as every
+personal best starts at +inf; then each generation, with an archive of
+a entries, draws
 
 1. the leaders: ``rng.integers(0, a, size=(N, 2))``, then ``rng.random(N)``
    for ties (:meth:`~fcpso.archive.ExternalArchive.select_leaders`);
@@ -72,6 +74,11 @@ class RunConfig:
         if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
             raise ValueError(f"hv_target_fraction must lie in [0, 1], got {self.hv_target_fraction!r}")
         check_count("record_interval", self.record_interval, 0)
+        if self.hv_target_fraction is not None and self.record_interval > 1:
+            raise ValueError(
+                f"record_interval {self.record_interval} would be ignored: hv_target_fraction "
+                f"{self.hv_target_fraction!r} traces every generation, so record_interval must be 0 or 1"
+            )
 
     def hv_target(self, problem: ProblemInstance) -> float | None:
         """The hypervolume that stops a run on ``problem``; None under pure
@@ -109,26 +116,24 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     rng = np.random.default_rng(seed)
     swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity, problem.n_obj, problem.n_var)
-    for x, y in zip(swarm.positions, swarm.pbest_objectives):
-        archive.try_insert(x, y)
-    evaluations = dyn.swarm_size
-
     trace: list[tuple[int, float]] = []
     interval = 1 if hv_target is not None else cfg.record_interval
-    generation = 0
-
-    def target_reached() -> bool:
-        """Trace the archive hypervolume when due; True once it meets the target."""
-        if not interval or generation % interval:
-            return False
-        hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
-        trace.append((evaluations, hv))
-        return hv_target is not None and hv >= hv_target
-
     em = dyn.variant != "smpso"
     X, V, M, P = swarm.positions, swarm.velocities, swarm.momenta, swarm.pbest_positions
-    done = target_reached()
-    while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
+    evaluations = generation = 0
+    while True:
+        objectives = np.array([problem.evaluate(x) for x in X])
+        evaluations += dyn.swarm_size
+        for x, y in zip(X, objectives):
+            archive.try_insert(x, y)
+        update_pbest(swarm, objectives, rng)
+        if interval and not generation % interval:
+            hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
+            trace.append((evaluations, hv))
+            if hv_target is not None and hv >= hv_target:
+                break
+        if evaluations + dyn.swarm_size > cfg.max_evaluations:
+            break
         # the archive is frozen while the swarm moves
         leaders = archive.select_leaders(rng, dyn.swarm_size)
         coefficients = draw_coefficients(dyn.scheme, rng, em, dyn.swarm_size).tolist()
@@ -139,13 +144,6 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
                 V[i] = compute_speed_smpso(X[i], V[i], P[i], leaders[i], coefficients[i], dyn.inertia, bounds)
         update_position(swarm, bounds)
         apply_turbulence(X, bounds, cfg.mutation, rng)
-        objectives = np.array([problem.evaluate(x) for x in X])
-        evaluations += dyn.swarm_size
-        for x, y in zip(X, objectives):
-            archive.try_insert(x, y)
-        update_pbest(swarm, objectives, rng)
         generation += 1
-        done = target_reached()
 
     return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)
-

@@ -15,8 +15,9 @@ Sampling is split from the dynamics: :func:`draw_coefficients` draws a
 generation's coefficients as one block, and the ``compute_speed_*``
 kernels take one particle's rows and its row of coefficients.  The
 position/bounce and personal-best steps run once over the whole block.
-Every draw, the initial swarm's included, comes from the run's one
-``np.random.Generator``; :mod:`fcpso.optimizer` gives the order.
+The initial swarm is drawn, not evaluated, with its personal-best
+objectives at +inf.  Every draw comes from the run's one
+``np.random.Generator``, in the order :mod:`fcpso.optimizer` gives.
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ class BoxBounds:
         upper = np.array(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-D arrays of equal length")
-        if not np.all(lower < upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
-        # an infinite bound or an overflowing width gives an infinite width
-        with np.errstate(over="ignore"):
+        # a NaN or infinite bound or an overflowing width gives a non-finite width
+        with np.errstate(over="ignore", invalid="ignore"):
             width = upper - lower
         if not np.isfinite(width).all():
             raise ValueError(f"each bound and width must be finite, got lower {lower} and upper {upper}")
+        if not np.all(lower < upper):
+            raise ValueError("each lower bound must be strictly below its upper bound")
         delta = width / 2.0
         for name, a in (("lower", lower), ("upper", upper), ("delta", delta), ("neg_delta", -delta)):
             a.setflags(write=False)
@@ -193,7 +194,7 @@ def update_position(swarm: Swarm, bounds: BoxBounds) -> None:
 
 def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> Swarm:
     """Uniform random positions, zero velocities and momenta (a coherent
-    rest state), pbest = evaluated start.
+    rest state), pbest = the start at +inf objectives; generation 0 evaluates.
 
     One ``rng.random(N * n)`` block is mapped row by row as
     ``low + (high - low) * u``, which is what ``Generator.uniform``
@@ -201,8 +202,7 @@ def initialize_swarm(problem, cfg: DynamicsConfig, rng: np.random.Generator) -> 
     """
     low, high = problem.bounds.lower, problem.bounds.upper
     x = low + (high - low) * rng.random(cfg.swarm_size * low.shape[0]).reshape(cfg.swarm_size, -1)
-    objectives = np.array([problem.evaluate(row) for row in x], dtype=float)
-    return Swarm(x, np.zeros_like(x), np.zeros_like(x), x.copy(), objectives)
+    return Swarm(x, np.zeros_like(x), np.zeros_like(x), x.copy(), np.full((cfg.swarm_size, problem.n_obj), np.inf))
 
 
 def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator) -> None:
@@ -210,9 +210,10 @@ def update_pbest(swarm: Swarm, objectives: np.ndarray, rng: np.random.Generator)
     newcomer (an equal one included) replaces the memory with probability
     1/2.
 
-    Objectives are finite (the problems reject anything else), so one
-    pair of comparison matrices decides dominance both ways.  Only the
-    k undecided rows draw: one ``rng.random(k)`` block, in row order.
+    The newcomers are finite (the problems reject anything else), so one
+    pair of comparison matrices decides dominance both ways, and each
+    replaces an initial +inf memory.  Only the k undecided rows draw: one
+    ``rng.random(k)`` block, in row order, so the first update draws none.
     """
     objectives = np.asarray(objectives, dtype=float)
     better = (objectives < swarm.pbest_objectives).any(axis=1)

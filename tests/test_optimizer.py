@@ -7,7 +7,7 @@ from fcpso.archive import non_dominated_mask
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, RunResult, run
 from fcpso.problems import get_problem
-from fcpso.swarm import DynamicsConfig
+from fcpso.swarm import DynamicsConfig, initialize_swarm
 
 
 def quick_cfg(variant="fcpso", swarm=20, evals=600, **kwargs):
@@ -97,12 +97,48 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=refusal):
             run(get_problem("zdt1"), RunConfig(max_evaluations=200), seed)
 
+    @pytest.mark.parametrize("interval", [2, 5])
+    def test_a_record_interval_a_target_would_ignore_is_refused(self, interval):
+        with pytest.raises(ValueError, match=f"record_interval {interval} would be ignored: hv_target_fraction 0.5"):
+            RunConfig(hv_target_fraction=0.5, record_interval=interval)
+        for kept in (0, 1):
+            assert RunConfig(hv_target_fraction=0.5, record_interval=kept).record_interval == kept
+
     def test_a_result_holds_only_what_the_run_produced(self):
         assert [f.name for f in fields(RunResult)] == [
             "front_objectives", "front_positions", "evaluations_used", "hv_trace",
         ]
         result = run(get_problem("zdt1"), quick_cfg(), seed=9)
         assert result.front_size == len(result.front_objectives) == len(result.front_positions)
+
+
+def counted(problem):
+    """``problem`` with an evaluator that appends each point it is given to
+    the returned list."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return problem.evaluate(x)
+
+    return replace(problem, evaluate=evaluate), calls
+
+
+class TestEvaluationCount:
+    def test_the_initial_swarm_is_drawn_not_evaluated(self):
+        problem, calls = counted(get_problem("zdt1"))
+        initialize_swarm(problem, DynamicsConfig(swarm_size=20), np.random.default_rng(1))
+        assert calls == []
+
+    @pytest.mark.parametrize("evals, target", [(450, None), (4000, 0.5)], ids=["budget", "target"])
+    def test_a_run_evaluates_exactly_the_evaluations_it_reports(self, evals, target):
+        problem, calls = counted(get_problem("zdt1"))
+        result = run(problem, quick_cfg(swarm=20, evals=evals, hv_target_fraction=target), seed=2)
+        assert len(calls) == result.evaluations_used
+        if target is None:
+            assert result.evaluations_used == 440  # 450 is no multiple of the swarm
+        else:
+            assert result.evaluations_used < evals  # the target stopped the run
 
 
 class TestHvTarget:

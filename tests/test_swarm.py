@@ -62,6 +62,8 @@ class TestBoxBounds:
             ([-np.inf, 0.0], [np.inf, 1.0], "bound and width must be finite"),
             ([0.0], [np.inf], "bound and width must be finite"),
             ([-1e308], [1e308], "bound and width must be finite"),
+            ([np.nan], [1.0], "bound and width must be finite"),
+            ([0.0], [np.nan], "bound and width must be finite"),
         ],
     )
     # a width that overflows is refused without numpy's overflow warning
@@ -311,8 +313,8 @@ class TestInitializeSwarm:
         assert np.all(s.velocities == 0.0)
         assert np.all(s.momenta == 0.0)
         np.testing.assert_array_equal(s.pbest_positions, s.positions)
-        for x, y in zip(s.positions, s.pbest_objectives):
-            np.testing.assert_allclose(y, problem.evaluate(x))
+        # nothing is evaluated yet: the first update_pbest replaces every row
+        assert np.all(s.pbest_objectives == np.inf)
 
     def test_deterministic(self):
         problem = get_problem("zdt1")
