@@ -28,7 +28,11 @@ for pt in sorted(points, key=lambda p: p.mu):
     bar = "#" * int(round(40 * min(pt.normalized_hv, 1.2)))
     print(f"{pt.mu:>+7.2f} {pt.normalized_hv:>14.4f}  {bar}")
 
+under = [pt.normalized_hv for pt in points if pt.mu < 0]
+collapsed = [pt.mu for pt in points if pt.mu > 0 and pt.normalized_hv < 0.9]
 print()
-print("under-constriction (mu <= 0.1) is harmless here - at this reduced")
-print("budget the momentum swarms even lead the baseline - while")
-print("over-constriction collapses performance once mu passes ~0.25.")
+print(f"under-constricted swarms (mu < 0) reach {min(under):.4f} to {max(under):.4f} of the baseline hv;")
+if collapsed:
+    print(f"the smallest over-constriction (mu > 0) below 0.9 of it is mu = {min(collapsed):+.2f}.")
+else:
+    print("no over-constricted swarm (mu > 0) falls below 0.9 of it on this grid.")

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._checks import check_count, is_count
+from ._checks import check_count
 from .fairness import ParameterScheme, UnreachableUnfairnessError, scheme_for_unfairness
 from .indicators import additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
@@ -126,7 +126,7 @@ def _execute(task: _Task) -> dict:
         metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
     if not (wanted or fe):
         return metrics
-    cfg = replace(task.cfg, hv_target_fraction=None, record_interval=int(fe)) if wanted else task.cfg
+    cfg = replace(task.cfg, hv_target_fraction=None, trace_hv=fe) if wanted else task.cfg
     result = run(problem, cfg, task.seed)
     front, reference = result.front_objectives, problem.reference_front
     for ind in wanted:
@@ -150,8 +150,7 @@ def _check_workers(workers) -> int:
     """``workers`` as a process count; None means one per CPU this process may run on."""
     if workers is None:
         return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    if not is_count(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_count("workers", workers, 1)
     return workers
 
 

@@ -108,35 +108,37 @@ def write_front_csv(path, objectives: np.ndarray) -> None:
     _write_matrix_csv(path, objectives, "f")
 
 
+def _parses(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_front_csv(path) -> np.ndarray:
     """Read a front CSV (optional f1,...,fk header; one point per row).
 
-    Malformed rows (a non-numeric or non-finite field, or a column count
-    unlike the first row's) are rejected with their 1-based row number.
-    A UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    The first non-blank line is a header when none of its fields is a
+    number.  Malformed rows (a non-numeric or non-finite field, or a
+    column count unlike the first row's) are rejected with their 1-based
+    row number.  A UTF-8 byte-order mark, as spreadsheet exports write,
+    is skipped.
     """
-    rows: list[list[float]] = []
-    width = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = [float(c) for c in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}: non-numeric field in row {lineno}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: non-finite field in row {lineno}")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(values)} columns, expected {width}"
-                )
-            rows.append(values)
+        lines = [(lineno, line.strip().split(",")) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if lines and not any(_parses(c) for c in lines[0][1]):
+        del lines[0]  # header row
+    rows: list[list[float]] = []
+    for lineno, fields in lines:
+        if not all(_parses(c) for c in fields):
+            raise ValueError(f"{path}: non-numeric field in row {lineno}")
+        values = [float(c) for c in fields]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite field in row {lineno}")
+        if rows and len(values) != len(rows[0]):
+            raise ValueError(f"{path}: row {lineno} has {len(values)} columns, expected {len(rows[0])}")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)

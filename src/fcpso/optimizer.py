@@ -26,8 +26,8 @@ One run is fully determined by (problem, config, seed), which name it;
 its :class:`RunResult` holds only what it produced.  Termination is
 either an evaluation budget or reaching a fraction of a reference
 hypervolume, whichever comes first.  The archive hypervolume is traced
-from the initial swarm on, every generation under a hypervolume target
-and every ``record_interval`` generations otherwise.
+every generation, from the initial swarm on, when a hypervolume target
+or ``trace_hv`` asks for a trace.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class RunConfig:
     max_evaluations: int = 25_000
     archive_capacity: int = 100
     hv_target_fraction: float | None = None  # None -> pure budget termination
-    record_interval: int = 0  # generations between hv-trace samples (0 = off)
+    trace_hv: bool = False  # trace the archive hv every generation (a target always does)
 
     def __post_init__(self) -> None:
         check_count("archive_capacity", self.archive_capacity, 1)
@@ -73,12 +73,8 @@ class RunConfig:
             )
         if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
             raise ValueError(f"hv_target_fraction must lie in [0, 1], got {self.hv_target_fraction!r}")
-        check_count("record_interval", self.record_interval, 0)
-        if self.hv_target_fraction is not None and self.record_interval > 1:
-            raise ValueError(
-                f"record_interval {self.record_interval} would be ignored: hv_target_fraction "
-                f"{self.hv_target_fraction!r} traces every generation, so record_interval must be 0 or 1"
-            )
+        if not isinstance(self.trace_hv, (bool, np.bool_)):
+            raise ValueError(f"trace_hv must be a bool, got {self.trace_hv!r}")
 
     def hv_target(self, problem: ProblemInstance) -> float | None:
         """The hypervolume that stops a run on ``problem``; None under pure
@@ -117,17 +113,17 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
     swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity, problem.n_obj, problem.n_var)
     trace: list[tuple[int, float]] = []
-    interval = 1 if hv_target is not None else cfg.record_interval
+    traced = cfg.trace_hv or hv_target is not None
     em = dyn.variant != "smpso"
     X, V, M, P = swarm.positions, swarm.velocities, swarm.momenta, swarm.pbest_positions
-    evaluations = generation = 0
+    evaluations = 0
     while True:
         objectives = np.array([problem.evaluate(x) for x in X])
         evaluations += dyn.swarm_size
         for x, y in zip(X, objectives):
             archive.try_insert(x, y)
         update_pbest(swarm, objectives, rng)
-        if interval and not generation % interval:
+        if traced:
             hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
             trace.append((evaluations, hv))
             if hv_target is not None and hv >= hv_target:
@@ -144,6 +140,5 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
                 V[i] = compute_speed_smpso(X[i], V[i], P[i], leaders[i], coefficients[i], dyn.inertia, bounds)
         update_position(swarm, bounds)
         apply_turbulence(X, bounds, cfg.mutation, rng)
-        generation += 1
 
     return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)

@@ -126,11 +126,10 @@ def run_oracle(problem, cfg, seed) -> RunResult:
         archive.try_insert(p.position, p.pbest_objectives)
     evaluations = dyn.swarm_size
     trace = []
-    interval = 1 if hv_target is not None else cfg.record_interval
-    generation = 0
+    traced = cfg.trace_hv or hv_target is not None
 
     def target_reached():
-        if not interval or generation % interval:
+        if not traced:
             return False
         hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
         trace.append((evaluations, hv))
@@ -162,7 +161,6 @@ def run_oracle(problem, cfg, seed) -> RunResult:
             archive.try_insert(p.position, y)
         for p, y in zip(swarm, objectives):
             remember(p, y, rng)
-        generation += 1
         done = target_reached()
 
     return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)

@@ -66,6 +66,8 @@ class TestFrontCsv:
         ("f1,f2\n0.0,1.0\ninf,0.1\n", "non-finite field in row 3"),
         ("0.0,-inf\n", "non-finite field in row 1"),
         ("f1,f2\n", "no data rows"),
+        ("0.5,0.5x\n0.0,1.0\n1.0,0.0\n", "non-numeric field in row 1"),
+        ("f1,0.5\n0.0,1.0\n", "non-numeric field in row 1"),
     ])
     def test_malformed_row_is_named(self, tmp_path, text, message):
         path = tmp_path / "front.csv"
@@ -81,9 +83,11 @@ class TestFrontCsv:
         path.write_bytes(text.encode("utf-8-sig"))
         np.testing.assert_array_equal(read_front_csv(path), [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
 
-    def test_a_blank_line_between_rows_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize("text", ["f1,f2\n0.1,0.9\n\n  \n0.9,0.1\n", "\n\nf1,f2\n0.1,0.9\n0.9,0.1\n"],
+                             ids=["between-rows", "before-the-header"])
+    def test_a_blank_line_is_skipped(self, tmp_path, text):
         path = tmp_path / "front.csv"
-        path.write_text("f1,f2\n0.1,0.9\n\n  \n0.9,0.1\n")
+        path.write_text(text)
         np.testing.assert_array_equal(read_front_csv(path), [[0.1, 0.9], [0.9, 0.1]])
 
 

@@ -81,7 +81,7 @@ class TestRunBasics:
 
     @pytest.mark.parametrize("key, value", [
         ("archive_capacity", 1.5), ("archive_capacity", True), ("max_evaluations", 250.7),
-        ("max_evaluations", 300.0), ("record_interval", 0.5), ("record_interval", False),
+        ("max_evaluations", 300.0),
     ])
     def test_a_non_integer_count_is_refused_naming_it(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
@@ -97,12 +97,12 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=refusal):
             run(get_problem("zdt1"), RunConfig(max_evaluations=200), seed)
 
-    @pytest.mark.parametrize("interval", [2, 5])
-    def test_a_record_interval_a_target_would_ignore_is_refused(self, interval):
-        with pytest.raises(ValueError, match=f"record_interval {interval} would be ignored: hv_target_fraction 0.5"):
-            RunConfig(hv_target_fraction=0.5, record_interval=interval)
-        for kept in (0, 1):
-            assert RunConfig(hv_target_fraction=0.5, record_interval=kept).record_interval == kept
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_a_trace_hv_that_is_not_a_bool_is_refused_naming_it(self, value):
+        with pytest.raises(ValueError, match=f"trace_hv must be a bool, got {value!r}"):
+            RunConfig(trace_hv=value)
+        for kept in (True, False, np.True_, np.False_):
+            assert RunConfig(trace_hv=kept).trace_hv == kept
 
     def test_a_result_holds_only_what_the_run_produced(self):
         assert [f.name for f in fields(RunResult)] == [
@@ -176,19 +176,20 @@ class TestHvTarget:
         drops = np.maximum(hvs[:-1] - hvs[1:], 0.0)
         assert np.all(drops <= 0.01 * np.maximum(hvs[:-1], 1e-12))
 
-    def test_record_interval_in_budget_mode(self):
+    def test_a_target_traces_whatever_trace_hv_says(self):
         problem = get_problem("zdt1")
-        cfg = quick_cfg(swarm=20, evals=400, record_interval=5)
-        result = run(problem, cfg, seed=1)
-        # the initial swarm and generations 5, 10, 15 of the 19 the budget allows
-        assert [evals for evals, _ in result.hv_trace] == [20, 120, 220, 320]
+        cfg = quick_cfg(swarm=20, evals=4000, hv_target_fraction=0.5)
+        on, off = run(problem, replace(cfg, trace_hv=True), seed=3), run(problem, cfg, seed=3)
+        assert off.hv_trace and on.hv_trace == off.hv_trace
+        assert on.front_objectives.tobytes() == off.front_objectives.tobytes()
+        assert on.front_positions.tobytes() == off.front_positions.tobytes()
 
     @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
     def test_traced_budget_run_starts_with_the_target_run(self, variant):
         problem = get_problem("zdt1")
         cfg = quick_cfg(variant=variant, swarm=20, evals=4000)
         target = run(problem, replace(cfg, hv_target_fraction=0.5), seed=2)
-        budget = run(problem, replace(cfg, record_interval=1), seed=2)
+        budget = run(problem, replace(cfg, trace_hv=True), seed=2)
         assert target.evaluations_used < budget.evaluations_used
         assert budget.hv_trace[: len(target.hv_trace)] == target.hv_trace
         assert len(budget.hv_trace) == budget.evaluations_used // 20
@@ -200,7 +201,7 @@ class TestHvTarget:
         from loop_oracle import run_oracle
 
         problem = get_problem("dtlz1", 5)
-        cfg = quick_cfg(swarm=20, evals=2000, archive_capacity=100, record_interval=1)
+        cfg = quick_cfg(swarm=20, evals=2000, archive_capacity=100, trace_hv=True)
         result = run(problem, cfg, seed=1)
         values = [hv for _, hv in result.hv_trace]
         assert len(values) == 100 and any(a == b for a, b in zip(values, values[1:]))

@@ -377,8 +377,7 @@ def run_cases(draw):
         max_evaluations=swarm * draw(st.integers(1, 8)) + draw(st.integers(0, swarm - 1)),
         archive_capacity=draw(st.integers(1, 30)),
         hv_target_fraction=target,
-        # a target traces every generation, so it takes an interval of 0 or 1 only
-        record_interval=draw(st.integers(0, 3 if target is None else 1)),
+        trace_hv=draw(st.booleans()),
     )
     return problem, cfg
 
