@@ -68,6 +68,9 @@ class ExperimentSpec:
         bad = [i for i in self.indicators if i not in INDICATORS]
         if bad:
             raise ValueError(f"unknown indicators {bad}; choose from {INDICATORS}")
+        for i, ind in enumerate(self.indicators):
+            if ind in self.indicators[:i]:
+                raise ValueError(f"indicator {ind!r} is repeated; an experiment scores each indicator once")
         if "fe" in self.indicators and self.hv_target_fraction is None:
             raise ValueError("the fe indicator needs an hv_target_fraction")
         for v in self.variants:
@@ -166,8 +169,8 @@ def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> Non
 
 def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers: int) -> dict:
     """Run each distinct (problem, config key) cell once per seed, over
-    ``workers`` processes; ids that build the same problem ("dtlz2",
-    "DTLZ2:3") share one cell.
+    at most ``workers`` processes and never more than the tasks; ids that
+    build the same problem ("dtlz2", "DTLZ2:3") share one cell.
 
     Returns {(problem id, key): metrics of seeds base_seed, base_seed + 1, ...}
     for every id as written.
@@ -180,7 +183,8 @@ def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indica
         runs_as[pid] = first.setdefault((problem.name, problem.n_obj), pid)
     cells = [(pid, key) for pid in first.values() for key in configs]
     tasks = [_Task(pid, seed, configs[key], indicators) for pid, key in cells for seed in seeds]
-    if workers == 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))  # a pool forks every worker it is given, used or not
+    if workers <= 1:
         metrics = [_execute(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # here, so a serial batch never loads the pool stack
@@ -308,13 +312,17 @@ def mann_whitney_p(sample_a, sample_b) -> float:
 
     Exact rank-sum enumeration for tie-free samples of combined size
     <= 16, normal approximation with tie correction otherwise.  Two
-    identical samples give p = 1.
+    identical samples give p = 1.  A NaN has no rank, so it is refused;
+    an infinite value ranks as the extreme it is.
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValueError("both samples need at least 2 observations")
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if np.isnan(sample).any():
+            raise ValueError(f"{name} holds a NaN, which has no rank")
     # one sort ranks the pooled values: t tied values ending at rank r share the midrank r - (t - 1) / 2
     _, value_of, ties = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
     midranks = np.cumsum(ties) - (ties - 1) / 2.0

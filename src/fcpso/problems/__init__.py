@@ -29,7 +29,7 @@ from ..swarm import BoxBounds
 from . import fronts
 from .dtlz import dtlz_dimension, dtlz_evaluator
 from .fronts import ZDT6_F1_MIN
-from .wfg import wfg_bounds, wfg_evaluator
+from .wfg import wfg_bounds, wfg_evaluator, wfg_scales
 from .zdt import ZDT_DIMENSIONS, zdt1, zdt2, zdt3, zdt4, zdt6
 
 __all__ = [
@@ -153,7 +153,7 @@ def _build(name: str, m: int) -> ProblemInstance:
         lower, upper = wfg_bounds(m)
         front = fronts.wfg_front(index, m)
     # nadir + 1: 2 for ZDT/DTLZ, 2j + 1 for WFG, 2m + 1 for DTLZ7's last objective
-    reference_point = 2.0 * np.arange(1, m + 1) + 1.0 if suite == "wfg" else np.full(m, 2.0)
+    reference_point = wfg_scales(m) + 1.0 if suite == "wfg" else np.full(m, 2.0)
     if name == "dtlz7":
         reference_point[-1] = 2.0 * m + 1.0
     bounds = BoxBounds(lower, upper)

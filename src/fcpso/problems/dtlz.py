@@ -3,10 +3,11 @@
 Decision dimension follows the canonical convention n = m + p - 1 with
 p = 5 (DTLZ1), 10 (DTLZ2-6) or 20 (DTLZ7) distance variables.
 
-:func:`dtlz_evaluator` builds one evaluator per (index, m).
-The products over the position variables come from one ``np.cumprod``,
-multiplied in the order of the textbook loop, so every output is bitwise
-that loop's.  Sums are ``np.add.reduce``, the pairwise reduction
+:func:`dtlz_evaluator` builds one evaluator per (index, m).  The
+position products come from one ``np.cumprod`` in :func:`objectives`,
+in the textbook loop's order, so every output is bitwise that loop's;
+WFG's linear, convex and concave shapes are that product at scale 1,
+clipped to [0, 1].  Sums are ``np.add.reduce``, the pairwise reduction
 ``np.sum`` runs, without its Python wrapper.
 """
 
@@ -36,7 +37,7 @@ def _g_sphere(xm: np.ndarray) -> float:
     return float(np.add.reduce((xm - 0.5) ** 2))
 
 
-def _objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
+def objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
     """f_i = scale * prod(factors[:m-1-i]) * last[m-1-i], where f_0 takes
     no factor of ``last`` and f_{m-1} no product; m-1 factors each."""
     f = np.full(factors.shape[0] + 1, scale)
@@ -57,7 +58,7 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
 
         def evaluate(x):
             pos = x[: m - 1]
-            return _objectives(0.5 * (1.0 + _g_rastrigin(x[m - 1 :])), pos, 1.0 - pos)
+            return objectives(0.5 * (1.0 + _g_rastrigin(x[m - 1 :])), pos, 1.0 - pos)
 
         return evaluate
 
@@ -68,7 +69,7 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
         def evaluate(x):
             pos = x[: m - 1]
             theta = (pos if power is None else pos**power) * (np.pi / 2.0)
-            return _objectives(1.0 + g(x[m - 1 :]), np.cos(theta), np.sin(theta))
+            return objectives(1.0 + g(x[m - 1 :]), np.cos(theta), np.sin(theta))
 
         return evaluate
 
@@ -80,7 +81,7 @@ def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
             theta = np.empty(m - 1)
             theta[0] = pos[0] * (np.pi / 2.0)
             theta[1:] = (np.pi / (4.0 * (1.0 + g))) * (1.0 + 2.0 * g * pos[1:])
-            return _objectives(1.0 + g, np.cos(theta), np.sin(theta))
+            return objectives(1.0 + g, np.cos(theta), np.sin(theta))
 
         return evaluate
 

@@ -17,6 +17,8 @@ from math import comb
 
 import numpy as np
 
+from .wfg import wfg_scales
+
 __all__ = ["zdt_front", "dtlz_front", "wfg_front", "ZDT6_F1_MIN", "simplex_lattice"]
 
 # Smallest reachable f1 of ZDT6: 1 - max exp(-4 x) sin^6(6 pi x), the
@@ -116,4 +118,4 @@ def wfg_front(index: int, m: int, n_points: int = 1000) -> np.ndarray | None:
     WFG1-3."""
     if index < 4:
         return None
-    return _sphere(m, n_points) * (2.0 * np.arange(1, m + 1, dtype=float))
+    return _sphere(m, n_points) * wfg_scales(m)

@@ -4,10 +4,12 @@ Each problem maps z in [0, 2], [0, 4], ..., [0, 2n] through a chain of
 shift/bias/reduction transformations onto underlying parameters in
 [0, 1], then applies a shape function scaled by S_j = 2j.  Every problem
 runs at the canonical size of Huband et al. (IEEE TEVC 2006): k = 2(m-1)
-position and l = 20 distance parameters.
+position and l = 20 distance parameters.  That 2i rule is written once,
+in :func:`wfg_scales`.  The linear, convex and concave shapes are the
+DTLZ product :func:`.dtlz.objectives` at scale 1, clipped to [0, 1].
 
 :func:`wfg_evaluator` builds one evaluator per (index, m), for which
-the 2i input scales, S_j, the group slices with their weight vectors and
+the input scales, S_j, the group slices with their weight vectors and
 divisors, and the transformation constants are computed once, so a call
 only transforms z.  The outputs are bitwise those of a direct
 transcription of the suite: reductions keep their ``np.dot`` order, and
@@ -22,7 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["wfg_evaluator", "wfg_bounds", "wfg_dimension", "WFG_DISTANCE_VARS"]
+from .dtlz import objectives
+
+__all__ = ["wfg_evaluator", "wfg_bounds", "wfg_dimension", "wfg_scales", "WFG_DISTANCE_VARS"]
 
 WFG_DISTANCE_VARS = 20
 
@@ -35,10 +39,14 @@ def wfg_dimension(m: int) -> int:
     return wfg_position_vars(m) + WFG_DISTANCE_VARS
 
 
+def wfg_scales(count: int) -> np.ndarray:
+    """2, 4, ..., 2 * count: the bounds z_i,max = 2i and the scales S_j = 2j."""
+    return 2.0 * np.arange(1, count + 1, dtype=float)
+
+
 def wfg_bounds(m: int) -> tuple[np.ndarray, np.ndarray]:
     n = wfg_dimension(m)
-    upper = 2.0 * np.arange(1, n + 1, dtype=float)
-    return np.zeros(n), upper
+    return np.zeros(n), wfg_scales(n)
 
 
 def _clip01(y):
@@ -133,29 +141,18 @@ def _r_sum(y: np.ndarray, groups) -> list[float]:
 # --- shapes -----------------------------------------------------------------
 
 
-def _shape(factors: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """h_1 = prod(f), h_j = prod(f[:m-j]) * last[m-j] for 1 < j < m and
-    h_m = last[0], clipped to [0, 1]; f and last have m-1 entries."""
-    prods = np.cumprod(factors)
-    out = np.empty(factors.shape[0] + 1)
-    out[0] = prods[-1]
-    out[1:-1] = prods[:-1][::-1] * last[1:][::-1]
-    out[-1] = last[0]
-    return _clip01(out)
-
-
 def _shape_linear(x):
-    return _shape(x, 1.0 - x)
+    return _clip01(objectives(1.0, x, 1.0 - x))
 
 
 def _shape_convex(x):
     angle = x * np.pi / 2.0
-    return _shape(1.0 - np.cos(angle), 1.0 - np.sin(angle))
+    return _clip01(objectives(1.0, 1.0 - np.cos(angle), 1.0 - np.sin(angle)))
 
 
 def _shape_concave(x):
     angle = x * np.pi / 2.0
-    return _shape(np.sin(angle), np.cos(angle))
+    return _clip01(objectives(1.0, np.sin(angle), np.cos(angle)))
 
 
 def _shape_mixed(x1, alpha, a):
@@ -180,8 +177,7 @@ def wfg_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
     k, l = wfg_position_vars(m), WFG_DISTANCE_VARS
     n = k + l
     gap = k // (m - 1)
-    scale = 2.0 * np.arange(1, n + 1, dtype=float)
-    s = 2.0 * np.arange(1, m + 1, dtype=float)
+    scale, s = wfg_scales(n), wfg_scales(m)
     a = np.ones(m - 1)
     if index == 3:  # degenerate: only the first position parameter spans the front
         a[1:] = 0.0

@@ -454,13 +454,16 @@ class TestBenchmark:
         ("max_evaluations = 50", "max_evaluations must cover at least one swarm evaluation"),
         ("archive_capacity = 0", "archive_capacity must be >= 1"),
         ("variants = smpso, smpso", "variant 'smpso' is repeated"),
+        # a small budget, so a spec that is wrongly accepted fails fast
+        ("indicators = hv, hv\nrepetitions = 2\nmax_evaluations = 200\nswarm_size = 20", "indicator 'hv' is repeated"),
     ])
     def test_budget_and_capacity_errors_exit_1(self, tmp_path, capsys, line, named):
         spec = tmp_path / "bad.spec"
         spec.write_text(f"[experiment]\nproblems = zdt1\n{line}\n")
         code = run_cli("benchmark", str(spec), "--workers", "1", "--out", str(tmp_path))
         assert code == 1
-        assert f"error: {named}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {named}" in err
         assert not (tmp_path / "comparison.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

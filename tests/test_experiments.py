@@ -63,6 +63,20 @@ class TestMannWhitney:
         with pytest.raises(ValueError):
             mann_whitney_p([1.0], [2.0, 3.0])
 
+    @pytest.mark.parametrize("a, b, named", [
+        ([np.nan, 1.0], [2.0, 3.0], "sample_a"),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0], "sample_b"),
+        ([1.0, np.nan, 2.0] * 6, [1.0, 2.0, 3.0] * 6, "sample_a"),  # the normal approximation's size
+    ])
+    def test_a_nan_is_refused_naming_its_sample(self, a, b, named):
+        # np.unique sorts a NaN last, so it would silently rank as the largest value
+        with pytest.raises(ValueError, match=f"{named} holds a NaN"):
+            mann_whitney_p(a, b)
+
+    def test_an_infinite_value_ranks_as_the_extreme(self):
+        assert mann_whitney_p([np.inf, 1.0, 4.0], [2.0, 3.0, 5.0]) == mann_whitney_p([9.0, 1.0, 4.0], [2.0, 3.0, 5.0])
+        assert mann_whitney_p([-np.inf, 1.0, 4.0], [2.0, 3.0, 5.0]) == mann_whitney_p([0.0, 1.0, 4.0], [2.0, 3.0, 5.0])
+
     @pytest.mark.parametrize(
         "a, b",
         [
@@ -171,6 +185,8 @@ class TestExperimentSpec:
             ExperimentSpec(problems=("zdt1",), variants=("smpso",))
         with pytest.raises(ValueError, match="variant 'fcpso' is repeated"):
             ExperimentSpec(problems=("zdt1",), variants=("fcpso", "smpso", "fcpso"))
+        with pytest.raises(ValueError, match="indicator 'hv' is repeated"):
+            ExperimentSpec(problems=("zdt1",), indicators=("hv", "igd", "hv"))
         with pytest.raises(ValueError):
             ExperimentSpec(problems=())
         with pytest.raises(ValueError):
@@ -239,6 +255,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=refusal):
             run_experiment(small_spec, workers=workers)
         assert started == []
+
+    def test_the_pool_is_never_larger_than_the_task_count(self, monkeypatch):
+        # a fake pool that runs in this process: a real one forks all its workers at the first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        spec = ExperimentSpec(problems=("zdt1",), repetitions=2, max_evaluations=40, swarm_size=20, archive_capacity=20)
+        rows = run_experiment(spec, workers=64)
+        assert sizes == [4]  # 2 variants x 2 seeds
+        assert rows == run_experiment(spec, workers=1) and sizes == [4]
+        one_task = {"smpso": spec.run_config("smpso")}
+        _run_cells(("zdt1",), one_task, 1, 1, ("hv",), 64)
+        assert sizes == [4]  # one task runs serially, with no pool
 
     def test_default_workers_are_the_usable_cpus(self):
         assert experiments._check_workers(None) == len(os.sched_getaffinity(0))
