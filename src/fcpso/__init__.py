@@ -31,7 +31,7 @@ from .fairness import (
     unfairness,
     unfairness_restricted,
 )
-from .indicators import additive_epsilon, hypervolume, igd, spacing
+from .indicators import HvTrace, additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig, apply_turbulence, polynomial_mutate
 from .optimizer import RunConfig, RunResult, run
 from .problems import ProblemInstance, available_problems, get_problem

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from ._checks import check_count
+from ._checks import check_count, check_fraction
 from .experiments import ExperimentSpec, run_experiment, unfairness_profile
 from .fairness import (
     ParameterScheme,
@@ -29,7 +29,7 @@ from .fairness import (
     solve_fair_phi2,
     unfairness,
 )
-from .indicators import additive_epsilon, hypervolume, igd, spacing
+from .indicators import HvTrace, additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
 from .problems import get_problem, parse_problem_id
@@ -85,8 +85,8 @@ def _seed(text) -> int:
 
 # section -> key -> parser of the key's text.  [mutation] and [experiment]
 # keys are MutationConfig and ExperimentSpec fields; [run] keys are the
-# DynamicsConfig and RunConfig fields, the run seed, and hv_target, which
-# sets RunConfig.hv_target_fraction.
+# DynamicsConfig and RunConfig fields, the run seed, and hv_target, the
+# fraction of the reference hypervolume at which an HvTrace ends the run.
 _KEYS = {
     "run": {
         "variant": str,
@@ -162,14 +162,12 @@ def load_config_file(path, sections=tuple(_KEYS)) -> dict[str, dict]:
 def cmd_solve(args) -> int:
     config = load_config_file(args.config, ("run", "mutation")) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in _KEYS["run"] and v is not None}
-    if "scheme" in flags:
-        flags["scheme"] = _convert(_scheme, flags["scheme"], "--scheme")
-    if "seed" in flags:
-        flags["seed"] = _convert(_seed, flags["seed"], "--seed")
+    for key in ("scheme", "seed"):  # checked by their [run] key's parser, as in a config file
+        if key in flags:
+            flags[key] = _convert(_KEYS["run"][key], flags[key], f"--{key}")
     values = {**config.get("run", {}), **flags}  # a given flag, 0 included, beats the file
     seed = values.pop("seed", 1)
-    if "hv_target" in values:
-        values["hv_target_fraction"] = values.pop("hv_target")
+    hv_target = values.pop("hv_target", None)
     dynamics = {key: values.pop(key) for key in _DYNAMICS_FIELDS & values.keys()}
 
     problem = _convert(lambda pid: get_problem(*parse_problem_id(pid)), args.problem, f"--problem {args.problem}")
@@ -179,14 +177,16 @@ def cmd_solve(args) -> int:
             mutation=MutationConfig(**config.get("mutation", {})),
             **values,
         )
-        cfg.hv_target(problem)  # raises when the problem has no reference hypervolume
+        if hv_target is not None:
+            check_fraction("hv_target", hv_target)  # named as the user wrote it, not as HvTrace's fraction
+        trace = None if hv_target is None else HvTrace(problem, hv_target)  # raises without a reference hv
         out_dir = io.run_directory(io.results_root(args.out), problem, cfg, seed)
-        io.check_run_directory(out_dir, cfg)
+        io.check_run_directory(out_dir, cfg, trace)
     except ValueError as exc:  # a bad option or config value, or another run's directory
         raise UsageError(str(exc)) from None
 
-    result = run(problem, cfg, seed)
-    io.write_run_result(out_dir, problem, cfg, seed, result)
+    result = run(problem, cfg, seed, observe=trace)
+    io.write_run_result(out_dir, problem, cfg, seed, result, trace)
 
     hv = hypervolume(result.front_objectives, problem.hv_reference_point)
     print(f"problem={problem.name}")

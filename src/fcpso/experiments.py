@@ -8,8 +8,8 @@ Each distinct (problem, configuration) cell runs once per seed, and every
 task makes one run; ids that build one (name, objective count), such as
 "dtlz2" and "DTLZ2:3", share a cell.  The "fe" indicator, the evaluations
 until the archive hv first reaches hv_target_fraction of the reference
-hv, is read from the budget run's per-generation hv trace, or, when fe
-is the only indicator, from a run that stops at that target.  A one-point
+hv, is read from an ``HvTrace`` of the budget run, or, when fe is the only
+indicator, of a run that the trace stops at that target.  A one-point
 front's sp, like igd or eps without a reference front, is an error row.
 """
 
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import check_count, check_fraction
 from .fairness import ParameterScheme, UnreachableUnfairnessError, scheme_for_unfairness
-from .indicators import additive_epsilon, hypervolume, igd, spacing
+from .indicators import HvTrace, additive_epsilon, hypervolume, igd, spacing
 from .mutation import MutationConfig
 from .optimizer import RunConfig, run
 from .problems import get_problem, parse_problem_id
@@ -73,8 +73,10 @@ class ExperimentSpec:
                 raise ValueError(f"indicator {ind!r} is repeated; an experiment scores each indicator once")
         if "fe" in self.indicators and self.hv_target_fraction is None:
             raise ValueError("the fe indicator needs an hv_target_fraction")
+        if self.hv_target_fraction is not None:
+            check_fraction("hv_target_fraction", self.hv_target_fraction)
         for v in self.variants:
-            self.run_config(v)  # raises on a variant, budget, capacity or hv target out of range
+            self.run_config(v)  # raises on a variant, budget or capacity out of range
 
     def run_config(self, variant: str) -> RunConfig:
         """The configuration of every run of ``variant``."""
@@ -83,7 +85,6 @@ class ExperimentSpec:
             mutation=self.mutation,
             max_evaluations=self.max_evaluations,
             archive_capacity=self.archive_capacity,
-            hv_target_fraction=self.hv_target_fraction,
         )
 
 
@@ -113,13 +114,14 @@ class _Task:
     seed: int
     cfg: RunConfig
     indicators: tuple[str, ...]
+    hv_target_fraction: float | None = None  # defines fe
 
 
 def _execute(task: _Task) -> dict:
     """One run of the task's problem, configuration and seed, and its metrics.
 
     fe alone stops the run at the hv target; beside another indicator, fe
-    is read from a budget run traced every generation.
+    is read from the trace of a budget run.
     """
     problem = get_problem(*parse_problem_id(task.problem_id))
     wanted = tuple(i for i in task.indicators if i != "fe")
@@ -129,8 +131,8 @@ def _execute(task: _Task) -> dict:
         metrics["fe"] = f"error: no reference hypervolume for {problem.name}"
     if not (wanted or fe):
         return metrics
-    cfg = replace(task.cfg, hv_target_fraction=None, trace_hv=fe) if wanted else task.cfg
-    result = run(problem, cfg, task.seed)
+    trace = HvTrace(problem, None if wanted else task.hv_target_fraction) if fe else None
+    result = run(problem, task.cfg, task.seed, observe=trace)
     front, reference = result.front_objectives, problem.reference_front
     for ind in wanted:
         if ind == "hv":
@@ -144,8 +146,8 @@ def _execute(task: _Task) -> dict:
             metrics[ind] = (igd if ind == "igd" else additive_epsilon)(front, reference)
     metrics["front_size"] = front.shape[0]
     if fe:  # evaluations at the first traced hv that meets the target, else the whole run
-        target = task.cfg.hv_target(problem)
-        metrics["fe"] = float(next((e for e, hv in result.hv_trace if hv >= target), result.evaluations_used))
+        target = task.hv_target_fraction * problem.reference_hv
+        metrics["fe"] = float(next((e for e, hv in trace.points if hv >= target), result.evaluations_used))
     return metrics
 
 
@@ -167,7 +169,8 @@ def _check_plan(problems, repetitions: int, minimum: int, base_seed: int) -> Non
     check_count("base_seed", base_seed, 0)
 
 
-def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers: int) -> dict:
+def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indicators, workers: int,
+               hv_target_fraction: float | None = None) -> dict:
     """Run each distinct (problem, config key) cell once per seed, over
     at most ``workers`` processes and never more than the tasks; ids that
     build the same problem ("dtlz2", "DTLZ2:3") share one cell.
@@ -182,7 +185,7 @@ def _run_cells(problems, configs: dict, repetitions: int, base_seed: int, indica
         problem = get_problem(*parse_problem_id(pid))
         runs_as[pid] = first.setdefault((problem.name, problem.n_obj), pid)
     cells = [(pid, key) for pid in first.values() for key in configs]
-    tasks = [_Task(pid, seed, configs[key], indicators) for pid, key in cells for seed in seeds]
+    tasks = [_Task(pid, seed, configs[key], indicators, hv_target_fraction) for pid, key in cells for seed in seeds]
     workers = min(workers, len(tasks))  # a pool forks every worker it is given, used or not
     if workers <= 1:
         metrics = [_execute(t) for t in tasks]
@@ -205,7 +208,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Com
     over ``workers`` processes (default: one per usable CPU)."""
     workers = _check_workers(workers)
     configs = {variant: spec.run_config(variant) for variant in spec.variants}
-    by_cell = _run_cells(spec.problems, configs, spec.repetitions, spec.base_seed, spec.indicators, workers)
+    by_cell = _run_cells(spec.problems, configs, spec.repetitions, spec.base_seed, spec.indicators, workers,
+                         spec.hv_target_fraction)
     return [
         _compare_cell(pid, ind, va, vb, by_cell[(pid, va)], by_cell[(pid, vb)])
         for pid in spec.problems

@@ -1,4 +1,4 @@
-"""Quality indicators: hypervolume, IGD, additive epsilon, spacing.
+"""Quality indicators: hypervolume, IGD, additive epsilon, spacing, and an hv trace.
 
 All indicators assume minimization and refuse a NaN or infinite entry
 in any input.  Hypervolume is exact: a sweep for two objectives, a
@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import check_fraction
 from .archive import non_dominated_mask
 
 __all__ = [
     "hypervolume",
+    "HvTrace",
     "igd",
     "additive_epsilon",
     "spacing",
@@ -185,6 +187,27 @@ def _hv_limit_sets(F: np.ndarray, r: np.ndarray) -> float:
             limit[group] = _hv_4d(points, r_head)
     area = np.cumsum(np.prod(r_head - head, axis=1) - limit)
     return float(np.sum(np.diff(F[:, -1], append=r[-1]) * area))
+
+
+class HvTrace:
+    """An observer for :func:`fcpso.optimizer.run`: ``points`` holds the
+    (evaluations, archive hypervolume) of every generation it saw, and a
+    ``fraction`` ends the run at the first hv that reaches that fraction
+    of ``problem.reference_hv``, the only reference."""
+
+    def __init__(self, problem, fraction: float | None = None) -> None:
+        if fraction is not None:
+            check_fraction("fraction", fraction)
+            if problem.reference_hv is None:
+                raise ValueError(f"hv-target termination needs a reference hypervolume, and {problem.name} has none")
+        self.problem = problem
+        self.fraction = fraction
+        self.points: list[tuple[int, float]] = []
+
+    def __call__(self, evaluations: int, archive) -> bool:
+        hv = hypervolume(archive.objectives_array(), self.problem.hv_reference_point)
+        self.points.append((evaluations, hv))
+        return self.fraction is not None and hv >= self.fraction * self.problem.reference_hv
 
 
 def igd(front: np.ndarray, reference_front: np.ndarray) -> float:

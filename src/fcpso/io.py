@@ -8,9 +8,9 @@ read back, by ``read_front_csv``.  A run lands in
 ``<root>/<problem>-<m>/<variant>/<seed>/``, m being the objective count,
 and ``write_run_result`` writes all its files.  Its ``meta.txt`` takes
 the run's identity from its inputs, (problem, config, seed), one source
-per line, then records every other setting that determines it, so that a
-run with other settings is refused that directory, and ends with the
-result's evaluations and front size.
+per line, then records every other setting that determines it (an
+``HvTrace``'s target too), so that a run with other settings is refused
+that directory, and ends with the result's evaluations and front size.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ComparisonRow, ProfilePoint
+from .indicators import HvTrace
 from .optimizer import RunConfig, RunResult
 from .problems import ProblemInstance
 
@@ -32,7 +33,6 @@ __all__ = [
     "check_run_directory",
     "write_front_csv",
     "read_front_csv",
-    "write_hv_trace_csv",
     "write_run_result",
     "write_comparison_csv",
     "write_profile_csv",
@@ -64,7 +64,7 @@ def run_directory(root: Path, problem: ProblemInstance, cfg: RunConfig, seed: in
     return Path(root) / f"{problem.name}-{problem.n_obj}" / cfg.dynamics.variant / str(seed)
 
 
-def _run_settings(cfg: RunConfig) -> dict[str, str]:
+def _run_settings(cfg: RunConfig, trace: HvTrace | None) -> dict[str, str]:
     """The settings a run's directory does not name, keyed as in a
     ``solve`` config file: the ``meta.txt`` lines that tell two runs of
     one directory apart."""
@@ -76,21 +76,21 @@ def _run_settings(cfg: RunConfig) -> dict[str, str]:
         "swarm_size": str(dyn.swarm_size),
         "archive_capacity": str(cfg.archive_capacity),
         "max_evaluations": str(cfg.max_evaluations),
-        "hv_target": _cell(cfg.hv_target_fraction),
+        "hv_target": _cell(None if trace is None else trace.fraction),
         "distribution_index": fmt(mutation.distribution_index),
         "per_variable_probability": _cell(mutation.per_variable_probability),
         "particle_fraction": fmt(mutation.particle_fraction),
     }
 
 
-def check_run_directory(directory, cfg: RunConfig) -> None:
+def check_run_directory(directory, cfg: RunConfig, trace: HvTrace | None = None) -> None:
     """Raise ValueError, naming the directory and the key, when its
-    ``meta.txt`` records a setting with another value than ``cfg``'s; a
-    key that an older ``meta.txt`` lacks is no conflict."""
+    ``meta.txt`` records a setting with another value than ``cfg``'s or
+    ``trace``'s; a key that an older ``meta.txt`` lacks is no conflict."""
     path = Path(directory) / "meta.txt"
     if not path.is_file():
         return
-    settings = _run_settings(cfg)
+    settings = _run_settings(cfg, trace)
     for line in path.read_text(encoding="utf-8").splitlines():
         key, _, recorded = line.partition("=")
         if settings.get(key, recorded) != recorded:
@@ -144,24 +144,21 @@ def read_front_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_hv_trace_csv(path, trace) -> None:
-    _write_csv(path, ("evaluations", "hv"), [(f"{evals}", fmt(hv)) for evals, hv in trace])
-
-
-def write_run_result(directory, problem: ProblemInstance, cfg: RunConfig, seed: int, result: RunResult) -> Path:
+def write_run_result(directory, problem: ProblemInstance, cfg: RunConfig, seed: int, result: RunResult,
+                     trace: HvTrace | None = None) -> Path:
     """Write the front, positions and ``meta.txt`` of ``run(problem, cfg,
-    seed)``, and the hv trace when recorded (removing one an earlier run
-    left when not)."""
+    seed, observe=trace)``, and the trace's points when it has any
+    (removing an hv trace an earlier run left when not)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_front_csv(directory / "front.csv", result.front_objectives)
     _write_matrix_csv(directory / "positions.csv", result.front_positions, "x")
     inputs = {"problem": problem.name, "objectives": problem.n_obj, "variant": cfg.dynamics.variant, "seed": seed}
     outputs = {"evaluations": result.evaluations_used, "front_size": result.front_size}
-    meta = {**inputs, **_run_settings(cfg), **outputs}
+    meta = {**inputs, **_run_settings(cfg, trace), **outputs}
     (directory / "meta.txt").write_text("".join(f"{key}={value}\n" for key, value in meta.items()), encoding="utf-8")
-    if result.hv_trace:
-        write_hv_trace_csv(directory / "hv_trace.csv", result.hv_trace)
+    if trace is not None and trace.points:
+        _write_csv(directory / "hv_trace.csv", ("evaluations", "hv"), [(f"{e}", fmt(hv)) for e, hv in trace.points])
     else:
         (directory / "hv_trace.csv").unlink(missing_ok=True)
     return directory

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_fraction
 from .swarm import BoxBounds
 
 __all__ = ["MutationConfig", "polynomial_mutate", "apply_turbulence"]
@@ -28,11 +29,9 @@ class MutationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.distribution_index < np.inf:
             raise ValueError(f"distribution_index must be finite and > 0, got {self.distribution_index!r}")
-        p = self.per_variable_probability
-        if p is not None and not 0.0 <= p <= 1.0:
-            raise ValueError(f"per_variable_probability must lie in [0, 1], got {p!r}")
-        if not 0.0 <= self.particle_fraction <= 1.0:
-            raise ValueError(f"particle_fraction must lie in [0, 1], got {self.particle_fraction!r}")
+        if self.per_variable_probability is not None:
+            check_fraction("per_variable_probability", self.per_variable_probability)
+        check_fraction("particle_fraction", self.particle_fraction)
 
 
 def polynomial_mutate(x: np.ndarray, bounds: BoxBounds, cfg: MutationConfig, rng: np.random.Generator) -> np.ndarray:

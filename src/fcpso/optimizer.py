@@ -1,4 +1,4 @@
-"""The generation loop: evaluate, archive, remember, trace, then move and mutate.
+"""The generation loop: evaluate, archive, remember, observe, then move and mutate.
 
 The swarm is a block of arrays; :mod:`fcpso.swarm` says which steps run
 per row and which once per generation.  ``np.random.default_rng(seed)``
@@ -24,21 +24,20 @@ a entries, draws
 
 One run is fully determined by (problem, config, seed), which name it;
 its :class:`RunResult` holds only what it produced.  Termination is
-either an evaluation budget or reaching a fraction of a reference
-hypervolume, whichever comes first.  The archive hypervolume is traced
-every generation, from the initial swarm on, when a hypervolume target
-or ``trace_hv`` asks for a trace.
+the evaluation budget or an observer: ``observe(evaluations, archive)``
+runs after every generation's personal-best step, generation 0's
+included, reads the archive, and ends the run by returning true.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._checks import check_count
 from .archive import ExternalArchive
-from .indicators import hypervolume
 from .mutation import MutationConfig, apply_turbulence
 from .problems import ProblemInstance
 from .swarm import (
@@ -60,8 +59,6 @@ class RunConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
     max_evaluations: int = 25_000
     archive_capacity: int = 100
-    hv_target_fraction: float | None = None  # None -> pure budget termination
-    trace_hv: bool = False  # trace the archive hv every generation (a target always does)
 
     def __post_init__(self) -> None:
         check_count("archive_capacity", self.archive_capacity, 1)
@@ -71,49 +68,32 @@ class RunConfig:
                 f"max_evaluations must cover at least one swarm evaluation: got {self.max_evaluations!r}, "
                 f"swarm_size is {self.dynamics.swarm_size}"
             )
-        if self.hv_target_fraction is not None and not 0.0 <= self.hv_target_fraction <= 1.0:
-            raise ValueError(f"hv_target_fraction must lie in [0, 1], got {self.hv_target_fraction!r}")
-        if not isinstance(self.trace_hv, (bool, np.bool_)):
-            raise ValueError(f"trace_hv must be a bool, got {self.trace_hv!r}")
-
-    def hv_target(self, problem: ProblemInstance) -> float | None:
-        """The hypervolume that stops a run on ``problem``; None under pure
-        budget termination.  ``problem.reference_hv`` is the only reference;
-        ``dataclasses.replace(problem, reference_hv=...)`` sets another."""
-        if self.hv_target_fraction is None:
-            return None
-        if problem.reference_hv is None:
-            raise ValueError(f"hv-target termination needs a reference hypervolume, and {problem.name} has none")
-        return self.hv_target_fraction * problem.reference_hv
 
 
 @dataclass
 class RunResult:
-    """A run's outputs: the archive as the front, the evaluations used and
-    the hv trace; the run itself is named by its inputs, not repeated here."""
+    """A run's outputs: the archive as the front and the evaluations used;
+    the run itself is named by its inputs, not repeated here."""
 
     front_objectives: np.ndarray
     front_positions: np.ndarray
     evaluations_used: int
-    hv_trace: list[tuple[int, float]]
 
     @property
     def front_size(self) -> int:
         return self.front_objectives.shape[0]
 
 
-def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
-    """Execute one optimization run and return the archive as the front."""
+def run(problem: ProblemInstance, cfg: RunConfig, seed: int, observe: Callable | None = None) -> RunResult:
+    """Execute one optimization run and return the archive as the front;
+    ``observe(evaluations, archive)``, such as an ``indicators.HvTrace``, may end it."""
     check_count("seed", seed, 0)
     dyn = cfg.dynamics
     bounds = problem.bounds
-    hv_target = cfg.hv_target(problem)
 
     rng = np.random.default_rng(seed)
     swarm = initialize_swarm(problem, dyn, rng)
     archive = ExternalArchive(cfg.archive_capacity, problem.n_obj, problem.n_var)
-    trace: list[tuple[int, float]] = []
-    traced = cfg.trace_hv or hv_target is not None
     em = dyn.variant != "smpso"
     X, V, M, P = swarm.positions, swarm.velocities, swarm.momenta, swarm.pbest_positions
     evaluations = 0
@@ -123,11 +103,8 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         for x, y in zip(X, objectives):
             archive.try_insert(x, y)
         update_pbest(swarm, objectives, rng)
-        if traced:
-            hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
-            trace.append((evaluations, hv))
-            if hv_target is not None and hv >= hv_target:
-                break
+        if observe is not None and observe(evaluations, archive):
+            break
         if evaluations + dyn.swarm_size > cfg.max_evaluations:
             break
         # the archive is frozen while the swarm moves
@@ -141,4 +118,4 @@ def run(problem: ProblemInstance, cfg: RunConfig, seed: int) -> RunResult:
         update_position(swarm, bounds)
         apply_turbulence(X, bounds, cfg.mutation, rng)
 
-    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)
+    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations)

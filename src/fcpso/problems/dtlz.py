@@ -40,7 +40,8 @@ def _g_sphere(xm: np.ndarray) -> float:
 def objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
     """f_i = scale * prod(factors[:m-1-i]) * last[m-1-i], where f_0 takes
     no factor of ``last`` and f_{m-1} no product; m-1 factors each."""
-    f = np.full(factors.shape[0] + 1, scale)
+    f = np.empty(factors.shape[0] + 1)
+    f.fill(scale)
     f[:-1] *= np.cumprod(factors)[::-1]
     f[1:] *= last[::-1]
     return f

@@ -27,17 +27,10 @@ ZDT6_F1_MIN = 0.28077531881536977
 
 
 def simplex_lattice(m: int, h: int) -> np.ndarray:
-    """All compositions of h into m parts, scaled to the unit simplex."""
-    rows = []
-    for cuts in combinations(range(h + m - 1), m - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(h + m - 2 - prev)
-        rows.append(parts)
-    return np.array(rows, dtype=float) / h
+    """All compositions of h into m parts (the gaps of m - 1 cuts in h + m - 1 slots) on the unit simplex."""
+    cuts = np.array(list(combinations(range(h + m - 1), m - 1)))
+    edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, h + m - 1))
+    return (np.diff(edges, axis=1) - 1) / h
 
 
 def _lattice_h(m: int, target: int) -> int:
@@ -70,10 +63,8 @@ def _grid_non_dominated_mask(last: np.ndarray) -> np.ndarray:
         lowest = np.minimum.accumulate(lowest, axis=axis)
     below = np.full(last.shape, np.inf)
     for axis in range(last.ndim):
-        to = [slice(None)] * last.ndim
-        frm = [slice(None)] * last.ndim
-        to[axis], frm[axis] = slice(1, None), slice(None, -1)
-        below[tuple(to)] = np.minimum(below[tuple(to)], lowest[tuple(frm)])
+        into = np.moveaxis(below, axis, 0)  # a view, so writes land in below
+        into[1:] = np.minimum(into[1:], np.moveaxis(lowest, axis, 0)[:-1])
     return last < below
 
 

@@ -7,8 +7,8 @@ archive insertion, personal best) runs once per particle in swarm order,
 and the archive is the list-based ``archive_oracle.ListArchive``.  The
 draws come in the blocks that ``fcpso.optimizer`` documents, and each
 particle takes its own slice of a block, so ``fcpso.optimizer.run`` must
-reproduce this loop bitwise: same fronts, positions, hv trace and
-evaluation count.  The turbulence is ``mutate_row``, this module's own
+reproduce this loop bitwise: same fronts, positions and evaluation
+count, and the same calls to an observer.  The turbulence is ``mutate_row``, this module's own
 per-row polynomial mutation, independent of ``fcpso.mutation``.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 from archive_oracle import ListArchive, dominates
 
 from fcpso.constriction import chi_momentum, chi_vanilla
-from fcpso.indicators import hypervolume
 from fcpso.optimizer import RunResult
 
 
@@ -114,31 +113,24 @@ def initial_swarm(problem, dyn, rng):
     return swarm
 
 
-def run_oracle(problem, cfg, seed) -> RunResult:
+def run_oracle(problem, cfg, seed, observe=None) -> RunResult:
     """``fcpso.optimizer.run`` as a per-particle loop."""
     rng = np.random.default_rng(seed)
     dyn, bounds = cfg.dynamics, problem.bounds
-    hv_target = cfg.hv_target(problem)
 
     swarm = initial_swarm(problem, dyn, rng)
     archive = ListArchive(cfg.archive_capacity)
     for p in swarm:
         archive.try_insert(p.position, p.pbest_objectives)
     evaluations = dyn.swarm_size
-    trace = []
-    traced = cfg.trace_hv or hv_target is not None
 
-    def target_reached():
-        if not traced:
-            return False
-        hv = hypervolume(archive.objectives_array(), problem.hv_reference_point)
-        trace.append((evaluations, hv))
-        return hv_target is not None and hv >= hv_target
+    def stop():
+        return observe is not None and observe(evaluations, archive)
 
     em = dyn.variant != "smpso"
     lo, hi = dyn.scheme.phi1 / 2.0, dyn.scheme.phi2 / 2.0
     beta1, beta2 = dyn.scheme.beta1, dyn.scheme.beta2
-    done = target_reached()
+    done = stop()
     while not done and evaluations + dyn.swarm_size <= cfg.max_evaluations:
         leaders = archive.select_leaders(rng, dyn.swarm_size)
         u = rng.random((dyn.swarm_size, 5 if em else 4))
@@ -161,6 +153,6 @@ def run_oracle(problem, cfg, seed) -> RunResult:
             archive.try_insert(p.position, y)
         for p, y in zip(swarm, objectives):
             remember(p, y, rng)
-        done = target_reached()
+        done = stop()
 
-    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations, trace)
+    return RunResult(archive.objectives_array(), archive.positions_array(), evaluations)

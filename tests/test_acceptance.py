@@ -45,10 +45,10 @@ def batch(problem_id: str, variant: str, indicators=("hv",)):
         mutation=MutationConfig(),
         max_evaluations=25_000,
         archive_capacity=100,
-        hv_target_fraction=0.95 if "fe" in indicators else None,
     )
     t0 = time.perf_counter()
-    cells = _run_cells([problem_id], {variant: cfg}, len(SEEDS), SEEDS[0], tuple(indicators), WORKERS)
+    cells = _run_cells([problem_id], {variant: cfg}, len(SEEDS), SEEDS[0], tuple(indicators), WORKERS,
+                       hv_target_fraction=0.95)
     return cells[(problem_id, variant)], time.perf_counter() - t0
 
 

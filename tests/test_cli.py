@@ -57,11 +57,13 @@ TABLE_CASES = [
 
 
 class _Captured(Exception):
-    pass
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args)
+        self.kwargs = kwargs
 
 
 def _capture(*args, **kwargs):
-    raise _Captured(*args)
+    raise _Captured(*args, **kwargs)
 
 
 def _fields(obj) -> dict:
@@ -82,8 +84,9 @@ def _settings_reached(tmp_path, command, sections) -> dict:
         (spec,) = captured.value.args
         return {"experiment": _fields(spec), "mutation": _fields(spec.mutation)}
     _, run_cfg, seed = captured.value.args
+    trace = captured.value.kwargs["observe"]
     run_values = {**_fields(run_cfg), **_fields(run_cfg.dynamics)}
-    run_values.update(seed=seed, hv_target=run_cfg.hv_target_fraction)
+    run_values.update(seed=seed, hv_target=None if trace is None else trace.fraction)
     return {"run": run_values, "mutation": _fields(run_cfg.mutation)}
 
 
@@ -166,17 +169,25 @@ class TestSolve:
             meta = (tmp_path / f"dtlz2-{m}" / "fcpso" / "1" / "meta.txt").read_text()
             assert "problem=dtlz2\n" in meta and f"objectives={m}\n" in meta
 
-    @pytest.mark.parametrize("argv, config", [
-        (["--hv-target", "0.9"], ""), ([], "[run]\nhv_target = 0.9\n"),
-    ], ids=["flag", "config"])
-    def test_hv_target_without_a_reference_hv_exits_1_before_any_run(self, tmp_path, capsys, argv, config):
+    NO_REFERENCE = "hv-target termination needs a reference hypervolume, and dtlz2 has none"
+
+    @pytest.mark.parametrize("problem, argv, config, refusal", [
+        ("dtlz2", ["--hv-target", "0.9"], "", NO_REFERENCE),
+        ("dtlz2", [], "[run]\nhv_target = 0.9\n", NO_REFERENCE),
+        ("zdt1", ["--hv-target", "1.5"], "", "hv_target must lie in [0, 1], got 1.5"),
+        ("zdt1", [], "[run]\nhv_target = 1.5\n", "hv_target must lie in [0, 1], got 1.5"),
+        ("zdt1", [], "[run]\nhv_target = nan\n", "hv_target must lie in [0, 1], got nan"),
+    ], ids=["flag", "config", "flag-above-1", "config-above-1", "config-nan"])
+    def test_hv_target_without_a_reference_hv_exits_1_before_any_run(
+        self, tmp_path, capsys, problem, argv, config, refusal
+    ):
         if config:
             (tmp_path / "hv.cfg").write_text(config)
             argv = ["--config", str(tmp_path / "hv.cfg")]
-        code = run_cli("solve", "--problem", "dtlz2", *argv, "--out", str(tmp_path / "out"))
+        code = run_cli("solve", "--problem", problem, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
-        err = capsys.readouterr().err
-        assert "error: hv-target termination needs a reference hypervolume, and dtlz2 has none" in err
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {refusal}\n" in err
         assert not (tmp_path / "out").exists()
 
     def test_a_scheme_whose_draws_overflow_chi_exits_1_naming_it(self, tmp_path, capsys):

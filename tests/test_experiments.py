@@ -195,8 +195,11 @@ class TestExperimentSpec:
             ExperimentSpec(problems=("zdt1",), max_evaluations=50)
         with pytest.raises(ValueError, match="archive_capacity"):
             ExperimentSpec(problems=("zdt1",), archive_capacity=0)
-        with pytest.raises(ValueError, match="hv_target_fraction"):
+        with pytest.raises(ValueError, match=r"hv_target_fraction must lie in \[0, 1\], got 1.5"):
             ExperimentSpec(problems=("zdt1",), hv_target_fraction=1.5)
+        for value in (True, np.True_, "0.9"):
+            with pytest.raises(ValueError, match=f"hv_target_fraction must be a real number, got {value!r}"):
+                ExperimentSpec(problems=("zdt1",), hv_target_fraction=value)
         with pytest.raises(ValueError, match="base_seed"):
             ExperimentSpec(problems=("zdt1",), base_seed=-1)
         with pytest.raises(ValueError, match="fe indicator needs an hv_target_fraction"):
@@ -317,7 +320,7 @@ class TestRunExperiment:
         (pair,) = run_experiment(spec, workers=1)
         runs = []
         real_run = experiments.run
-        monkeypatch.setattr(experiments, "run", lambda *args: runs.append(args) or real_run(*args))
+        monkeypatch.setattr(experiments, "run", lambda *args, **kw: runs.append(args) or real_run(*args, **kw))
         assert run_experiment(replace(spec, problems=("zdt1", "zdt1")), workers=1) == [pair, pair]
         assert len(runs) == 8  # 2 variants x 4 seeds
 
@@ -373,23 +376,23 @@ class TestRunExperiment:
 
 class TestOneRunPerTask:
     @staticmethod
-    def task(problem_id, indicators, variant="fcpso", **changes):
+    def task(problem_id, indicators, variant="fcpso", hv_target_fraction=0.5, **changes):
         cfg = RunConfig(
             dynamics=DynamicsConfig(variant=variant, swarm_size=20),
             max_evaluations=4000,
             archive_capacity=20,
-            hv_target_fraction=0.5,
         )
-        return _Task(problem_id, 1, replace(cfg, **changes), indicators)
+        return _Task(problem_id, 1, replace(cfg, **changes), indicators, hv_target_fraction)
 
     @pytest.fixture
     def runs(self, monkeypatch):
+        """The observer of each run ``experiments`` makes, in order."""
         calls = []
         real_run = experiments.run
 
-        def counted(problem, cfg, seed=None):
-            calls.append(cfg)
-            return real_run(problem, cfg, seed)
+        def counted(problem, cfg, seed, observe=None):
+            calls.append(observe)
+            return real_run(problem, cfg, seed, observe=observe)
 
         monkeypatch.setattr(experiments, "run", counted)
         return calls
@@ -397,12 +400,13 @@ class TestOneRunPerTask:
     @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
     def test_fe_alone_and_with_other_indicators_agree(self, runs, variant):
         alone = _execute(self.task("zdt1", ("fe",), variant))
-        assert len(runs) == 1 and runs[0].hv_target_fraction == 0.5
+        assert len(runs) == 1 and runs[0].fraction == 0.5
         full = _execute(self.task("zdt1", ("hv", "igd", "fe"), variant))
-        assert len(runs) == 2 and runs[1].hv_target_fraction is None
+        assert len(runs) == 2 and runs[1].fraction is None
         assert full["fe"] == alone["fe"] < 4000
+        assert runs[1].points[: len(runs[0].points)] == runs[0].points
         hv_only = _execute(self.task("zdt1", ("hv",), variant))
-        assert len(runs) == 3 and runs[2].hv_target_fraction is None
+        assert len(runs) == 3 and runs[2] is None
         assert hv_only["hv"] == full["hv"]
 
     def test_unreached_target_reports_the_whole_budget(self, runs):
@@ -431,7 +435,7 @@ class TestUnfairnessProfile:
         single = {mu: unfairness_profile(["zdt1"], [mu], **kwargs)[0][0] for mu in (0.2, -0.0)}
         runs = []
         real_run = experiments.run
-        monkeypatch.setattr(experiments, "run", lambda *args: runs.append(args) or real_run(*args))
+        monkeypatch.setattr(experiments, "run", lambda *args, **kw: runs.append(args) or real_run(*args, **kw))
         points, notices = unfairness_profile(["zdt1"], [0.2, -0.0, 0.2, 0.49, 0.0], **kwargs)
         assert len(runs) == 2 * 3  # the baseline, 0.2 and 0.0, two seeds each
         assert len(notices) == 1 and "0.49" in notices[0]

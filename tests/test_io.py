@@ -3,6 +3,7 @@ import pytest
 from csv_reader import COMPARISON_FLOATS, COMPARISON_HEADER, read_records
 
 from fcpso.experiments import ComparisonRow, ProfilePoint
+from fcpso.indicators import HvTrace
 from fcpso.io import (
     fmt,
     read_front_csv,
@@ -10,7 +11,6 @@ from fcpso.io import (
     run_directory,
     write_comparison_csv,
     write_front_csv,
-    write_hv_trace_csv,
     write_profile_csv,
     write_run_result,
 )
@@ -23,7 +23,6 @@ def make_result(**overrides):
         front_objectives=np.array([[0.0, 1.0], [1.0, 0.0]]),
         front_positions=np.array([[0.1, 0.2], [0.3, 0.4]]),
         evaluations_used=400,
-        hv_trace=[(100, 1.5), (200, 2.0)],
     )
     base.update(overrides)
     return RunResult(**base)
@@ -32,9 +31,15 @@ def make_result(**overrides):
 CFG = RunConfig()
 
 
-def write_run(directory, result):
-    """Write ``result`` as the zdt1 run of ``CFG`` (fcpso) on seed 3."""
-    return write_run_result(directory, get_problem("zdt1"), CFG, 3, result)
+def make_trace(points=((100, 1.5), (200, 2.0))):
+    trace = HvTrace(get_problem("zdt1"))
+    trace.points = list(points)
+    return trace
+
+
+def write_run(directory, result, trace=None):
+    """Write ``result`` as the zdt1 run of ``CFG`` (fcpso) on seed 3, observed by ``trace``."""
+    return write_run_result(directory, get_problem("zdt1"), CFG, 3, result, trace)
 
 
 def point(**cells):
@@ -94,7 +99,7 @@ class TestFrontCsv:
 class TestRunResultFiles:
     def test_writes_all_artifacts(self, tmp_path):
         result = make_result()
-        out = write_run(tmp_path / "run", result)
+        out = write_run(tmp_path / "run", result, make_trace())
         assert (out / "front.csv").is_file()
         assert (out / "positions.csv").is_file()
         assert (out / "hv_trace.csv").is_file()
@@ -105,26 +110,26 @@ class TestRunResultFiles:
 
     def test_positions_and_trace_round_trip(self, tmp_path):
         result = make_result(front_positions=np.array([[0.1, 1 / 3, 0.7], [0.3, 0.4, 1e-300]]))
-        out = write_run(tmp_path / "run", result)
+        out = write_run(tmp_path / "run", result, make_trace())
         xs = ("x1", "x2", "x3")
         positions = read_records(out / "positions.csv", point, xs, floats=xs)
         np.testing.assert_array_equal(positions, result.front_positions)
         trace = read_records(out / "hv_trace.csv", point, ("evaluations", "hv"), floats=("hv",))
         assert trace == [("100", 1.5), ("200", 2.0)]
 
-    def test_no_trace_file_without_trace(self, tmp_path):
-        out = write_run(tmp_path / "run", make_result(hv_trace=[]))
+    @pytest.mark.parametrize("trace", [None, make_trace(())], ids=["no-trace", "no-points"])
+    def test_no_trace_file_without_trace(self, tmp_path, trace):
+        out = write_run(tmp_path / "run", make_result(), trace)
         assert not (out / "hv_trace.csv").exists()
 
     def test_a_rerun_without_trace_removes_the_old_trace(self, tmp_path):
-        write_run(tmp_path / "run", make_result())
-        out = write_run(tmp_path / "run", make_result(hv_trace=[]))
+        write_run(tmp_path / "run", make_result(), make_trace())
+        out = write_run(tmp_path / "run", make_result())
         assert not (out / "hv_trace.csv").exists()
 
     def test_hv_trace_contents(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_hv_trace_csv(path, [(100, 1.5)])
-        assert path.read_text() == "evaluations,hv\n100,1.5\n"
+        out = write_run(tmp_path / "run", make_result(), make_trace([(100, 1.5)]))
+        assert (out / "hv_trace.csv").read_text() == "evaluations,hv\n100,1.5\n"
 
 
 class TestComparisonCsv:

@@ -14,12 +14,16 @@ class TestConfigValidation:
             {"per_variable_probability": 1.5},
             {"per_variable_probability": -0.1},
             {"particle_fraction": 2.0},
+            {"per_variable_probability": True},
+            {"particle_fraction": np.True_},
+            {"particle_fraction": "0.5"},
             {"distribution_index": float("nan")},
             {"distribution_index": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             MutationConfig(**kwargs)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcpso.archive import non_dominated_mask
+from fcpso.indicators import HvTrace
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, RunResult, run
 from fcpso.problems import get_problem
@@ -76,8 +77,6 @@ class TestRunBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(dynamics=DynamicsConfig(swarm_size=100), max_evaluations=50)
-        with pytest.raises(ValueError):
-            RunConfig(hv_target_fraction=1.5)
 
     @pytest.mark.parametrize("key, value", [
         ("archive_capacity", 1.5), ("archive_capacity", True), ("max_evaluations", 250.7),
@@ -97,17 +96,11 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=refusal):
             run(get_problem("zdt1"), RunConfig(max_evaluations=200), seed)
 
-    @pytest.mark.parametrize("value", [1, 0, "yes", None])
-    def test_a_trace_hv_that_is_not_a_bool_is_refused_naming_it(self, value):
-        with pytest.raises(ValueError, match=f"trace_hv must be a bool, got {value!r}"):
-            RunConfig(trace_hv=value)
-        for kept in (True, False, np.True_, np.False_):
-            assert RunConfig(trace_hv=kept).trace_hv == kept
+    def test_a_config_holds_only_the_run_settings(self):
+        assert [f.name for f in fields(RunConfig)] == ["dynamics", "mutation", "max_evaluations", "archive_capacity"]
 
     def test_a_result_holds_only_what_the_run_produced(self):
-        assert [f.name for f in fields(RunResult)] == [
-            "front_objectives", "front_positions", "evaluations_used", "hv_trace",
-        ]
+        assert [f.name for f in fields(RunResult)] == ["front_objectives", "front_positions", "evaluations_used"]
         result = run(get_problem("zdt1"), quick_cfg(), seed=9)
         assert result.front_size == len(result.front_objectives) == len(result.front_positions)
 
@@ -133,7 +126,8 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("evals, target", [(450, None), (4000, 0.5)], ids=["budget", "target"])
     def test_a_run_evaluates_exactly_the_evaluations_it_reports(self, evals, target):
         problem, calls = counted(get_problem("zdt1"))
-        result = run(problem, quick_cfg(swarm=20, evals=evals, hv_target_fraction=target), seed=2)
+        trace = None if target is None else HvTrace(problem, target)
+        result = run(problem, quick_cfg(swarm=20, evals=evals), seed=2, observe=trace)
         assert len(calls) == result.evaluations_used
         if target is None:
             assert result.evaluations_used == 440  # 450 is no multiple of the swarm
@@ -141,58 +135,87 @@ class TestEvaluationCount:
             assert result.evaluations_used < evals  # the target stopped the run
 
 
+class TestObserver:
+    @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
+    def test_an_observer_that_never_stops_changes_nothing(self, variant):
+        problem, cfg = get_problem("zdt2"), quick_cfg(variant=variant, evals=400)
+        watched, plain = run(problem, cfg, seed=4, observe=lambda e, a: False), run(problem, cfg, seed=4)
+        assert watched.front_objectives.tobytes() == plain.front_objectives.tobytes()
+        assert watched.front_positions.tobytes() == plain.front_positions.tobytes()
+        assert watched.evaluations_used == plain.evaluations_used
+
+    def test_a_true_return_at_generation_0_stops_after_the_initial_swarm(self):
+        result = run(get_problem("zdt1"), quick_cfg(swarm=20, evals=2000), seed=1, observe=lambda e, a: True)
+        assert result.evaluations_used == 20
+
+    def test_the_observer_sees_every_generation_and_the_archive(self):
+        seen = []
+
+        def observe(evaluations, archive):
+            seen.append((evaluations, archive.objectives_array().copy()))
+            return False
+
+        result = run(get_problem("zdt1"), quick_cfg(swarm=25, evals=260), seed=3, observe=observe)
+        assert [e for e, _ in seen] == list(range(25, 251, 25)) and result.evaluations_used == 250
+        assert seen[-1][1].tobytes() == result.front_objectives.tobytes()
+
+
 class TestHvTarget:
     def test_target_zero_stops_immediately(self):
         problem = get_problem("zdt1")
-        result = run(problem, replace(quick_cfg(swarm=20, evals=2000), hv_target_fraction=0.0), seed=1)
+        trace = HvTrace(problem, 0.0)
+        result = run(problem, quick_cfg(swarm=20, evals=2000), seed=1, observe=trace)
         assert result.evaluations_used == 20
-        assert len(result.hv_trace) == 1
+        assert len(trace.points) == 1
 
     def test_unreachable_target_exhausts_budget(self):
         problem = get_problem("zdt1")
-        cfg = quick_cfg(swarm=20, evals=200)
-        result = run(problem, replace(cfg, hv_target_fraction=1.0), seed=1)
+        result = run(problem, quick_cfg(swarm=20, evals=200), seed=1, observe=HvTrace(problem, 1.0))
         assert result.evaluations_used == 200
 
     def test_missing_reference_hv_rejected(self):
-        problem = get_problem("dtlz2", 3)
-        with pytest.raises(ValueError, match="reference hypervolume"):
-            run(problem, replace(quick_cfg(), hv_target_fraction=0.95), seed=1)
+        with pytest.raises(ValueError, match="needs a reference hypervolume, and dtlz2 has none"):
+            HvTrace(get_problem("dtlz2", 3), 0.95)
+        assert HvTrace(get_problem("dtlz2", 3)).points == []  # a bare trace needs no reference
+
+    @pytest.mark.parametrize("fraction, refusal", [
+        (1.5, "must lie in [0, 1]"), (-0.1, "must lie in [0, 1]"), (float("nan"), "must lie in [0, 1]"),
+        (True, "must be a real number"), (np.True_, "must be a real number"), ("0.5", "must be a real number"),
+    ])
+    def test_a_bad_fraction_is_refused_naming_it(self, fraction, refusal):
+        with pytest.raises(ValueError) as exc:
+            HvTrace(get_problem("zdt1"), fraction)
+        assert str(exc.value) == f"fraction {refusal}, got {fraction!r}"
+        for kept in (0, 1, 0.5, np.float32(0.25)):
+            assert HvTrace(get_problem("zdt1"), kept).fraction == kept
 
     def test_explicit_reference_hv_override(self):
         problem = replace(get_problem("dtlz2", 3), reference_hv=7.0)
-        result = run(problem, replace(quick_cfg(evals=400), hv_target_fraction=0.01), seed=1)
+        result = run(problem, quick_cfg(evals=400), seed=1, observe=HvTrace(problem, 0.01))
         assert result.evaluations_used == 20  # the initial swarm already meets 0.01 x 7
         assert get_problem("dtlz2", 3).reference_hv is None  # the cached instance is untouched
 
     def test_trace_recorded_and_tolerably_monotone(self):
         problem = get_problem("zdt1")
-        cfg = quick_cfg(swarm=20, evals=4000)
-        result = run(problem, replace(cfg, hv_target_fraction=0.95), seed=4)
-        evals, hvs = zip(*result.hv_trace)
+        trace = HvTrace(problem, 0.95)
+        run(problem, quick_cfg(swarm=20, evals=4000), seed=4, observe=trace)
+        evals, hvs = zip(*trace.points)
         assert list(evals) == sorted(evals)
         hvs = np.array(hvs)
         # crowding eviction may dent the archive hv; dips stay below 1%
         drops = np.maximum(hvs[:-1] - hvs[1:], 0.0)
         assert np.all(drops <= 0.01 * np.maximum(hvs[:-1], 1e-12))
 
-    def test_a_target_traces_whatever_trace_hv_says(self):
-        problem = get_problem("zdt1")
-        cfg = quick_cfg(swarm=20, evals=4000, hv_target_fraction=0.5)
-        on, off = run(problem, replace(cfg, trace_hv=True), seed=3), run(problem, cfg, seed=3)
-        assert off.hv_trace and on.hv_trace == off.hv_trace
-        assert on.front_objectives.tobytes() == off.front_objectives.tobytes()
-        assert on.front_positions.tobytes() == off.front_positions.tobytes()
-
     @pytest.mark.parametrize("variant", ["smpso", "fcpso"])
     def test_traced_budget_run_starts_with_the_target_run(self, variant):
         problem = get_problem("zdt1")
         cfg = quick_cfg(variant=variant, swarm=20, evals=4000)
-        target = run(problem, replace(cfg, hv_target_fraction=0.5), seed=2)
-        budget = run(problem, replace(cfg, trace_hv=True), seed=2)
+        target_trace, budget_trace = HvTrace(problem, 0.5), HvTrace(problem)
+        target = run(problem, cfg, seed=2, observe=target_trace)
+        budget = run(problem, cfg, seed=2, observe=budget_trace)
         assert target.evaluations_used < budget.evaluations_used
-        assert budget.hv_trace[: len(target.hv_trace)] == target.hv_trace
-        assert len(budget.hv_trace) == budget.evaluations_used // 20
+        assert budget_trace.points[: len(target_trace.points)] == target_trace.points
+        assert len(budget_trace.points) == budget.evaluations_used // 20
 
     def test_a_stalled_archive_repeats_its_traced_value_bitwise(self):
         # most dtlz1:5 candidates are dominated, so many generations leave
@@ -201,11 +224,13 @@ class TestHvTarget:
         from loop_oracle import run_oracle
 
         problem = get_problem("dtlz1", 5)
-        cfg = quick_cfg(swarm=20, evals=2000, archive_capacity=100, trace_hv=True)
-        result = run(problem, cfg, seed=1)
-        values = [hv for _, hv in result.hv_trace]
+        cfg = quick_cfg(swarm=20, evals=2000, archive_capacity=100)
+        trace, oracle_trace = HvTrace(problem), HvTrace(problem)
+        run(problem, cfg, seed=1, observe=trace)
+        run_oracle(problem, cfg, seed=1, observe=oracle_trace)
+        values = [hv for _, hv in trace.points]
         assert len(values) == 100 and any(a == b for a, b in zip(values, values[1:]))
-        assert result.hv_trace == run_oracle(problem, cfg, seed=1).hv_trace
+        assert trace.points == oracle_trace.points
 
 
 class TestMutationInteraction:

@@ -28,7 +28,7 @@ from zdt_oracle import ZDT
 from fcpso.archive import ExternalArchive, crowding_distance, non_dominated_mask
 from fcpso.constriction import PHI_MAX, activation_event, activation_threshold, chi_momentum, eigenvalues
 from fcpso.fairness import ParameterScheme, activation_probability, monte_carlo_activation
-from fcpso.indicators import _hv_4d, additive_epsilon, hypervolume, igd, spacing
+from fcpso.indicators import HvTrace, _hv_4d, additive_epsilon, hypervolume, igd, spacing
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem, parse_problem_id
@@ -359,7 +359,7 @@ def test_smpso_is_the_momentum_kernel_carrying_w_v_at_beta_zero(case):
 @st.composite
 def run_cases(draw):
     """A small run: any problem family, variant, swarm size, turbulence
-    setting, budget, archive size and termination mode."""
+    setting, budget, archive size and hv target, or none."""
     problem = get_problem(*parse_problem_id(draw(st.sampled_from(["zdt1", "zdt4", "dtlz2:3", "wfg4:5"]))))
     swarm = draw(st.integers(2, 40))
     dynamics = DynamicsConfig(variant=draw(st.sampled_from(VARIANTS)), swarm_size=swarm)
@@ -376,21 +376,20 @@ def run_cases(draw):
         mutation=mutation,
         max_evaluations=swarm * draw(st.integers(1, 8)) + draw(st.integers(0, swarm - 1)),
         archive_capacity=draw(st.integers(1, 30)),
-        hv_target_fraction=target,
-        trace_hv=draw(st.booleans()),
     )
-    return problem, cfg
+    return problem, cfg, target
 
 
 @settings(max_examples=150, deadline=None)
 @given(run_cases(), st.integers(0, 2**32 - 1))
 def test_array_swarm_run_is_bitwise_the_per_particle_loop(case, seed):
-    problem, cfg = case
-    got, expected = run(problem, cfg, seed), run_oracle(problem, cfg, seed)
+    problem, cfg, target = case
+    trace, oracle_trace = HvTrace(problem, target), HvTrace(problem, target)
+    got, expected = run(problem, cfg, seed, observe=trace), run_oracle(problem, cfg, seed, observe=oracle_trace)
     assert got.front_objectives.shape == expected.front_objectives.shape
     assert got.front_objectives.tobytes() == expected.front_objectives.tobytes()
     assert got.front_positions.tobytes() == expected.front_positions.tobytes()
-    assert got.hv_trace == expected.hv_trace
+    assert trace.points == oracle_trace.points
     assert got.evaluations_used == expected.evaluations_used
 
 
