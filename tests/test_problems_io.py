@@ -1,5 +1,7 @@
 """Reference fronts: generation and the front CSV reader."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,16 @@ class TestBundledFronts:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+    def test_the_simplex_lattice_is_the_per_composition_loop(self, m):
+        for h in (1, 2, 5, 9):
+            rows = []  # each composition's parts, from its cuts one by one
+            for cuts in combinations(range(h + m - 1), m - 1):
+                edges = (-1, *cuts, h + m - 1)
+                rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+            got, want = fronts.simplex_lattice(m, h), np.array(rows, dtype=float) / h
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_dtlz1_high_objectives(self):
         front = get_problem("dtlz1", 5).reference_front
         assert front.shape[1] == 5
