@@ -1,27 +1,32 @@
 """Bounded external archive of non-dominated solutions.
 
 The archive stores the best mutually non-dominated solutions found so
-far, evicting by crowding distance when full.  Entries live in row order
-in preallocated objective and position arrays.  Swarm leaders (the gbest
-of the velocity update) are drawn from it with binary tournaments that
-favour isolated entries, a generation's tournaments in one call.
+far, evicting by crowding distance when full.  Entries keep their
+insertion order in preallocated arrays: each is a row of the position
+array and a column of the objective array, which is objective-major
+(one row per objective), so a test of every entry reads k contiguous
+rows.  Swarm leaders (the gbest of the velocity update) are drawn from
+it with binary tournaments that favour isolated entries, a generation's
+tournaments in one call.
 
 A candidate's shapes and finiteness are checked first, so a refused
 candidate leaves the archive as it was.  Only the dominance test depends
-on the objective count, fixed when the archive is built; it yields
-the rows a candidate beats.  Dropping them, writing the candidate at the
-next row and evicting on overflow are the same code for any count, and a
-row leaves one way: the rows after it shift down by one.  With two
-objectives, a mutually non-dominated set sorted by f1 has strictly
-falling f2, a staircase (Kung, Luccio and Preparata, JACM 1975).  The
-archive keeps that order in plain lists with the row of each entry: one
-bisect decides dominance, the entries a candidate beats are one run of
-the staircase, and an insertion or an eviction changes the crowding of
-its neighbours only, unless it moves an extreme.  With three or more
-objectives, dominance is one vectorized test against every row, and an
-eviction and a leader draw each compute the crowding of the live rows.
-Both ways give bitwise the same crowding, outcomes, entry order and
-leader draws.
+on the objective count, fixed when the archive is built; it yields the
+entries a candidate beats.  Dropping them, writing the candidate after
+the last entry and evicting on overflow are the same code for any
+count, and an entry leaves one way: the entries after it shift down by
+one.  With two objectives, a mutually non-dominated set sorted by f1 has
+strictly falling f2, a staircase (Kung, Luccio and Preparata, JACM
+1975).  The archive keeps that order in plain lists with the index of
+each entry: one bisect decides dominance, the entries a candidate beats
+are one run of the staircase, and an insertion or an eviction changes
+the crowding of its neighbours only, unless it moves an extreme.  With
+three or more objectives, dominance is one vectorized test of every
+entry, and an eviction and a leader draw each compute the crowding of
+the live entries.  One crowding kernel, ``column_crowding``, serves
+evictions, the two-objective full recompute and leader draws, and
+``crowding_distance`` is its checked form.  Both ways give bitwise the
+same crowding, outcomes, entry order and leader draws.
 """
 
 from __future__ import annotations
@@ -44,13 +49,20 @@ DOMINATED = "dominated"
 REPLACED_CROWDED = "replaced-crowded"
 
 
+def _finite_rows(objectives) -> np.ndarray:
+    """The objective vectors as the rows of a float array; a NaN or
+    infinite entry raises ValueError."""
+    F = np.atleast_2d(np.asarray(objectives, dtype=float))
+    if not np.isfinite(F).all():
+        raise ValueError("objectives must be finite, got a NaN or infinite entry")
+    return F
+
+
 def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of the points no other point weakly dominates
     (duplicates keep their first occurrence).  A NaN or infinite entry
     raises ValueError."""
-    F = np.atleast_2d(np.asarray(objectives, dtype=float))
-    if not np.isfinite(F).all():
-        raise ValueError("objectives must be finite, got a NaN or infinite entry")
+    F = _finite_rows(objectives)
     n = F.shape[0]
     # point b goes when some point a weakly dominates it and either beats
     # it somewhere or is an earlier duplicate; rows go in blocks of about
@@ -67,53 +79,61 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
-    """Per-entry crowding distance of a set of objective vectors.
+    """Per-entry crowding distance of a set of objective vectors, one row
+    per entry.
 
     Boundary entries of each objective get +inf; interior entries sum
     normalized gaps between their neighbours, objective by objective.  An
-    objective whose values are all equal contributes nothing.
+    objective whose values are all equal contributes nothing.  An empty
+    set, or a NaN or infinite entry, raises ValueError.
     """
-    F = np.atleast_2d(np.asarray(objectives, dtype=float))
-    m, k = F.shape
-    if m == 0:
+    F = _finite_rows(objectives)
+    if F.shape[0] == 0:
         raise ValueError("crowding_distance needs at least one entry")
+    return column_crowding(F.T)
+
+
+def column_crowding(C: np.ndarray) -> np.ndarray:
+    """``crowding_distance`` of the entries that are the columns of C,
+    one row per objective, unchecked: the archive's kernel.  It is named
+    as a public function so that perfbench's layer tracer, which wraps a
+    module's public callables, times the archive's crowding."""
+    k, m = C.shape
     if m <= 2:
         return np.full(m, np.inf)
-    # a stable sort of each column gives the order a per-objective
-    # argsort would
-    order = np.argsort(F, axis=0, kind="stable")
-    cols = np.arange(k)
-    fs = F[order, cols]
-    span = fs[-1] - fs[0]
+    # a stable sort of each row gives the order a per-objective argsort
+    # would; offset by its row's start, an index addresses the flat array
+    order = C.argsort(axis=1, kind="stable")
+    order += np.arange(0, k * m, m)[:, None]
+    cs = C.take(order)
+    span = cs[:, -1] - cs[:, 0]
     spread = span != 0.0
-    sorted_gaps = np.empty((m, k))
-    sorted_gaps[1:-1] = (fs[2:] - fs[:-2]) / np.where(spread, span, 1.0)
-    sorted_gaps[0] = sorted_gaps[-1] = np.where(spread, np.inf, 0.0)
-    gaps = np.empty((m, k))
-    gaps[order, cols] = sorted_gaps
-    # add the objectives in order, as a per-objective loop does, so the
-    # sums are bitwise the same
-    d = gaps[:, 0].copy()
-    for j in range(1, k):
-        d += gaps[:, j]
-    return d
+    sorted_gaps = np.empty((k, m))
+    sorted_gaps[:, 1:-1] = (cs[:, 2:] - cs[:, :-2]) / np.where(spread, span, 1.0)[:, None]
+    sorted_gaps[:, :: m - 1] = np.where(spread, np.inf, 0.0)[:, None]
+    gaps = np.empty(k * m)
+    gaps[order] = sorted_gaps
+    # a reduction over the outer axis adds the objectives in order, as a
+    # per-objective loop does, so the sums are bitwise the same
+    return np.add.reduce(gaps.reshape(k, m), axis=0)
 
 
 class ExternalArchive:
     """Capacity-bounded store of mutually non-dominated entries.
 
-    Row ``i < len(self)`` of the objective and position buffers is entry
-    ``i``; entries keep the order they were inserted in, and ``_drop``
-    is the one way out.  The objective and position counts are fixed
-    when the archive is built, and the buffers have one spare row for
-    the candidate that overflows the capacity.
+    Entry ``i < len(self)`` is row ``i`` of the position buffer and
+    column ``i`` of the objective buffer, which has one row per
+    objective; entries keep the order they were inserted in, and
+    ``_drop`` is the one way out.  The objective and position counts are
+    fixed when the archive is built, and the buffers have one spare
+    entry for the candidate that overflows the capacity.
 
     With two objectives the entries are also a staircase: ``_f1`` and
     ``_f2`` list them by rising f1, and so by falling f2, and ``_stair``
-    gives the row of each.  ``_crowding`` then has each row's crowding
-    distance, kept current by every change.  With three or more
-    objectives ``_crowded`` computes the crowding of the live rows, and
-    ``_crowding`` is unused.
+    gives the index of each.  ``_crowding`` then has each entry's
+    crowding distance, kept current by every change.  With three or more
+    objectives ``_crowded`` computes the crowding of the live entries,
+    and ``_crowding`` is unused.
     """
 
     def __init__(self, capacity: int, n_obj: int, n_var: int):
@@ -121,7 +141,7 @@ class ExternalArchive:
             check_count(name, value, 1)
         self.capacity = capacity
         self._n = 0
-        self._objectives = np.empty((capacity + 1, n_obj))
+        self._objectives = np.empty((n_obj, capacity + 1))
         self._positions = np.empty((capacity + 1, n_var))
         self._crowding = np.zeros(capacity + 1)
         # the staircase, kept only at two objectives
@@ -134,7 +154,7 @@ class ExternalArchive:
 
     def objectives_array(self) -> np.ndarray:
         """A copy of the entries' objectives, one row per entry."""
-        return self._objectives[: self._n].copy()
+        return self._objectives[:, : self._n].T.copy()
 
     def positions_array(self) -> np.ndarray:
         """A copy of the entries' positions, one row per entry."""
@@ -152,7 +172,7 @@ class ExternalArchive:
         """
         c = np.asarray(objectives, dtype=float)
         x = np.asarray(position, dtype=float)
-        held_c, held_x = self._objectives.shape[1:], self._positions.shape[1:]
+        held_c, held_x = self._objectives.shape[:1], self._positions.shape[1:]
         if c.shape != held_c or x.shape != held_x:
             raise ValueError(
                 f"candidate has objectives {c.shape} and position {x.shape}; the archive holds {held_c} and {held_x}"
@@ -163,12 +183,14 @@ class ExternalArchive:
             raise ValueError(f"objectives must be finite, got {values}")
         f1, f2, stair = self._f1, self._f2, self._stair
         if f1 is None:
-            F = self._objectives[: self._n]
+            # one row per objective: a test of every entry is k - 1
+            # elementwise ANDs of contiguous rows
+            F, col = self._objectives[:, : self._n], c[:, None]
             # weakly dominated (or duplicate) -> reject
-            if (F <= c).all(axis=1).any():
+            if np.logical_and.reduce(F <= col).any():
                 return DOMINATED
             # no entry is <= c, so an entry c is <= everywhere is strictly dominated
-            beaten = np.flatnonzero((c <= F).all(axis=1)).tolist()
+            beaten = np.logical_and.reduce(col <= F).nonzero()[0].tolist()
         else:
             a, b = values
             p = bisect_right(f1, a)
@@ -184,7 +206,7 @@ class ExternalArchive:
             del f1[q:end], f2[q:end], stair[q:end]
         self._drop(beaten)
         n = self._n
-        self._objectives[n] = c
+        self._objectives[:, n] = c
         self._positions[n] = x
         self._n = n + 1
         if f1 is not None:
@@ -202,7 +224,7 @@ class ExternalArchive:
         first: the rows after each shift down by one and are renumbered."""
         for e in sorted(rows, reverse=True):
             n = self._n - 1
-            self._objectives[e:n] = self._objectives[e + 1 : n + 1]
+            self._objectives[:, e:n] = self._objectives[:, e + 1 : n + 1]
             self._positions[e:n] = self._positions[e + 1 : n + 1]
             self._n = n
             if self._f1 is not None:
@@ -212,18 +234,18 @@ class ExternalArchive:
 
     def _evict(self) -> None:
         """Drop the first of the least crowded entries."""
-        e = int(np.argmin(self._crowded()))
+        e = int(self._crowded().argmin())
         if self._f1 is not None:
-            q = bisect_left(self._f1, float(self._objectives[e, 0]))
+            q = bisect_left(self._f1, float(self._objectives[0, e]))
             del self._f1[q], self._f2[q], self._stair[q]
         self._drop([e])
         if self._f1 is not None:
             self._recrowd(q)
 
     def _crowded(self) -> np.ndarray:
-        """The live rows' crowding: kept at two objectives, computed at more."""
+        """The live entries' crowding: kept at two objectives, computed at more."""
         if self._f1 is None:
-            return crowding_distance(self._objectives[: self._n])
+            return column_crowding(self._objectives[:, : self._n])
         return self._crowding[: self._n]
 
     def _recrowd(self, q: int) -> None:
@@ -231,13 +253,13 @@ class ExternalArchive:
 
         An interior change moves only the gaps of entries q - 1, q and
         q + 1.  A change at either end moves a span, and so every gap.
-        The gaps are ``crowding_distance``'s float operations in its
+        The gaps are ``column_crowding``'s float operations in its
         order, so the values are bitwise its own.
         """
         f1, f2 = self._f1, self._f2
         last = len(f1) - 1
         if q <= 0 or q >= last:
-            self._crowding[: self._n] = crowding_distance(self._objectives[: self._n])
+            self._crowding[: self._n] = column_crowding(self._objectives[:, : self._n])
             return
         # the ends keep their inf
         for i in range(max(q - 1, 1), min(q + 2, last)):

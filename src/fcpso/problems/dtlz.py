@@ -4,15 +4,20 @@ Decision dimension follows the canonical convention n = m + p - 1 with
 p = 5 (DTLZ1), 10 (DTLZ2-6) or 20 (DTLZ7) distance variables.
 
 :func:`dtlz_evaluator` builds one evaluator per (index, m).  The
-position products come from one ``np.cumprod`` in :func:`objectives`,
-in the textbook loop's order, so every output is bitwise that loop's;
-WFG's linear, convex and concave shapes are that product at scale 1,
-clipped to [0, 1].  Sums are ``np.add.reduce``, the pairwise reduction
-``np.sum`` runs, without its Python wrapper.
+position products are computed by :func:`objectives` on Python floats:
+a running product of the factors, then the scale and last factors, with
+the textbook loop's operands in its order.  Python and numpy round an
+IEEE multiplication the same way, so every output is bitwise that
+loop's, and a few float multiplies cost less than numpy calls on arrays
+of m - 1 entries.  WFG's linear, convex and concave shapes are that
+product at scale 1, clipped to [0, 1].  Sums are ``np.add.reduce``, the
+pairwise reduction ``np.sum`` runs, without its Python wrapper.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -40,11 +45,12 @@ def _g_sphere(xm: np.ndarray) -> float:
 def objectives(scale, factors: np.ndarray, last: np.ndarray) -> np.ndarray:
     """f_i = scale * prod(factors[:m-1-i]) * last[m-1-i], where f_0 takes
     no factor of ``last`` and f_{m-1} no product; m-1 factors each."""
-    f = np.empty(factors.shape[0] + 1)
-    f.fill(scale)
-    f[:-1] *= np.cumprod(factors)[::-1]
-    f[1:] *= last[::-1]
-    return f
+    scale = float(scale)
+    # scale * prod(factors[:j]) for j = m-1 down to 1, then scale itself
+    f = [scale * p for p in accumulate(factors.tolist(), mul)]
+    f.reverse()
+    f.append(scale)
+    return np.array(f[:1] + [p * q for p, q in zip(f[1:], reversed(last.tolist()))])
 
 
 def dtlz_evaluator(index: int, m: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -96,6 +96,15 @@ class TestCrowdingDistance:
         assert d[0] == np.inf and d[2] == np.inf
         assert d[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_refused(self, k, bad):
+        # non_dominated_mask's refusal, where a NaN would crowd as NaN
+        F = np.eye(4, k)
+        F[2, -1] = bad
+        with pytest.raises(ValueError, match="^objectives must be finite, got a NaN or infinite entry$"):
+            crowding_distance(F)
+
 
 class TestTryInsert:
     def test_insert_non_dominated(self):
@@ -232,6 +241,19 @@ class TestArchiveInvariants:
         assert len(a) == 0
         assert a.objectives_array().shape == (0, 2)
         assert a.positions_array().shape == (0, 5)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_objectives_are_a_row_per_entry_copy(self, k):
+        # the archive keeps one row per objective; callers get one per entry
+        rows = [[float(i), -float(i), *range(k - 2)] for i in range(3)]
+        a = ExternalArchive(4, k, 1)
+        for y in rows:
+            a.try_insert(np.zeros(1), np.array(y))
+        F = a.objectives_array()
+        assert F.flags.c_contiguous and F.flags.owndata
+        np.testing.assert_array_equal(F, rows)
+        F[:] = 99.0
+        np.testing.assert_array_equal(a.objectives_array(), rows)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_fuzz_mutual_non_dominance_and_capacity(self, k, rng):

@@ -4,11 +4,12 @@ constriction factor and the activation event share, for smpso's
 velocity kernel against the momentum kernel, for IGD, additive epsilon
 and spacing against the tensor forms in ``indicator_oracle``, and for
 the array swarm's generation loop against the per-particle loop in
-``loop_oracle``.
+``loop_oracle``, and for the DTLZ/WFG objective product against one
+``np.cumprod``.
 
 Objectives are mostly small integers, so duplicates and ties are common,
-and every hypervolume is an exact sum of integer boxes; the 2-objective
-crowding property draws floats, whose gaps round.
+and every hypervolume is an exact sum of integer boxes; the crowding
+properties also draw floats, whose gaps round.
 """
 
 import math
@@ -32,6 +33,7 @@ from fcpso.indicators import HvTrace, _hv_4d, additive_epsilon, hypervolume, igd
 from fcpso.mutation import MutationConfig
 from fcpso.optimizer import RunConfig, run
 from fcpso.problems import get_problem, parse_problem_id
+from fcpso.problems.dtlz import objectives
 from fcpso.swarm import (
     VARIANTS,
     BoxBounds,
@@ -46,7 +48,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def objective_stream(draw, slots_per_objective=0):
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 10))
     low = max(1, slots_per_objective * k)
     capacity = draw(st.integers(low, low + 6))
     # points near the plane sum(f) = 10 (k - 1) are mostly mutually
@@ -143,10 +145,33 @@ def integer_points(draw, k_min=2, k_max=3, min_size=1, max_size=12):
     return np.array(draw(st.lists(coords, min_size=min_size, max_size=max_size)), dtype=float)
 
 
+@st.composite
+def crowding_points(draw):
+    """Up to 30 points of 1-12 objectives.  Each objective is small
+    integers, a constant, or floats at a scale of 1e-3 to 1e3 whose gaps
+    round, drawn from a few values so that some tie."""
+    k, m = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["integers", "constant", "floats"]))
+        if kind == "integers":
+            columns.append(draw(st.lists(st.integers(0, 10), min_size=m, max_size=m)))
+        elif kind == "constant":
+            columns.append([draw(st.floats(-1e3, 1e3))] * m)
+        else:
+            scale = 10.0 ** draw(st.integers(-3, 3))
+            values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=m))
+            columns.append([scale * draw(st.sampled_from(values)) for _ in range(m)])
+    return np.array(columns, dtype=float).T
+
+
 @PROPERTY_SETTINGS
-@given(integer_points(k_max=5, max_size=30))
+@given(crowding_points())
+# 12 objectives: a pairwise sum of each entry's gaps, as numpy's add.reduce
+# along a row runs past 8 terms, differs in the last bit for 3 entries
+@example(np.random.default_rng(0).random((30, 12)) * np.logspace(-3, 3, 12))
 def test_crowding_is_bitwise_the_per_objective_loop(F):
-    np.testing.assert_array_equal(crowding_distance(F), crowding_loop(F))
+    assert crowding_distance(F).tobytes() == crowding_loop(F).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -418,3 +443,34 @@ def zdt_points(draw):
 def test_zdt_evaluation_is_bitwise_the_textbook_expression(case):
     problem, x = case
     assert problem.evaluate(x).tobytes() == ZDT[problem.name](x).tobytes()
+
+
+def objectives_cumprod(scale, factors, last):
+    """``dtlz.objectives`` as one ``np.cumprod`` of the factors, in the
+    textbook loop's order: the oracle of its product on Python floats."""
+    f = np.empty(factors.shape[0] + 1)
+    f.fill(scale)
+    f[:-1] *= np.cumprod(factors)[::-1]
+    f[1:] *= last[::-1]
+    return f
+
+
+@st.composite
+def product_operands(draw):
+    """A scale (a Python float or, as DTLZ1 passes, a numpy scalar) and the
+    m - 1 factors and last factors of m = 2-12 objectives, drawn from
+    [0, 1] or from every finite float, where products overflow and 0 * inf
+    is a NaN."""
+    m = draw(st.integers(2, 12))
+    values = draw(st.sampled_from([st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)]))
+    factors, last = (np.array(draw(st.lists(values, min_size=m - 1, max_size=m - 1))) for _ in range(2))
+    scale = draw(st.sampled_from([float, np.float64]))(draw(values))
+    return scale, factors, last
+
+
+@PROPERTY_SETTINGS
+@given(product_operands())
+def test_the_objective_product_is_bitwise_the_cumprod(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = objectives_cumprod(*case)
+    assert objectives(*case).tobytes() == expected.tobytes()
